@@ -87,6 +87,8 @@ def parse_perm(text: str) -> tuple[int, ...]:
         vals = tuple(int(tok) for tok in text.split())
     except ValueError:
         raise ParseError(0, f"non-integer entry in {text!r}") from None
+    if not vals:
+        raise ParseError(0, "empty permutation; the smallest has length 1")
     if sorted(vals) != list(range(1, len(vals) + 1)):
         raise ParseError(0, f"not a permutation of 1..{len(vals)}: {text!r}")
     return vals

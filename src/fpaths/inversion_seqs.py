@@ -25,6 +25,7 @@ is the number of leading zeros.
 from __future__ import annotations
 
 from itertools import combinations
+from math import inf
 
 from .errors import FormViolation, GuardExceeded, NotAvoider
 from .fpath_core import FPath, StatTriple, fpath_height
@@ -34,7 +35,8 @@ InvSeq = tuple[int, ...]
 FAMILY_I = "I"  # avoids 101, 102
 FAMILY_J = "J"  # avoids 101, 021
 
-_PATTERNS = {FAMILY_I: ((1, 0, 1), (1, 0, 2)), FAMILY_J: ((1, 0, 1), (0, 2, 1))}
+P101, P102, P021 = (1, 0, 1), (1, 0, 2), (0, 2, 1)
+_PATTERNS = {FAMILY_I: (P101, P102), FAMILY_J: (P101, P021)}
 
 
 def word_reduction(word) -> tuple[int, ...]:
@@ -48,7 +50,10 @@ def word_reduction(word) -> tuple[int, ...]:
 
 
 def invseq_contains(e, pattern) -> bool:
-    """True if some subsequence of e reduces to ``pattern``."""
+    """True if some subsequence of e reduces to ``pattern``.
+
+    Brute force over all subsequences, kept as the reference oracle for
+    the tests; the library decides membership with :class:`_Scan`."""
     pattern = tuple(pattern)
     k = len(pattern)
     return any(
@@ -56,16 +61,76 @@ def invseq_contains(e, pattern) -> bool:
     )
 
 
+class _Scan:
+    """Left-to-right scan state of an inversion-sequence prefix.
+
+    A value is *open* while no strictly smaller entry has come after it,
+    and *closed* from then on.  The open values form a strictly increasing
+    stack.  For a next entry x (the prefix starts with e_1 = 0):
+
+        101  iff  x is closed
+        102  iff  x > the smallest closed value
+        021  iff  0 < x < the running maximum
+
+    Each entry costs O(1) amortised.
+    """
+
+    __slots__ = ("open", "closed", "min_closed", "top")
+
+    def __init__(self):
+        self.open: list[int] = []
+        self.closed: set[int] = set()
+        self.min_closed = inf
+        self.top = 0
+
+    def completes(self, x: int, family: str):
+        """The first pattern of the family that x completes, or None."""
+        if x in self.closed:
+            return P101
+        if family == FAMILY_I:
+            return P102 if x > self.min_closed else None
+        return P021 if 0 < x < self.top else None
+
+    def push(self, x: int) -> None:
+        stack = self.open
+        while stack and stack[-1] > x:
+            v = stack.pop()
+            self.closed.add(v)
+            self.min_closed = min(self.min_closed, v)
+        if not stack or stack[-1] != x:
+            stack.append(x)
+        self.top = max(self.top, x)
+
+    def copy(self) -> "_Scan":
+        new = _Scan()
+        new.open = self.open.copy()
+        new.closed = self.closed.copy()
+        new.min_closed = self.min_closed
+        new.top = self.top
+        return new
+
+
 def validate_invseq(entries, family: str | None = None) -> InvSeq:
-    """Check the inversion bound and, if ``family`` given, avoidance."""
+    """Check the inversion bound and, if ``family`` given, avoidance.
+
+    NotAvoider names the first pattern of the family that e contains.
+    One linear scan.
+    """
     e = tuple(int(v) for v in entries)
     for i, v in enumerate(e, 1):
         if not 0 <= v <= i - 1:
             raise FormViolation(f"entry {v} at position {i} outside 0..{i - 1}")
     if family is not None:
-        for pat in _PATTERNS[family]:
-            if invseq_contains(e, pat):
+        scan = _Scan()
+        found = None
+        for x in e:
+            pat = scan.completes(x, family)
+            if pat == P101:
                 raise NotAvoider(pat)
+            found = found or pat
+            scan.push(x)
+        if found:
+            raise NotAvoider(found)
     return e
 
 
@@ -264,40 +329,30 @@ def decompose_J(g: InvSeq) -> list[InvSeq]:
 # -------------------------------------------------------------- generation
 
 
-def _creates_pattern(prefix: list[int], v: int, patterns) -> bool:
-    """Would appending v to prefix complete one of the (length-3) patterns?"""
-    L = len(prefix)
-    for pat in patterns:
-        for i in range(L):
-            for j in range(i + 1, L):
-                if word_reduction((prefix[i], prefix[j], v)) == pat:
-                    return True
-    return False
-
-
 def gen_invseq(n: int, family: str | None, guard: int = 10) -> tuple[InvSeq, ...]:
-    """All avoiders of length n for the family, lexicographic order."""
+    """All avoiders of length n for the family, lexicographic order.
+
+    Depth-first over prefixes, carrying each prefix's :class:`_Scan`
+    state; ``family=None`` gives every inversion sequence.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n - 1 > guard:
         raise GuardExceeded(n - 1, guard)
-    patterns = _PATTERNS[family] if family is not None else ()
     out: list[InvSeq] = []
 
-    def rec(prefix: list[int]) -> None:
+    def rec(prefix: list[int], scan: _Scan) -> None:
         if len(prefix) == n:
             out.append(tuple(prefix))
             return
         for v in range(0, len(prefix) + 1):
-            if not _creates_pattern(prefix, v, patterns):
-                prefix.append(v)
-                rec(prefix)
-                prefix.pop()
+            if family is not None and scan.completes(v, family):
+                continue
+            child = scan.copy()
+            child.push(v)
+            prefix.append(v)
+            rec(prefix, child)
+            prefix.pop()
 
-    rec([])
+    rec([], _Scan())
     return tuple(out)
-
-
-if __name__ == "__main__":
-    for e in gen_invseq(3, FAMILY_I):
-        print(e, phi_I(e))

@@ -24,10 +24,10 @@ emits one F-step.  :func:`shape_analysis` exposes (x, y, z, w, case).
 """
 from __future__ import annotations
 
-from itertools import permutations as _sym
+from math import inf
 from typing import Iterable, NamedTuple
 
-from .errors import GuardExceeded, NotAvoider
+from .errors import FormViolation, GuardExceeded, NotAvoider
 from .fpath_core import FPath, StatTriple
 
 Permutation = tuple[int, ...]
@@ -53,7 +53,10 @@ class ShapeData(NamedTuple):
 
 def perm_contains(p: Permutation, pattern: Permutation) -> bool:
     """Classical containment: some subsequence of p is order-isomorphic
-    to ``pattern``.  Backtracking over positions with pairwise checks."""
+    to ``pattern``.  Backtracking over positions with pairwise checks.
+
+    Brute force, kept as the reference oracle for the tests; the library
+    decides membership with :func:`validate_avoider`."""
     k = len(pattern)
     n = len(p)
     if k == 0:
@@ -80,27 +83,120 @@ def perm_contains(p: Permutation, pattern: Permutation) -> bool:
     return extend([], 0)
 
 
+def _contains_123(s) -> bool:
+    """``first`` is the smallest value so far, ``second`` the smallest
+    value so far with a smaller one before it."""
+    first = second = inf
+    for v in s:
+        if v <= first:
+            first = v
+        elif v <= second:
+            second = v
+        else:
+            return True
+    return False
+
+
+def _contains_132(s) -> bool:
+    """Right-to-left stack scan; ``third`` is the largest value seen so
+    far that has a larger value to its left."""
+    third = -inf
+    stack: list[int] = []
+    for v in reversed(s):
+        if v < third:
+            return True
+        while stack and stack[-1] < v:
+            third = stack.pop()
+        stack.append(v)
+    return False
+
+
+def _forbidden_ending_at(prefix, x) -> Permutation | None:
+    """The first pattern of FORBIDDEN with an occurrence whose last entry
+    is x, placed right after ``prefix``; None if there is none.
+
+    Every forbidden pattern ends in its smallest entry, so such an
+    occurrence exists iff the entries of ``prefix`` larger than x contain
+    123 (2341), 132 (2431) or 213 (3241).  213 is 132 reversed and
+    complemented.  Linear in len(prefix).
+    """
+    above = [v for v in prefix if v > x]
+    if len(above) < 3:
+        return None
+    if _contains_123(above):
+        return FORBIDDEN[0]
+    if _contains_132(above):
+        return FORBIDDEN[1]
+    if _contains_132([-v for v in reversed(above)]):
+        return FORBIDDEN[2]
+    return None
+
+
+def _first_forbidden(p: Permutation) -> Permutation | None:
+    """The first pattern of FORBIDDEN that p contains, or None.  O(n^2)."""
+    first = len(FORBIDDEN)
+    for k in range(3, len(p)):
+        pat = _forbidden_ending_at(p[:k], p[k])
+        if pat is not None:
+            first = min(first, FORBIDDEN.index(pat))
+            if first == 0:
+                break
+    return FORBIDDEN[first] if first < len(FORBIDDEN) else None
+
+
 def is_avoider(p: Permutation) -> bool:
-    return not any(perm_contains(p, f) for f in FORBIDDEN)
+    return _first_forbidden(tuple(p)) is None
 
 
 def validate_avoider(p: Permutation) -> Permutation:
+    """Return p as a tuple, or raise: FormViolation when p is not a
+    permutation of 1..len(p), NotAvoider naming the first pattern of
+    FORBIDDEN that p contains."""
     p = tuple(p)
     if sorted(p) != list(range(1, len(p) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(p)}: {p!r}")
-    for f in FORBIDDEN:
-        if perm_contains(p, f):
-            raise NotAvoider(f)
+        raise FormViolation(f"not a permutation of 1..{len(p)}: {p!r}")
+    pat = _first_forbidden(p)
+    if pat is not None:
+        raise NotAvoider(pat)
     return p
 
 
 def gen_avoiders(n: int, guard: int = 9) -> tuple[Permutation, ...]:
-    """All avoiders of length n in lexicographic order (filters n!)."""
+    """All avoiders of length n in lexicographic order.
+
+    Depth-first over prefixes, values in increasing order.  Containment
+    is closed under extension, so a prefix is dropped as soon as its last
+    entry completes a pattern.  The entries that can follow a prefix are
+    the unused values from some threshold up (a smaller entry sees more
+    entries above it), so once one value passes, the larger ones do too.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > guard:
         raise GuardExceeded(n, guard)
-    return tuple(p for p in _sym(range(1, n + 1)) if is_avoider(p))
+    out: list[Permutation] = []
+    prefix: list[int] = []
+    used = [False] * (n + 1)
+
+    def rec() -> None:
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+            return
+        passed = False
+        for v in range(1, n + 1):
+            if used[v] or (
+                not passed and _forbidden_ending_at(prefix, v) is not None
+            ):
+                continue
+            passed = True
+            used[v] = True
+            prefix.append(v)
+            rec()
+            prefix.pop()
+            used[v] = False
+
+    rec()
+    return tuple(out)
 
 
 # ---------------------------------------------------- blocks & statistics
@@ -309,8 +405,3 @@ def psi_S(q: FPath) -> Permutation:
             tail = cur[x - 1 + wlen:]
             cur = head + (L + 1,) + mid + tail
     return cur
-
-
-if __name__ == "__main__":
-    for p in gen_avoiders(3):
-        print(p, phi_S(p))

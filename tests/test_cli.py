@@ -6,9 +6,11 @@ stdin is swapped by hand for the same reason.
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
+import fpaths
 from fpaths.cli import cmd_dispatch
 
 
@@ -190,3 +192,30 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 2 6 21 80\n"
+
+
+def test_membership_checks_survive_optimised_mode():
+    """With asserts stripped (python -O) every φ still rejects a
+    non-avoider with NotAvoider."""
+    script = (
+        "from fpaths.errors import NotAvoider\n"
+        "from fpaths.inversion_seqs import phi_I, phi_J\n"
+        "from fpaths.pattern_perms import phi_S\n"
+        "for phi, obj in ((phi_S, (2, 3, 4, 1)), (phi_I, (0, 1, 0, 1)),\n"
+        "                 (phi_J, (0, 0, 1, 3, 2))):\n"
+        "    try:\n"
+        "        phi(obj)\n"
+        "    except NotAvoider:\n"
+        "        continue\n"
+        "    raise SystemExit(f'{phi.__name__} accepted {obj}')\n"
+    )
+    src = os.path.dirname(os.path.dirname(fpaths.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -83,6 +83,13 @@ def test_parse_error_offsets(tag, text, offset):
     assert exc.value.offset == offset
 
 
+def test_perm_parse_rejects_the_empty_permutation():
+    # every perm of common index n >= 0 has length >= 1
+    for text in ("", "   "):
+        with pytest.raises(ParseError):
+            parse_object("perm", text)
+
+
 def test_parse_validates_semantics_too():
     with pytest.raises(StepNotInF):
         parse_object("fpath", "0,1 1,2")

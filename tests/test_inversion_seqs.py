@@ -1,15 +1,19 @@
 """Inversion sequences avoiding (101,102) and (101,021).
 
 The avoidance oracle spells out each pattern as explicit triple
-comparisons - no shared code with the production reduction matcher.
+comparisons - no shared code with the reduction matcher
+``invseq_contains``, which in turn is the oracle for the linear scan
+behind ``validate_invseq``.
 """
 import itertools
+import random
 
 import pytest
 
 from fpaths.errors import FormViolation, GuardExceeded, NotAvoider
 from fpaths.fpath_core import fpath_stats, gen_fpaths
 from fpaths.inversion_seqs import (
+    _PATTERNS,
     FAMILY_I,
     FAMILY_J,
     decompose_I,
@@ -118,6 +122,71 @@ def test_validate():
         validate_invseq((0, 0, 1, 3, 2), FAMILY_J)
 
 
+def first_pattern_oracle(e, family, contained=None):
+    """The pattern the brute-force check names: first in family order.
+
+    ``contained`` (pattern -> bool) is filled in as the patterns are
+    tested, so several families can share one sequence's tests.
+    """
+    contained = {} if contained is None else contained
+    for p in _PATTERNS[family]:
+        if p not in contained:
+            contained[p] = invseq_contains(e, p)
+        if contained[p]:
+            return p
+    return None
+
+
+def named_pattern(e, family):
+    try:
+        validate_invseq(e, family)
+    except NotAvoider as exc:
+        return exc.pattern
+    return None
+
+
+def test_membership_and_generation_match_oracle_exhaustively():
+    for length in range(8):
+        ranges = [range(i) for i in range(1, length + 1)]
+        avoiders = {FAMILY_I: [], FAMILY_J: []}
+        for e in itertools.product(*ranges):
+            contained = {}
+            for family in (FAMILY_I, FAMILY_J):
+                want = first_pattern_oracle(e, family, contained)
+                assert named_pattern(e, family) == want, (e, family)
+                if want is None:
+                    avoiders[family].append(e)
+        for family in (FAMILY_I, FAMILY_J):
+            assert list(gen_invseq(length, family)) == avoiders[family]
+
+
+def plant(rng, e, pattern):
+    """Overwrite three random entries of e with an occurrence of
+    ``pattern``, keeping the inversion bound."""
+    while True:
+        positions = sorted(rng.sample(range(len(e)), 3))
+        values = [rng.randint(0, i) for i in positions]
+        if word_reduction(values) == pattern:
+            out = list(e)
+            for i, v in zip(positions, values):
+                out[i] = v
+            return tuple(out)
+
+
+def test_membership_matches_oracle_on_long_inputs(random_fpath):
+    rng = random.Random(20240405)
+    for psi, family in ((psi_I, FAMILY_I), (psi_J, FAMILY_J)):
+        for _ in range(2):
+            e = psi(random_fpath(rng, rng.randint(19, 79)))
+            assert named_pattern(e, family) is None
+            for pattern in ((1, 0, 1), (1, 0, 2), (0, 2, 1)):
+                planted = plant(rng, e, pattern)
+                contained = {}
+                for fam in (FAMILY_I, FAMILY_J):
+                    want = first_pattern_oracle(planted, fam, contained)
+                    assert named_pattern(planted, fam) == want, (planted, fam)
+
+
 def test_max_and_maxid_rightmost():
     assert max_and_maxid((0, 1, 1, 0)) == (1, 3)
     assert max_and_maxid((0,)) == (0, 1)
@@ -134,6 +203,7 @@ def test_gen_counts_and_oracle():
             assert list(got) == sorted(oracle_invseqs(length, family))
     assert gen_invseq(3, FAMILY_I) == tuple(sorted(SIX_I))
     assert gen_invseq(3, FAMILY_J) == tuple(sorted(SIX_J))
+    assert len(gen_invseq(9, FAMILY_I)) == len(gen_invseq(9, FAMILY_J)) == 25512
 
 
 def test_gen_untagged_is_all_inversion_sequences():

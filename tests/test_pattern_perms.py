@@ -2,13 +2,15 @@
 
 The containment oracle re-implements pattern matching with
 itertools.combinations and order-type comparison, sharing nothing with
-the production backtracking matcher.
+the backtracking matcher ``perm_contains``, which in turn is the oracle
+for the fast membership test behind ``validate_avoider``.
 """
 import itertools
+import random
 
 import pytest
 
-from fpaths.errors import GuardExceeded, NotAvoider
+from fpaths.errors import FormViolation, GuardExceeded, NotAvoider
 from fpaths.fpath_core import fpath_stats, gen_fpaths
 from fpaths.pattern_perms import (
     FORBIDDEN,
@@ -80,10 +82,60 @@ def test_validate_avoider():
         validate_avoider((5, 2, 3, 4, 1))  # contains 2341 inside
     with pytest.raises(ValueError):
         validate_avoider((1, 3))
+    with pytest.raises(FormViolation):
+        validate_avoider((1, 3))
+
+
+def first_forbidden_oracle(p):
+    """The pattern the brute-force check names: first in FORBIDDEN order."""
+    return next((f for f in FORBIDDEN if perm_contains(p, f)), None)
+
+
+def named_pattern(p):
+    try:
+        validate_avoider(p)
+    except NotAvoider as exc:
+        return exc.pattern
+    return None
+
+
+def test_membership_and_generation_match_oracle_exhaustively():
+    for n in range(8):
+        avoiders = []
+        for p in itertools.permutations(range(1, n + 1)):
+            want = first_forbidden_oracle(p)
+            assert named_pattern(p) == want, p
+            assert is_avoider(p) == (want is None)
+            if want is None:
+                avoiders.append(p)
+        assert list(gen_avoiders(n)) == avoiders, n
+
+
+def plant(rng, p, pattern):
+    """Rearrange the values at four random positions of p into ``pattern``."""
+    out = list(p)
+    positions = sorted(rng.sample(range(len(p)), len(pattern)))
+    values = sorted(out[i] for i in positions)
+    for i, rank in zip(positions, pattern):
+        out[i] = values[rank - 1]
+    return tuple(out)
+
+
+def test_membership_matches_oracle_on_long_inputs(random_fpath):
+    rng = random.Random(20240405)
+    for _ in range(3):
+        p = psi_S(random_fpath(rng, rng.randint(19, 79)))
+        assert named_pattern(p) is None
+        assert first_forbidden_oracle(p) is None
+        for pattern in FORBIDDEN:
+            planted = plant(rng, p, pattern)
+            want = first_forbidden_oracle(planted)
+            assert want is not None
+            assert named_pattern(planted) == want, planted
 
 
 def test_gen_counts():
-    expected = (1, 1, 2, 6, 21, 80, 322)
+    expected = (1, 1, 2, 6, 21, 80, 322, 1347, 5798, 25512)
     for n, want in enumerate(expected):
         assert len(gen_avoiders(n)) == want
 
