@@ -43,7 +43,7 @@ from .errors import (
     WeightOnLeafOrRoot,
     WeightOutOfRange,
 )
-from .families import FAMILIES, TAGS, parse_object, render_object
+from .families import FAMILIES, TAGS, parse_object
 from .fpath_core import (
     FPath,
     FStep,
@@ -66,7 +66,7 @@ __all__ = [
     "InexactDivision", "NotAvoider", "NotClosed", "ParseError",
     "PrefixViolation", "RunFormViolation", "StepNotInF", "TripleDescent",
     "WeightOnLeafOrRoot", "WeightOutOfRange",
-    "FAMILIES", "TAGS", "parse_object", "render_object",
+    "FAMILIES", "TAGS", "parse_object",
     "FPath", "FStep", "StatTriple", "fpath_decompose", "fpath_direct_sum",
     "fpath_stats", "gen_fpaths", "involution_phi_F", "validate_fpath",
     "VerifyReport", "run_all",

@@ -24,7 +24,7 @@ one segment per F-step plus a final ``u r^{height+1}``; a segment
 from __future__ import annotations
 
 from .errors import BelowAxis, GuardExceeded, NotClosed, ParseError, RunFormViolation
-from .fpath_core import FPath, StatTriple, fpath_height
+from .fpath_core import DEFAULT_GUARD, FPath, StatTriple, fpath_height
 
 BicoloredWord = str
 
@@ -114,7 +114,9 @@ def psi_B(q: FPath) -> BicoloredWord:
     return "".join(parts)
 
 
-def gen_bicolored(n_plus_1: int, guard: int = 10) -> tuple[BicoloredWord, ...]:
+def gen_bicolored(
+    n_plus_1: int, guard: int = DEFAULT_GUARD
+) -> tuple[BicoloredWord, ...]:
     """All valid words with n_plus_1 up steps, in plain string order (b<r<u)."""
     if n_plus_1 < 1:
         raise ValueError("need at least one up step")
@@ -154,8 +156,3 @@ def bicolored_direct_sum(b1: BicoloredWord, b2: BicoloredWord) -> BicoloredWord:
     """Graft b2 between b1's body and b1's final red run."""
     last1 = _final_red_run(b1)
     return b1[: len(b1) - last1] + b2 + "r" * last1
-
-
-if __name__ == "__main__":
-    for word in gen_bicolored(3):
-        print(word, tuple(bicolored_stats(word)))

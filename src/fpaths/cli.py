@@ -6,7 +6,7 @@
     fpaths count --n N [--h H] [--l L] [--m M] [--refined I,J,K,L,M]
     fpaths table --which {h,l}
     fpaths sequence --max-n N [--bfile]
-    fpaths verify [--max-n N] [--threads K] [--json PATH]
+    fpaths verify [--max-n N] [--json PATH]
 
 ``--n`` is the common index: F-paths of length n, Schröder words of
 semilength n, and objects of size n+1 in the other five families.
@@ -21,7 +21,7 @@ import sys
 
 from .counting import a_marginal, f_refined, sequence
 from .errors import FpathsError
-from .families import FAMILIES, TAGS, render_object
+from .families import FAMILIES, TAGS
 from .verify_harness import run_all
 
 
@@ -64,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the cross-verification harness")
     p.add_argument("--max-n", dest="max_n", type=int, default=6)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", dest="json_path", default=None,
                    help="also write the report as JSON to this file")
     return top
@@ -76,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_enumerate(args) -> int:
     fam = FAMILIES[args.family]
     for obj in fam.generate(args.n):
-        line = render_object(obj)
+        line = fam.render(obj)
         if args.stats:
             st = fam.stats(obj)
             line += f"\t{st.h},{st.l},{st.a1}"
@@ -96,7 +95,7 @@ def _cmd_map(args) -> int:
     dst = FAMILIES[args.dst]
     for line in _read_objects(sys.stdin):
         obj = src.parse(line)
-        print(render_object(dst.from_fpath(src.to_fpath(obj))))
+        print(dst.render(dst.from_fpath(src.to_fpath(obj))))
     return 0
 
 
@@ -151,7 +150,7 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_all(args.max_n, threads=args.threads)
+    report = run_all(args.max_n)
     print(report.to_text())
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:

@@ -213,7 +213,3 @@ def a_marginal(n: int, h: int | None = None, l: int | None = None,
 def sequence(max_n: int) -> list[BigCount]:
     """The sequence a_total(0..max_n) as a list."""
     return [a_total(n) for n in range(max_n + 1)]
-
-
-if __name__ == "__main__":
-    print(sequence(10))

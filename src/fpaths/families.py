@@ -282,22 +282,3 @@ def parse_object(family: str, text: str):
     if family not in FAMILIES:
         raise ParseError(0, f"unknown family {family!r}")
     return FAMILIES[family].parse(text)
-
-
-def render_object(obj) -> str:
-    """Render any family object; the type decides the form.
-
-    Tuples are F-paths when empty or holding pairs, inversion sequences
-    when the first entry is 0 (they all start 0), else permutations.
-    Strings are path words already, and trees render recursively.
-    """
-    if isinstance(obj, WTree):
-        return render_wtree(obj)
-    if isinstance(obj, str):
-        return render_word(obj)
-    seq = tuple(obj)
-    if not seq or isinstance(seq[0], tuple):
-        return render_fpath(seq)
-    if seq[0] == 0:
-        return render_invseq(seq)
-    return render_perm(seq)

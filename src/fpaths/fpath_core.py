@@ -32,9 +32,10 @@ FPath = tuple[FStep, ...]
 
 NORTH: FStep = (0, 1)
 
-#: Default ceiling on the path length accepted by :func:`gen_fpaths`.
-#: Counts grow roughly 4.4x per unit of n, so 10 (~half a million paths)
-#: is the largest size that is comfortable to materialize by accident.
+#: Default ceiling on the common index n (the F-path length) accepted by
+#: :func:`gen_fpaths` and by every family's generator.  Counts grow
+#: roughly 4.4x per unit of n, so 10 (~half a million paths) is the
+#: largest size that is comfortable to materialize by accident.
 DEFAULT_GUARD = 10
 
 
@@ -201,8 +202,3 @@ def fpath_decompose(q: FPath) -> list[FPath]:
         start = p + 1
     parts.append(tuple(q[start:]))
     return parts
-
-
-if __name__ == "__main__":
-    for n in range(5):
-        print(n, len(gen_fpaths(n)))

@@ -28,7 +28,7 @@ from itertools import combinations
 from math import inf
 
 from .errors import FormViolation, GuardExceeded, NotAvoider
-from .fpath_core import FPath, StatTriple, fpath_height
+from .fpath_core import DEFAULT_GUARD, FPath, StatTriple, fpath_height
 
 InvSeq = tuple[int, ...]
 
@@ -329,7 +329,9 @@ def decompose_J(g: InvSeq) -> list[InvSeq]:
 # -------------------------------------------------------------- generation
 
 
-def gen_invseq(n: int, family: str | None, guard: int = 10) -> tuple[InvSeq, ...]:
+def gen_invseq(
+    n: int, family: str | None, guard: int = DEFAULT_GUARD
+) -> tuple[InvSeq, ...]:
     """All avoiders of length n for the family, lexicographic order.
 
     Depth-first over prefixes, carrying each prefix's :class:`_Scan`

@@ -28,7 +28,7 @@ from math import inf
 from typing import Iterable, NamedTuple
 
 from .errors import FormViolation, GuardExceeded, NotAvoider
-from .fpath_core import FPath, StatTriple
+from .fpath_core import DEFAULT_GUARD, FPath, StatTriple
 
 Permutation = tuple[int, ...]
 
@@ -161,7 +161,7 @@ def validate_avoider(p: Permutation) -> Permutation:
     return p
 
 
-def gen_avoiders(n: int, guard: int = 9) -> tuple[Permutation, ...]:
+def gen_avoiders(n: int, guard: int = DEFAULT_GUARD) -> tuple[Permutation, ...]:
     """All avoiders of length n in lexicographic order.
 
     Depth-first over prefixes, values in increasing order.  Containment
@@ -169,11 +169,12 @@ def gen_avoiders(n: int, guard: int = 9) -> tuple[Permutation, ...]:
     entry completes a pattern.  The entries that can follow a prefix are
     the unused values from some threshold up (a smaller entry sees more
     entries above it), so once one value passes, the larger ones do too.
+    ``guard`` bounds the common index n - 1, as in every family.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > guard:
-        raise GuardExceeded(n, guard)
+    if n - 1 > guard:
+        raise GuardExceeded(n - 1, guard)
     out: list[Permutation] = []
     prefix: list[int] = []
     used = [False] * (n + 1)
@@ -218,14 +219,7 @@ def block_decompose(p: Permutation) -> list[Permutation]:
 
 
 def block_count(p: Permutation) -> int:
-    count = 0
-    run_max = 0
-    for idx, v in enumerate(p, 1):
-        if v > run_max:
-            run_max = v
-        if run_max == idx:
-            count += 1
-    return count
+    return len(block_decompose(p))
 
 
 def asc(p: Permutation) -> int:

@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     TripleDescent,
 )
-from .fpath_core import FPath, StatTriple
+from .fpath_core import DEFAULT_GUARD, FPath, StatTriple
 
 SchroderWord = str
 
@@ -129,6 +129,8 @@ def phi_P(p: SchroderWord) -> FPath:
         X u Y  hd              -> (comp(Y) + 2, 1)          rest X h Y
         X u Z  udd             -> (1, -comp(Z))             rest X h Z
         X u Y u Z  hdd         -> (comp(Y) + 2, -comp(Z))   rest X h Y h Z
+
+    comp(W) = len(_axis_blocks(W)) - 1.
     """
     validate_schroder(p)
     steps = []
@@ -144,13 +146,13 @@ def phi_P(p: SchroderWord) -> FPath:
             body = w[:-2]
             u0 = _last_rise_from(body, 0)
             x, y = body[:u0], body[u0 + 1:]
-            steps.append((_comp(y) + 2, 1))
+            steps.append((len(_axis_blocks(y)) + 1, 1))
             w = x + "h" + y
         elif w[-3] == "u":  # ...udd
             body = w[:-3]
             u0 = _last_rise_from(body, 0)
             x, z = body[:u0], body[u0 + 1:]
-            steps.append((1, -_comp(z)))
+            steps.append((1, 1 - len(_axis_blocks(z))))
             w = x + "h" + z
         else:  # ...hdd
             body = w[:-3]
@@ -158,21 +160,11 @@ def phi_P(p: SchroderWord) -> FPath:
             u1 = _last_rise_from(body, 1)
             assert u1 > u0
             x, y, z = body[:u0], body[u0 + 1:u1], body[u1 + 1:]
-            steps.append((_comp(y) + 2, -_comp(z)))
+            steps.append((len(_axis_blocks(y)) + 1,
+                          1 - len(_axis_blocks(z))))
             w = x + "h" + y + "h" + z
     steps.reverse()
     return tuple(steps)
-
-
-def _comp(word: str) -> int:
-    """Horizontal steps on the axis of a standalone (height-0 start) word."""
-    height = 0
-    c = 0
-    for ch in word:
-        if ch == "h" and height == 0:
-            c += 1
-        height += _RISE[ch]
-    return c
 
 
 def psi_P(q: FPath) -> SchroderWord:
@@ -208,7 +200,7 @@ def psi_P(q: FPath) -> SchroderWord:
 # ------------------------------------------------------------ enumeration
 
 
-def gen_schroder(n: int, guard: int = 10) -> tuple[SchroderWord, ...]:
+def gen_schroder(n: int, guard: int = DEFAULT_GUARD) -> tuple[SchroderWord, ...]:
     """All valid words of semilength n, lexicographic with u < d < h."""
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -242,8 +234,3 @@ def gen_schroder(n: int, guard: int = 10) -> tuple[SchroderWord, ...]:
 def schroder_direct_sum(p1: SchroderWord, p2: SchroderWord) -> SchroderWord:
     """Join with a fresh axis-level horizontal step."""
     return p1 + "h" + p2
-
-
-if __name__ == "__main__":
-    for word in gen_schroder(2):
-        print(word, tuple(schroder_stats(word)))

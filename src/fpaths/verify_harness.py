@@ -4,35 +4,40 @@ Checks are grouped into five entry points, each returning a list of
 :class:`CheckRecord`; :func:`run_all` bundles them into a
 :class:`VerifyReport`.  All checks are exhaustive over the stated sizes
 (no sampling) and deterministic; the first failing object is reported in
-its text form.
+its text form.  The four groups at size n take ``objects``, a dict from
+every tag of ``TAGS`` to ``FAMILIES[tag].generate(n)``, so that each
+family is generated once per n however many groups check it.
 
-    verify_equinumerous(n)     |family_n| == a_total(n) for all families
-    verify_round_trips(n)      psi(phi(o)) == o and phi(psi(q)) == q
-    verify_statistics(n)       stats(o) == stats(phi(o)); the joint
-                               distribution matches a_joint; the step
-                               involution behaves as stated
-    verify_direct_sums(n)      psi respects the direct-sum decomposition
-    verify_pinned_examples()   frozen worked examples, bit for bit
+    verify_equinumerous(n, objects)   |family_n| == a_total(n) for all
+                                      families
+    verify_round_trips(n, objects)    psi(phi(o)) == o and phi(psi(q)) == q
+    verify_statistics(n, objects)     stats(o) == stats(phi(o)); the joint
+                                      distribution matches a_joint; the
+                                      step involution behaves as stated
+    verify_direct_sums(n, objects)    psi respects the direct-sum
+                                      decomposition
+    verify_pinned_examples()          frozen worked examples, bit for bit
 """
 from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
 
 from . import inversion_seqs
 from .counting import a_joint, a_total
-from .families import FAMILIES, TAGS, render_object
+from .families import FAMILIES, TAGS
 from .fpath_core import (
     StatTriple,
     fpath_decompose,
     fpath_direct_sum,
     fpath_stats,
-    gen_fpaths,
     involution_phi_F,
 )
+
+#: Every tag but the hub's: the families that map to and from F-paths.
+_MAPPED_TAGS = tuple(tag for tag in TAGS if tag != "fpath")
 
 
 @dataclass
@@ -150,18 +155,11 @@ SEQUENCE = (1, 2, 6, 21, 80, 322, 1347, 5798, 25512)
 # ----------------------------------------------------------------- checks
 
 
-def _first_bad(iterable):
-    for item in iterable:
-        return item
-    return None
-
-
-def verify_equinumerous(n: int) -> list[CheckRecord]:
+def verify_equinumerous(n: int, objects: dict) -> list[CheckRecord]:
     expected = a_total(n)
     out = []
     for tag in TAGS:
-        fam = FAMILIES[tag]
-        got = len(fam.generate(n))
+        got = len(objects[tag])
         out.append(
             CheckRecord(
                 f"equinumerous[{tag}]",
@@ -173,60 +171,61 @@ def verify_equinumerous(n: int) -> list[CheckRecord]:
     return out
 
 
-def verify_round_trips(n: int) -> list[CheckRecord]:
+def verify_round_trips(n: int, objects: dict) -> list[CheckRecord]:
     out = []
-    paths = gen_fpaths(n)
-    for tag in TAGS:
-        if tag == "fpath":
-            continue
+    paths = objects["fpath"]
+    render_path = FAMILIES["fpath"].render
+    for tag in _MAPPED_TAGS:
         fam = FAMILIES[tag]
-        bad = _first_bad(
-            o for o in fam.generate(n) if fam.from_fpath(fam.to_fpath(o)) != o
+        bad = next(
+            (o for o in objects[tag] if fam.from_fpath(fam.to_fpath(o)) != o),
+            None,
         )
         out.append(
             CheckRecord(
                 f"round-trip[{tag}] psi(phi(o)) == o",
                 n,
                 bad is None,
-                "" if bad is None else render_object(bad),
+                "" if bad is None else fam.render(bad),
             )
         )
-        bad = _first_bad(
-            q for q in paths if fam.to_fpath(fam.from_fpath(q)) != q
+        bad = next(
+            (q for q in paths if fam.to_fpath(fam.from_fpath(q)) != q), None
         )
         out.append(
             CheckRecord(
                 f"round-trip[{tag}] phi(psi(q)) == q",
                 n,
                 bad is None,
-                "" if bad is None else render_object(bad),
+                "" if bad is None else render_path(bad),
             )
         )
     return out
 
 
-def verify_statistics(n: int) -> list[CheckRecord]:
+def verify_statistics(n: int, objects: dict) -> list[CheckRecord]:
     out = []
-    paths = gen_fpaths(n)
+    paths = objects["fpath"]
     fdist = Counter(fpath_stats(q)[0] for q in paths)
-    for tag in TAGS:
-        if tag == "fpath":
-            continue
+    for tag in _MAPPED_TAGS:
         fam = FAMILIES[tag]
-        bad = _first_bad(
-            o
-            for o in fam.generate(n)
-            if fam.stats(o) != fpath_stats(fam.to_fpath(o))[0]
+        bad = next(
+            (
+                o
+                for o in objects[tag]
+                if fam.stats(o) != fpath_stats(fam.to_fpath(o))[0]
+            ),
+            None,
         )
         out.append(
             CheckRecord(
                 f"statistics[{tag}] stats(o) == stats(phi(o))",
                 n,
                 bad is None,
-                "" if bad is None else render_object(bad),
+                "" if bad is None else fam.render(bad),
             )
         )
-        dist = Counter(fam.stats(o) for o in fam.generate(n))
+        dist = Counter(fam.stats(o) for o in objects[tag])
         out.append(
             CheckRecord(
                 f"statistics[{tag}] joint distribution",
@@ -267,7 +266,7 @@ def verify_statistics(n: int) -> list[CheckRecord]:
         )
         if not good:
             inv_ok = False
-            inv_detail = render_object(q)
+            inv_detail = FAMILIES["fpath"].render(q)
             break
     out.append(CheckRecord("involution relations", n, inv_ok, inv_detail))
     return out
@@ -281,26 +280,23 @@ def _dist_diff(d1: Counter, d2: Counter) -> str:
     return "?"
 
 
-def verify_direct_sums(n: int) -> list[CheckRecord]:
+def verify_direct_sums(n: int, objects: dict) -> list[CheckRecord]:
     out = []
-    paths = gen_fpaths(n)
-    decomps = [(q, fpath_decompose(q)) for q in paths]
-    recomb_bad = _first_bad(
-        q
-        for q, comps in decomps
-        if reduce(fpath_direct_sum, comps) != q
+    render_path = FAMILIES["fpath"].render
+    decomps = [(q, fpath_decompose(q)) for q in objects["fpath"]]
+    recomb_bad = next(
+        (q for q, comps in decomps if reduce(fpath_direct_sum, comps) != q),
+        None,
     )
     out.append(
         CheckRecord(
             "direct-sum[fpath] recompose",
             n,
             recomb_bad is None,
-            "" if recomb_bad is None else render_object(recomb_bad),
+            "" if recomb_bad is None else render_path(recomb_bad),
         )
     )
-    for tag in TAGS:
-        if tag == "fpath":
-            continue
+    for tag in _MAPPED_TAGS:
         fam = FAMILIES[tag]
         bad = None
         for q, comps in decomps:
@@ -314,7 +310,7 @@ def verify_direct_sums(n: int) -> list[CheckRecord]:
                 f"direct-sum[{tag}] psi is a homomorphism",
                 n,
                 bad is None,
-                "" if bad is None else render_object(bad),
+                "" if bad is None else render_path(bad),
             )
         )
     for tag, decompose in (("inv-i", "decompose_I"), ("inv-j", "decompose_J")):
@@ -331,7 +327,7 @@ def verify_direct_sums(n: int) -> list[CheckRecord]:
                 f"direct-sum[{tag}] {decompose} inverts the fold",
                 n,
                 bad is None,
-                "" if bad is None else render_object(bad),
+                "" if bad is None else render_path(bad),
             )
         )
     return out
@@ -346,11 +342,9 @@ def verify_pinned_examples() -> list[CheckRecord]:
     seq_ok = tuple(a_total(i) for i in range(9)) == SEQUENCE
     rec("pinned sequence a(0..8)", seq_ok)
 
-    for tag in TAGS:
-        if tag == "fpath":
-            continue
+    for tag in _MAPPED_TAGS:
         fam = FAMILIES[tag]
-        got = render_object(fam.from_fpath(PINNED_Q))
+        got = fam.render(fam.from_fpath(PINNED_Q))
         want = PINNED_IMAGES[tag]
         rec(f"pinned psi[{tag}] of the 15-step path", got == want,
             "" if got == want else got)
@@ -362,12 +356,10 @@ def verify_pinned_examples() -> list[CheckRecord]:
         tuple(comps) == PINNED_COMPONENTS,
         "" if tuple(comps) == PINNED_COMPONENTS else repr(comps))
 
-    for tag in TAGS:
-        if tag == "fpath":
-            continue
+    for tag in _MAPPED_TAGS:
         fam = FAMILIES[tag]
         for idx, (q, want) in enumerate(zip(SIX_FPATHS, SIX_IMAGES[tag]), 1):
-            got = render_object(fam.from_fpath(q))
+            got = fam.render(fam.from_fpath(q))
             rec(f"pinned table[{tag}] object {idx}", got == want,
                 "" if got == want else got)
 
@@ -381,31 +373,18 @@ def verify_pinned_examples() -> list[CheckRecord]:
 # ------------------------------------------------------------- front door
 
 
-def run_all(max_n: int = 6, threads: int = 1) -> VerifyReport:
-    """Run every check for 0 <= n <= max_n (pinned examples once)."""
-    units: list = [verify_pinned_examples]
+def run_all(max_n: int = 6) -> VerifyReport:
+    """Run every check for 0 <= n <= max_n (pinned examples once).
+
+    Each family is generated once per n, through ``FAMILIES``, and the
+    four groups share those tuples.
+    """
+    report = VerifyReport(verify_pinned_examples())
     for n in range(max_n + 1):
-        units.append((verify_equinumerous, n))
-        units.append((verify_round_trips, n))
-        units.append((verify_statistics, n))
-        units.append((verify_direct_sums, n))
-
-    def call(unit):
-        if callable(unit):
-            return unit()
-        func, n = unit
-        return func(n)
-
-    report = VerifyReport()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for records in pool.map(call, units):
-                report.records.extend(records)
-    else:
-        for unit in units:
-            report.records.extend(call(unit))
+        objects = {tag: FAMILIES[tag].generate(n) for tag in TAGS}
+        for group in (verify_equinumerous, verify_round_trips,
+                      verify_statistics, verify_direct_sums):
+            report.records.extend(group(n, objects))
+        # Free this size's objects before the next, larger size is built.
+        del objects
     return report
-
-
-if __name__ == "__main__":
-    print(run_all(4).to_text())

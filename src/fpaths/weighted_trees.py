@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import FormViolation, GuardExceeded, WeightOnLeafOrRoot, WeightOutOfRange
-from .fpath_core import FPath, StatTriple
+from .fpath_core import DEFAULT_GUARD, FPath, StatTriple, fpath_height
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,6 @@ def psi_T(q: FPath) -> WTree:
     first child, a north step attaches v_j to the deepest vertex with a
     free slot.
     """
-    from .fpath_core import fpath_height
-
     n = len(q)
     root_b = _Build(None, fpath_height(q) + 1)
     stack = [root_b]
@@ -225,7 +223,7 @@ def _weighted(shape: WTree, is_root: bool) -> list[WTree]:
     ]
 
 
-def gen_wtrees(n_plus_1: int, guard: int = 10) -> tuple[WTree, ...]:
+def gen_wtrees(n_plus_1: int, guard: int = DEFAULT_GUARD) -> tuple[WTree, ...]:
     """All weighted trees on n_plus_1 edges, by shape then weights.
 
     Shapes are ordered recursively by the edge count of the first
@@ -240,8 +238,3 @@ def gen_wtrees(n_plus_1: int, guard: int = 10) -> tuple[WTree, ...]:
     for kids in _forests(n_plus_1):
         out.extend(_weighted(WTree(None, kids), True))
     return tuple(out)
-
-
-if __name__ == "__main__":
-    for t in gen_wtrees(3):
-        print(t, phi_T(t))

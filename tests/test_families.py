@@ -5,10 +5,9 @@ import pytest
 
 from fpaths import bicolored_dyck, counting, fpath_core, inversion_seqs
 from fpaths import pattern_perms, schroder_paths, weighted_trees
-from fpaths.errors import ParseError, StepNotInF
-from fpaths.families import FAMILIES, TAGS, parse_object, render_object
-from fpaths.fpath_core import fpath_stats, validate_fpath
-from fpaths.weighted_trees import WTree
+from fpaths.errors import GuardExceeded, ParseError, StepNotInF
+from fpaths.families import FAMILIES, TAGS, parse_object
+from fpaths.fpath_core import DEFAULT_GUARD, fpath_stats, validate_fpath
 
 
 def test_tags_complete():
@@ -20,6 +19,14 @@ def test_all_families_share_the_size_index():
     for n, want in enumerate((1, 2, 6, 21)):
         for tag in TAGS:
             assert len(FAMILIES[tag].generate(n)) == want, (tag, n)
+
+
+def test_every_generator_guards_the_common_index():
+    for tag in TAGS:
+        with pytest.raises(GuardExceeded) as info:
+            FAMILIES[tag].generate(DEFAULT_GUARD + 1)
+        assert info.value.requested == DEFAULT_GUARD + 1, tag
+        assert info.value.guard == DEFAULT_GUARD, tag
 
 
 def test_parse_render_round_trip():
@@ -46,15 +53,6 @@ def test_empty_conventions():
     assert FAMILIES["fpath"].parse("-") == ()
     assert FAMILIES["schroder"].render("") == "-"
     assert FAMILIES["schroder"].parse("-") == ""
-
-
-def test_render_object_dispatch():
-    assert render_object(((0, 1), (1, 1))) == "0,1 1,1"
-    assert render_object(()) == "-"
-    assert render_object("uudd") == "uudd"
-    assert render_object((2, 1, 3)) == "2 1 3"
-    assert render_object((0, 0, 1)) == "0,0,1"
-    assert render_object(WTree(None, (WTree(None, ()),))) == "[L]"
 
 
 # ------------------------------------------------------------ parse errors

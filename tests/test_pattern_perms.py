@@ -153,7 +153,8 @@ def test_gen_is_filtered_lex():
 
 def test_guard():
     with pytest.raises(GuardExceeded):
-        gen_avoiders(5, guard=4)
+        gen_avoiders(6, guard=4)
+    assert len(gen_avoiders(5, guard=4)) == 80
 
 
 # ------------------------------------------------------- blocks, statistics

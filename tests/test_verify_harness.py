@@ -1,6 +1,9 @@
-"""The harness itself: reporting shapes and thread-order stability."""
+"""The harness itself: reporting shapes and one generation per size."""
+import dataclasses
 import json
+from collections import Counter
 
+from fpaths.families import FAMILIES, TAGS
 from fpaths.verify_harness import CheckRecord, VerifyReport, run_all
 
 
@@ -11,11 +14,21 @@ def test_run_all_small_passes():
     assert report.passed == len(report.records) > 50
 
 
-def test_threads_do_not_change_results():
-    serial = run_all(max_n=2, threads=1)
-    pooled = run_all(max_n=2, threads=3)
-    key = lambda rep: [(r.name, r.n, r.ok) for r in rep.records]
-    assert key(serial) == key(pooled)
+def test_run_all_generates_each_pair_once(monkeypatch):
+    calls = Counter()
+
+    def counted(tag, generate):
+        def wrapper(n):
+            calls[tag, n] += 1
+            return generate(n)
+        return wrapper
+
+    for tag in TAGS:
+        info = FAMILIES[tag]
+        monkeypatch.setitem(FAMILIES, tag, dataclasses.replace(
+            info, generate=counted(tag, info.generate)))
+    assert run_all(max_n=2).ok
+    assert calls == {(tag, n): 1 for tag in TAGS for n in range(3)}
 
 
 def test_json_round_trip():
