@@ -23,7 +23,14 @@ one segment per F-step plus a final ``u r^{height+1}``; a segment
 """
 from __future__ import annotations
 
-from .errors import BelowAxis, GuardExceeded, NotClosed, ParseError, RunFormViolation
+from .errors import (
+    BelowAxis,
+    FormViolation,
+    GuardExceeded,
+    NotClosed,
+    ParseError,
+    RunFormViolation,
+)
 from .fpath_core import DEFAULT_GUARD, FPath, StatTriple, fpath_height
 
 BicoloredWord = str
@@ -119,7 +126,7 @@ def gen_bicolored(
 ) -> tuple[BicoloredWord, ...]:
     """All valid words with n_plus_1 up steps, in plain string order (b<r<u)."""
     if n_plus_1 < 1:
-        raise ValueError("need at least one up step")
+        raise FormViolation("need at least one up step")
     if n_plus_1 - 1 > guard:
         raise GuardExceeded(n_plus_1 - 1, guard)
     total = 2 * n_plus_1

@@ -83,28 +83,40 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _read_objects(stream):
-    for line in stream:
+def _each_line(command: str, convert) -> int:
+    """Print ``convert(line)`` for each non-blank stdin line.  A line it
+    rejects stops the run, named by its 1-based line number."""
+    for lineno, line in enumerate(sys.stdin, 1):
         line = line.strip()
-        if line:
-            yield line
+        if not line:
+            continue
+        try:
+            out = convert(line)
+        except FpathsError as exc:
+            print(f"fpaths {command}: line {lineno}: {exc}", file=sys.stderr)
+            return 2
+        print(out)
+    return 0
 
 
 def _cmd_map(args) -> int:
     src = FAMILIES[args.src]
     dst = FAMILIES[args.dst]
-    for line in _read_objects(sys.stdin):
-        obj = src.parse(line)
-        print(dst.render(dst.from_fpath(src.to_fpath(obj))))
-    return 0
+
+    def mapped(line):
+        return dst.render(dst.from_fpath(src.to_fpath(src.parse(line))))
+
+    return _each_line("map", mapped)
 
 
 def _cmd_stats(args) -> int:
     fam = FAMILIES[args.family]
-    for line in _read_objects(sys.stdin):
+
+    def triple(line):
         st = fam.stats(fam.parse(line))
-        print(f"{st.h},{st.l},{st.a1}")
-    return 0
+        return f"{st.h},{st.l},{st.a1}"
+
+    return _each_line("stats", triple)
 
 
 def _cmd_count(args) -> int:

@@ -3,7 +3,10 @@
 Everything here is arbitrary-precision integer arithmetic.  Each closed
 form is a product of binomials divided by (n+1); the division is always
 performed last and checked exact (:class:`InexactDivision` guards
-against formula regressions - it never fires on correct inputs).
+against formula regressions - it never fires on correct inputs).  The
+summed closed forms step each binomial from the previous term's by an
+exact ratio of small integers, not one ``comb`` per term, and no result
+is cached between calls.
 
 Step classes used by :func:`f_refined` (a path of length n with l north
 steps and statistics as in :mod:`.fpath_core`):
@@ -69,6 +72,45 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
+def _term_run(count: int, *runs):
+    """Yield, for i in range(count), the product over ``runs`` of
+    C(a + i·da, b + i·db), one run being a tuple (a, b, da, db) with
+    da in (-1, 0, 1) and db in (1, 2).
+
+    The first term is seeded with ``comb0``.  Each later one comes from
+    the one before by an exact ratio of small integers: every binomial
+    moves its top by da, then its bottom one unit at a time, and the
+    ratios are multiplied into one division.  Every term must be
+    non-zero, so that no ratio divides by zero; nothing is stepped past
+    the last term.
+    """
+    if count < 1:
+        return
+    term = 1
+    for a, b, _, _ in runs:
+        term *= comb0(a, b)
+    yield term
+    for i in range(count - 1):
+        num = den = 1
+        for a, b, da, db in runs:
+            a += i * da
+            b += i * db
+            if da > 0:      # C(a+1, b) = C(a, b)·(a+1)/(a+1-b)
+                num *= a + 1
+                den *= a + 1 - b
+            elif da < 0:    # C(a-1, b) = C(a, b)·(a-b)/a
+                num *= a - b
+                den *= a
+            a += da
+            num *= a - b    # C(a, b+1) = C(a, b)·(a-b)/(b+1)
+            den *= b + 1
+            if db == 2:
+                num *= a - b - 1
+                den *= b + 2
+        term = _exact_div(term * num, den)
+        yield term
+
+
 # ------------------------------------------------------- refined counts
 
 
@@ -120,7 +162,9 @@ def a_joint(n: int, h: int, l: int, m: int) -> BigCount:
 #
 # Seven specializations of a_joint with any subset of (h, l, m) starred.
 # Each is its own closed form (summing a_joint would hide formula bugs in
-# the very identities the verification harness checks).
+# the very identities the verification harness checks).  a_marginal calls
+# them only with n >= 0 and every fixed value in 0..n.  The summed forms
+# add only their non-zero terms, each stepped by _term_run.
 
 
 def _a_hl(n, h, l):
@@ -131,11 +175,15 @@ def _a_hl(n, h, l):
 
 
 def _a_hm(n, h, m):
-    acc = 0
-    for i in range(0, n - h + 1):
-        s = 2 * n - h - 2 * i
-        t = n - m - s
-        acc += comb0(n - h + 1, i + 1) * series_coeff(t, s)
+    # sum over i = 0..n-h of C(n-h+1, i+1)·series_coeff(t, s), with
+    # s = 2n-h-2i and t = n-m-s = h-n-m+2i.  A term with s >= 1 is
+    # C(n-m-1, t), non-zero for t >= 0 (i >= lo) and s >= 1 (i <= hi);
+    # the one s == 0 term (h = 0, i = n) is [t == 0].  At m = n, lo > hi.
+    lo = max(0, (n + m - h + 1) // 2)
+    hi = min(n - h, (2 * n - h - 1) // 2)
+    acc = int(h == 0 and m == n) + sum(
+        _term_run(hi - lo + 1, (n - h + 1, lo + 1, 0, 1),
+                  (n - m - 1, h - n - m + 2 * lo, 0, 2)))
     return _exact_div((m + 1) * comb0(n + 1, h) * acc, n + 1)
 
 
@@ -147,9 +195,10 @@ def _a_lm(n, l, m):
 
 
 def _a_h(n, h):
-    acc = 0
-    for i in range(0, n - h + 1):
-        acc += comb0(n - h + 1, i) * comb0(n + 1, 2 * i + h + 1)
+    # sum over i = 0..n-h of C(n-h+1, i)·C(n+1, 2i+h+1); the second
+    # factor vanishes past i = (n-h) // 2.
+    count = (n - h) // 2 + 1
+    acc = sum(_term_run(count, (n - h + 1, 0, 0, 1), (n + 1, h + 1, 0, 2)))
     return _exact_div(comb0(n + 1, h) * acc, n + 1)
 
 
@@ -158,9 +207,11 @@ def _a_l(n, l):
 
 
 def _a_m(n, m):
-    acc = 0
-    for i in range(0, n + 1):
-        acc += comb0(n + 1, i) * series_coeff(n - m - i, 2 * i)
+    # sum over i = 0..n of C(n+1, i)·series_coeff(n-m-i, 2i).  The s == 0
+    # term (i = 0) is [m == n]; for 1 <= i <= n-m the series coefficient
+    # is C(n-m+i-1, 2i-1), and it vanishes past i = n-m.
+    acc = int(m == n) + sum(
+        _term_run(n - m, (n + 1, 1, 0, 1), (n - m, 1, 1, 2)))
     return _exact_div((m + 1) * acc, n + 1)
 
 
@@ -170,9 +221,11 @@ def a_total(n: int) -> BigCount:
     >>> [a_total(n) for n in range(7)]
     [1, 2, 6, 21, 80, 322, 1347]
     """
-    acc = 0
-    for i in range(0, n + 1):
-        acc += comb0(n + 1, i + 1) * comb0(2 * n - i + 1, i)
+    if n < 0:
+        return 0
+    # sum over i = 0..n of C(n+1, i+1)·C(2n+1-i, i); every term is
+    # non-zero.
+    acc = sum(_term_run(n + 1, (n + 1, 1, 0, 1), (2 * n + 1, 0, -1, 1)))
     return _exact_div(acc, n + 1)
 
 
@@ -180,6 +233,7 @@ def a_marginal(n: int, h: int | None = None, l: int | None = None,
                m: int | None = None) -> BigCount:
     """Count F-paths of length n with any subset of (aone=h, north=l,
     height=m) fixed; a ``None`` argument is summed over ("starred").
+    A fixed value outside 0..n, or n < 0, gives 0.
 
     >>> a_marginal(5, h=2)
     110
@@ -189,7 +243,7 @@ def a_marginal(n: int, h: int | None = None, l: int | None = None,
     80
     """
     fixed = (h is not None, l is not None, m is not None)
-    if n < 0:
+    if n < 0 or any(v is not None and not 0 <= v <= n for v in (h, l, m)):
         return 0
     match fixed:
         case (True, True, True):

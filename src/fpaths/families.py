@@ -28,7 +28,7 @@ from . import (
     schroder_paths,
     weighted_trees,
 )
-from .errors import ParseError
+from .errors import FormViolation, ParseError
 from .fpath_core import FPath, StatTriple
 from .weighted_trees import WTree
 
@@ -192,6 +192,13 @@ class FamilyInfo:
     direct_sum: Callable[[object, object], object]
 
 
+def _size(n: int) -> int:
+    """Object size n + 1 at common index n, which must not be negative."""
+    if n < 0:
+        raise FormViolation(f"n must be >= 0, got {n}")
+    return n + 1
+
+
 def _fpath_stats_triple(q) -> StatTriple:
     return fpath_core.fpath_stats(q)[0]
 
@@ -226,7 +233,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         "bicolored",
         lambda t: _parse_word(t, "urb", bicolored_dyck.validate_bicolored),
         render_word,
-        lambda n, **kw: bicolored_dyck.gen_bicolored(n + 1, **kw),
+        lambda n, **kw: bicolored_dyck.gen_bicolored(_size(n), **kw),
         bicolored_dyck.phi_B,
         bicolored_dyck.psi_B,
         bicolored_dyck.bicolored_stats,
@@ -236,7 +243,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         "perm",
         lambda t: pattern_perms.validate_avoider(parse_perm(t)),
         render_perm,
-        lambda n, **kw: pattern_perms.gen_avoiders(n + 1, **kw),
+        lambda n, **kw: pattern_perms.gen_avoiders(_size(n), **kw),
         pattern_perms.phi_S,
         pattern_perms.psi_S,
         pattern_perms.perm_stats,
@@ -247,7 +254,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         lambda t: _parse_invseq(t, inversion_seqs.FAMILY_I),
         render_invseq,
         lambda n, **kw: inversion_seqs.gen_invseq(
-            n + 1, inversion_seqs.FAMILY_I, **kw),
+            _size(n), inversion_seqs.FAMILY_I, **kw),
         inversion_seqs.phi_I,
         inversion_seqs.psi_I,
         inversion_seqs.stats_I,
@@ -258,7 +265,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         lambda t: _parse_invseq(t, inversion_seqs.FAMILY_J),
         render_invseq,
         lambda n, **kw: inversion_seqs.gen_invseq(
-            n + 1, inversion_seqs.FAMILY_J, **kw),
+            _size(n), inversion_seqs.FAMILY_J, **kw),
         inversion_seqs.phi_J,
         inversion_seqs.psi_J,
         inversion_seqs.stats_J,
@@ -268,7 +275,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         "tree",
         parse_wtree,
         render_wtree,
-        lambda n, **kw: weighted_trees.gen_wtrees(n + 1, **kw),
+        lambda n, **kw: weighted_trees.gen_wtrees(_size(n), **kw),
         weighted_trees.phi_T,
         weighted_trees.psi_T,
         weighted_trees.wtree_stats,

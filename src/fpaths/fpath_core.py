@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import GuardExceeded, PrefixViolation, StepNotInF
+from .errors import FormViolation, GuardExceeded, PrefixViolation, StepNotInF
 
 FStep = tuple[int, int]
 FPath = tuple[FStep, ...]
@@ -155,7 +155,7 @@ def gen_fpaths(n: int, guard: int = DEFAULT_GUARD) -> tuple[FPath, ...]:
     ((1, 1), (1, 1))
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise FormViolation(f"n must be >= 0, got {n}")
     if n > guard:
         raise GuardExceeded(n, guard)
     return tuple(_gen(n, 0))

@@ -338,7 +338,7 @@ def gen_invseq(
     state; ``family=None`` gives every inversion sequence.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise FormViolation(f"n must be >= 0, got {n}")
     if n - 1 > guard:
         raise GuardExceeded(n - 1, guard)
     out: list[InvSeq] = []

@@ -172,7 +172,7 @@ def gen_avoiders(n: int, guard: int = DEFAULT_GUARD) -> tuple[Permutation, ...]:
     ``guard`` bounds the common index n - 1, as in every family.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise FormViolation(f"n must be >= 0, got {n}")
     if n - 1 > guard:
         raise GuardExceeded(n - 1, guard)
     out: list[Permutation] = []

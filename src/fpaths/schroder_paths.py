@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from .errors import (
     BelowAxis,
+    FormViolation,
     GuardExceeded,
     NotClosed,
     ParseError,
@@ -203,7 +204,7 @@ def psi_P(q: FPath) -> SchroderWord:
 def gen_schroder(n: int, guard: int = DEFAULT_GUARD) -> tuple[SchroderWord, ...]:
     """All valid words of semilength n, lexicographic with u < d < h."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise FormViolation(f"n must be >= 0, got {n}")
     if n > guard:
         raise GuardExceeded(n, guard)
     out: list[str] = []

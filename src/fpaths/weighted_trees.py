@@ -231,7 +231,7 @@ def gen_wtrees(n_plus_1: int, guard: int = DEFAULT_GUARD) -> tuple[WTree, ...]:
     preorder weight vector runs lexicographically.
     """
     if n_plus_1 < 1:
-        raise ValueError("need at least one edge")
+        raise FormViolation("need at least one edge")
     if n_plus_1 - 1 > guard:
         raise GuardExceeded(n_plus_1 - 1, guard)
     out: list[WTree] = []

@@ -16,6 +16,8 @@ import pytest
 
 import fpaths
 from fpaths.cli import cmd_dispatch
+from fpaths.errors import FormViolation
+from fpaths.families import FAMILIES, TAGS
 
 
 def run_cli(*argv, stdin=None):
@@ -60,6 +62,16 @@ def test_enumerate_trees_with_stats():
     ]
 
 
+@pytest.mark.parametrize("tag", TAGS)
+def test_enumerate_negative_index_is_usage_error(tag):
+    with pytest.raises(FormViolation):
+        FAMILIES[tag].generate(-1)
+    code, out, err = run_cli("enumerate", "--family", tag, "--n", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "fpaths enumerate: n must be >= 0, got -1\n"
+
+
 # ------------------------------------------------------------- map, stats
 
 
@@ -84,6 +96,28 @@ def test_map_parse_error_exits_2():
     assert "fpaths map:" in err
 
 
+def test_map_names_the_rejected_line():
+    code, out, err = run_cli(
+        "map", "--from", "schroder", "--to", "fpath", stdin="uhd\nxx\n"
+    )
+    assert code == 2
+    assert out == "0,1 2,1\n"
+    assert err == (
+        "fpaths map: line 2: parse error at offset 0: letter 'x' not in 'udh'\n"
+    )
+
+
+def test_stats_names_the_rejected_line():
+    # Blank lines are skipped but still counted.
+    code, out, err = run_cli(
+        "stats", "--family", "schroder", stdin="uhhd\n\nuuddh\nud d\n"
+    )
+    assert code == 2
+    assert out.splitlines() == ["0,2,0", "1,2,1"]
+    assert err.startswith("fpaths stats: line 4: ")
+    assert err.count("\n") == 1
+
+
 def test_stats_reads_stdin():
     code, out, _ = run_cli(
         "stats", "--family", "schroder", stdin="uhhd\nuuddh\n"
@@ -105,6 +139,13 @@ def test_count_marginal_and_joint():
         "count", "--n", "2", "--h", "1", "--l", "1", "--m", "1"
     )
     assert (code, out) == (0, "2\n")
+
+
+def test_count_out_of_range_is_zero():
+    for flag in ("--h", "--l", "--m"):
+        for v in ("-2", "5"):
+            assert run_cli("count", "--n", "4", flag, v)[:2] == (0, "0\n")
+    assert run_cli("count", "--n", "-1")[:2] == (0, "0\n")
 
 
 def test_count_refined():

@@ -1,6 +1,9 @@
 """Counting formulas against brute-force distributions and pinned tables."""
 import math
+import random
 from collections import Counter
+
+import pytest
 
 from fpaths.counting import (
     a_joint,
@@ -32,6 +35,53 @@ TABLE_L = (
     (1, 16, 42, 20, 1),
     (1, 25, 120, 140, 35, 1),
 )
+
+
+# Oracles: the summed closed forms as plain sums of comb0/series_coeff
+# products, one pair of binomials per term over the full summation range.
+# Outside 0 <= v <= n a statistic value has no paths.
+
+
+def _in_range(n, *values):
+    return n >= 0 and all(0 <= v <= n for v in values)
+
+
+def oracle_total(n):
+    if n < 0:
+        return 0
+    acc = 0
+    for i in range(0, n + 1):
+        acc += comb0(n + 1, i + 1) * comb0(2 * n - i + 1, i)
+    return acc // (n + 1)
+
+
+def oracle_h(n, h):
+    if not _in_range(n, h):
+        return 0
+    acc = 0
+    for i in range(0, n - h + 1):
+        acc += comb0(n - h + 1, i) * comb0(n + 1, 2 * i + h + 1)
+    return comb0(n + 1, h) * acc // (n + 1)
+
+
+def oracle_m(n, m):
+    if not _in_range(n, m):
+        return 0
+    acc = 0
+    for i in range(0, n + 1):
+        acc += comb0(n + 1, i) * series_coeff(n - m - i, 2 * i)
+    return (m + 1) * acc // (n + 1)
+
+
+def oracle_hm(n, h, m):
+    if not _in_range(n, h, m):
+        return 0
+    acc = 0
+    for i in range(0, n - h + 1):
+        s = 2 * n - h - 2 * i
+        t = n - m - s
+        acc += comb0(n - h + 1, i + 1) * series_coeff(t, s)
+    return (m + 1) * comb0(n + 1, h) * acc // (n + 1)
 
 
 def signature(q):
@@ -217,3 +267,45 @@ def test_sequence():
 def test_total_matches_marginal_sums():
     for n in range(13):
         assert a_total(n) == sum(a_marginal(n, m=m) for m in range(n + 1))
+
+
+# ------------------------------------------- ratio-stepped sums vs oracles
+
+
+def test_summed_forms_match_oracles_small():
+    for n in range(-1, 41):
+        assert a_total(n) == oracle_total(n), n
+        for v in range(-3, n + 4):
+            assert a_marginal(n, h=v) == oracle_h(n, v), (n, v)
+            assert a_marginal(n, m=v) == oracle_m(n, v), (n, v)
+            for w in range(-3, n + 4):
+                assert a_marginal(n, h=v, m=w) == oracle_hm(n, v, w), (n, v, w)
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_summed_forms_match_oracles_large(n):
+    rng = random.Random(n)
+    assert a_total(n) == oracle_total(n)
+    values = [0, 1, n - 1, n] + [rng.randint(2, n - 2) for _ in range(3)]
+    for v in values:
+        assert a_marginal(n, h=v) == oracle_h(n, v), v
+        assert a_marginal(n, m=v) == oracle_m(n, v), v
+        w = rng.choice(values)
+        assert a_marginal(n, h=v, m=w) == oracle_hm(n, v, w), (v, w)
+
+
+def test_out_of_range_counts_are_zero():
+    # Negative heights gave negative counts, and a_total(-1) divided by 0.
+    for n in (-3, -1):
+        assert a_total(n) == 0
+        assert a_marginal(n) == 0
+    for n in range(6):
+        for v in (-3, -2, -1, n + 1, n + 3):
+            for kw in ({"h": v}, {"l": v}, {"m": v}):
+                assert a_marginal(n, **kw) == 0, (n, kw)
+            for w in range(-1, n + 2):
+                for kw in ({"h": v, "l": w}, {"h": v, "m": w},
+                           {"l": v, "m": w}, {"h": w, "m": v},
+                           {"l": w, "m": v}, {"h": w, "l": v}):
+                    assert a_marginal(n, **kw) == 0, (n, kw)
+                assert a_marginal(n, h=v, l=w, m=w) == 0
