@@ -103,8 +103,8 @@ def _segments(w: BicoloredWord) -> list[str]:
 
 
 def phi_B(b: BicoloredWord) -> FPath:
-    """Map a valid bicolored word to its F-path (one step per segment)."""
-    validate_bicolored(b)
+    """Map a valid bicolored word to its F-path (one step per segment).
+    A trusted core: the word is not checked."""
     segs = _segments(b)
     steps = []
     for seg in segs[:-1]:
@@ -115,7 +115,8 @@ def phi_B(b: BicoloredWord) -> FPath:
 
 
 def psi_B(q: FPath) -> BicoloredWord:
-    """Inverse of :func:`phi_B`: one segment per step, then u r^{height+1}."""
+    """Inverse of :func:`phi_B`: one segment per step, then u r^{height+1}.
+    A trusted core: ``q`` must be a valid F-path."""
     parts = ["u" + "r" * (1 - b) + "b" * a for a, b in q]
     parts.append("u" + "r" * (fpath_height(q) + 1))
     return "".join(parts)

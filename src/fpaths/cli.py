@@ -104,7 +104,7 @@ def _cmd_map(args) -> int:
     dst = FAMILIES[args.dst]
 
     def mapped(line):
-        return dst.render(dst.from_fpath(src.to_fpath(src.parse(line))))
+        return dst.render(dst.from_fpath(src.phi(src.parse(line))))
 
     return _each_line("map", mapped)
 

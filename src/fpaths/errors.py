@@ -17,10 +17,10 @@ class FpathsError(ValueError):
 
 
 class StepNotInF(FpathsError):
-    """A step (a, b) lies outside F = {a>=1, b<=1} ∪ {(0,1)}."""
+    """A step is not an int pair (a, b) in F = {a>=1, b<=1} ∪ {(0,1)}."""
 
     def __init__(self, step, position):
-        self.step = tuple(step)
+        self.step = step
         self.position = position
         super().__init__(f"step {self.step} at position {position} is not in F")
 

@@ -12,8 +12,14 @@ Family tags (used by the CLI and the verification harness):
 
 Every family is described by a :class:`FamilyInfo` with parse / render /
 generate (at common index n) / to_fpath / from_fpath / stats /
-direct_sum.  ``generate`` yields canonical order; objects of common
-index n biject with F-paths of length n.
+direct_sum / phi / psi.  ``generate`` yields canonical order; objects of
+common index n biject with F-paths of length n.
+
+Validation happens here, once: ``parse`` checks text and object, and
+``to_fpath`` / ``from_fpath`` check an object / an F-path, then run the
+trusted core ``phi`` / ``psi``, which assumes a valid argument.  Callers
+holding values already checked (parsed or generated objects, phi's
+F-paths) call ``phi`` / ``psi`` directly.
 """
 from __future__ import annotations
 
@@ -63,14 +69,11 @@ def parse_fpath(text: str) -> FPath:
     return fpath_core.validate_fpath(steps)
 
 
-def _parse_word(text: str, alphabet: str, validate) -> str:
+def _parse_word(text: str, validate) -> str:
+    """Strip, read "-" as the empty word, and let ``validate`` check the
+    letters (a ParseError at the first foreign one) and the path."""
     text = text.strip()
-    if text == "-":
-        text = ""
-    for i, c in enumerate(text):
-        if c not in alphabet:
-            raise ParseError(i, f"letter {c!r} not in {alphabet!r}")
-    return validate(text)
+    return validate("" if text == "-" else text)
 
 
 def render_word(w: str) -> str:
@@ -78,7 +81,7 @@ def render_word(w: str) -> str:
 
 
 def render_perm(p) -> str:
-    return " ".join(str(v) for v in p) if p else "-"
+    return " ".join(str(v) for v in p)
 
 
 def parse_perm(text: str) -> tuple[int, ...]:
@@ -95,7 +98,7 @@ def parse_perm(text: str) -> tuple[int, ...]:
 
 
 def render_invseq(e) -> str:
-    return ",".join(str(v) for v in e) if e else "-"
+    return ",".join(str(v) for v in e)
 
 
 def _parse_invseq(text: str, family):
@@ -143,11 +146,14 @@ def parse_wtree(text: str) -> WTree:
         pos += 1
         skip_ws()
         start = pos
-        while pos < len(s) and (s[pos].isdigit() or s[pos] == "-"):
+        while pos < len(s) and s[pos] in "-0123456789":
             pos += 1
         if start == pos:
             error("expected a weight")
-        weight = int(s[start:pos])
+        try:
+            weight = int(s[start:pos])
+        except ValueError:
+            raise ParseError(start, f"bad weight {s[start:pos]!r}") from None
         kids = []
         skip_ws()
         while pos < len(s) and s[pos] != ")":
@@ -186,10 +192,24 @@ class FamilyInfo:
     parse: Callable[[str], object]
     render: Callable[[object], str]
     generate: Callable[[int], tuple]        # common index n
-    to_fpath: Callable[[object], FPath]
-    from_fpath: Callable[[FPath], object]
+    to_fpath: Callable[[object], FPath]     # validate, then phi
+    from_fpath: Callable[[FPath], object]   # validate_fpath, then psi
     stats: Callable[[object], StatTriple]
     direct_sum: Callable[[object, object], object]
+    phi: Callable[[object], FPath]          # trusted: members only
+    psi: Callable[[FPath], object]          # trusted: F-paths only
+
+
+def _family(tag, parse, render, generate, validate, phi, psi, stats,
+            direct_sum) -> FamilyInfo:
+    """An entry whose to_fpath / from_fpath check with ``validate`` /
+    ``validate_fpath`` and then run the trusted ``phi`` / ``psi``."""
+    return FamilyInfo(
+        tag, parse, render, generate,
+        lambda obj: phi(validate(obj)),
+        lambda q: psi(fpath_core.validate_fpath(q)),
+        stats, direct_sum, phi, psi,
+    )
 
 
 def _size(n: int) -> int:
@@ -199,87 +219,75 @@ def _size(n: int) -> int:
     return n + 1
 
 
-def _fpath_stats_triple(q) -> StatTriple:
-    return fpath_core.fpath_stats(q)[0]
-
-
 def _identity(q: FPath) -> FPath:
-    return fpath_core.validate_fpath(q)
+    return q
 
 
 FAMILIES: dict[str, FamilyInfo] = {
-    "fpath": FamilyInfo(
+    "fpath": _family(
         "fpath",
         parse_fpath,
         render_fpath,
         fpath_core.gen_fpaths,
-        _identity,
-        lambda q: q,
-        _fpath_stats_triple,
-        fpath_core.fpath_direct_sum,
+        fpath_core.validate_fpath,
+        _identity, _identity,
+        lambda q: fpath_core.fpath_stats(q)[0], fpath_core.fpath_direct_sum,
     ),
-    "schroder": FamilyInfo(
+    "schroder": _family(
         "schroder",
-        lambda t: _parse_word(t, schroder_paths.ALPHABET,
-                              schroder_paths.validate_schroder),
+        lambda t: _parse_word(t, schroder_paths.validate_schroder),
         render_word,
         schroder_paths.gen_schroder,
-        schroder_paths.phi_P,
-        schroder_paths.psi_P,
-        schroder_paths.schroder_stats,
-        schroder_paths.schroder_direct_sum,
+        schroder_paths.validate_schroder,
+        schroder_paths.phi_P, schroder_paths.psi_P,
+        schroder_paths.schroder_stats, schroder_paths.schroder_direct_sum,
     ),
-    "bicolored": FamilyInfo(
+    "bicolored": _family(
         "bicolored",
-        lambda t: _parse_word(t, "urb", bicolored_dyck.validate_bicolored),
+        lambda t: _parse_word(t, bicolored_dyck.validate_bicolored),
         render_word,
         lambda n, **kw: bicolored_dyck.gen_bicolored(_size(n), **kw),
-        bicolored_dyck.phi_B,
-        bicolored_dyck.psi_B,
-        bicolored_dyck.bicolored_stats,
-        bicolored_dyck.bicolored_direct_sum,
+        bicolored_dyck.validate_bicolored,
+        bicolored_dyck.phi_B, bicolored_dyck.psi_B,
+        bicolored_dyck.bicolored_stats, bicolored_dyck.bicolored_direct_sum,
     ),
-    "perm": FamilyInfo(
+    "perm": _family(
         "perm",
         lambda t: pattern_perms.validate_avoider(parse_perm(t)),
         render_perm,
         lambda n, **kw: pattern_perms.gen_avoiders(_size(n), **kw),
-        pattern_perms.phi_S,
-        pattern_perms.psi_S,
-        pattern_perms.perm_stats,
-        pattern_perms.perm_direct_sum,
+        pattern_perms.validate_avoider,
+        pattern_perms.phi_S, pattern_perms.psi_S,
+        pattern_perms.perm_stats, pattern_perms.perm_direct_sum,
     ),
-    "inv-i": FamilyInfo(
+    "inv-i": _family(
         "inv-i",
         lambda t: _parse_invseq(t, inversion_seqs.FAMILY_I),
         render_invseq,
         lambda n, **kw: inversion_seqs.gen_invseq(
             _size(n), inversion_seqs.FAMILY_I, **kw),
-        inversion_seqs.phi_I,
-        inversion_seqs.psi_I,
-        inversion_seqs.stats_I,
-        inversion_seqs.dsum_I,
+        lambda e: inversion_seqs.validate_invseq(e, inversion_seqs.FAMILY_I),
+        inversion_seqs.phi_I, inversion_seqs.psi_I,
+        inversion_seqs.stats_I, inversion_seqs.dsum_I,
     ),
-    "inv-j": FamilyInfo(
+    "inv-j": _family(
         "inv-j",
         lambda t: _parse_invseq(t, inversion_seqs.FAMILY_J),
         render_invseq,
         lambda n, **kw: inversion_seqs.gen_invseq(
             _size(n), inversion_seqs.FAMILY_J, **kw),
-        inversion_seqs.phi_J,
-        inversion_seqs.psi_J,
-        inversion_seqs.stats_J,
-        inversion_seqs.dsum_J,
+        lambda e: inversion_seqs.validate_invseq(e, inversion_seqs.FAMILY_J),
+        inversion_seqs.phi_J, inversion_seqs.psi_J,
+        inversion_seqs.stats_J, inversion_seqs.dsum_J,
     ),
-    "tree": FamilyInfo(
+    "tree": _family(
         "tree",
         parse_wtree,
         render_wtree,
         lambda n, **kw: weighted_trees.gen_wtrees(_size(n), **kw),
-        weighted_trees.phi_T,
-        weighted_trees.psi_T,
-        weighted_trees.wtree_stats,
-        weighted_trees.wtree_direct_sum,
+        weighted_trees.validate_wtree,
+        weighted_trees.phi_T, weighted_trees.psi_T,
+        weighted_trees.wtree_stats, weighted_trees.wtree_direct_sum,
     ),
 }
 

@@ -23,6 +23,7 @@ Every path satisfies ``height <= north <= bone``.
 """
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import FormViolation, GuardExceeded, PrefixViolation, StepNotInF
@@ -56,9 +57,10 @@ def step_in_f(step) -> bool:
 def validate_fpath(steps: Iterable[Iterable[int]]) -> FPath:
     """Normalize ``steps`` to a tuple of int pairs and check the F-path axioms.
 
-    Raises :class:`StepNotInF` for a step outside F (0-based position) and
-    :class:`PrefixViolation` with the 1-based length of the shortest prefix
-    where sum(dx) exceeds sum(dy).
+    Raises :class:`StepNotInF` with the 0-based position of a step that
+    is not a pair of integers in F (a float is refused, not truncated),
+    and :class:`PrefixViolation` with the 1-based length of the shortest
+    prefix where sum(dx) exceeds sum(dy).
 
     >>> validate_fpath([(2, 1), (0, 1)])
     Traceback (most recent call last):
@@ -68,8 +70,11 @@ def validate_fpath(steps: Iterable[Iterable[int]]) -> FPath:
     path = []
     sx = sy = 0
     for pos, raw in enumerate(steps):
-        a, b = raw
-        step = (int(a), int(b))
+        try:
+            a, b = raw
+            step = (index(a), index(b))
+        except (TypeError, ValueError):
+            raise StepNotInF(raw, pos) from None
         if not step_in_f(step):
             raise StepNotInF(step, pos)
         sx += step[0]

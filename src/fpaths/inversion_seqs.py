@@ -8,7 +8,8 @@ equalities) is w.  The two families here:
     family "I"   avoids 101 and 102
     family "J"   avoids 101 and 021
 
-Sequences of length n+1 map to F-paths of length n.
+Sequences of length n+1 map to F-paths of length n, so every sequence
+here has length >= 1: the empty one is rejected and never generated.
 
 Statistics (both families use omi; ranges are over [L-1], L = len):
 
@@ -111,12 +112,14 @@ class _Scan:
 
 
 def validate_invseq(entries, family: str | None = None) -> InvSeq:
-    """Check the inversion bound and, if ``family`` given, avoidance.
+    """Check length >= 1, the inversion bound and ``family`` avoidance.
 
     NotAvoider names the first pattern of the family that e contains.
     One linear scan.
     """
     e = tuple(int(v) for v in entries)
+    if not e:
+        raise FormViolation("empty sequence; the shortest has length 1")
     for i, v in enumerate(e, 1):
         if not 0 <= v <= i - 1:
             raise FormViolation(f"entry {v} at position {i} outside 0..{i - 1}")
@@ -161,27 +164,27 @@ def stats_I(e: InvSeq) -> StatTriple:
 
 
 def phi_I(e: InvSeq) -> FPath:
-    """Delete the rightmost maximum, recording (max drop, maxid drop)."""
-    cur = validate_invseq(e, FAMILY_I)
+    """Delete the rightmost maximum, recording (max drop, maxid drop).
+    A trusted core: ``e`` must be a nonempty I-avoider."""
     steps = []
-    while len(cur) > 1:
-        m, mi = max_and_maxid(cur)
-        nxt = cur[: mi - 1] + cur[mi:]
+    while len(e) > 1:
+        m, mi = max_and_maxid(e)
+        nxt = e[: mi - 1] + e[mi:]
         m2, mi2 = max_and_maxid(nxt)
         steps.append((m - m2, mi - mi2))
-        cur = nxt
+        e = nxt
     steps.reverse()
     return tuple(steps)
 
 
 def psi_I(q: FPath) -> InvSeq:
-    """Inverse of :func:`phi_I`: insert a fresh maximum per step."""
+    """Inverse of :func:`phi_I`: insert a fresh maximum per step.
+    A trusted core: ``q`` must be a valid F-path."""
     cur: InvSeq = (0,)
     for a, b in q:
         m, mi = max_and_maxid(cur)
         value = m + a
         pos = mi + b
-        assert 1 <= pos <= len(cur) + 1 and value <= pos - 1
         cur = cur[: pos - 1] + (value,) + cur[pos - 1:]
     return cur
 
@@ -244,18 +247,13 @@ def stats_J(e: InvSeq) -> StatTriple:
 
 
 def _parse_run_form(e: InvSeq) -> tuple[int, list[tuple[int, int, int]]]:
-    """Split e as 0^{i_0} k_1^{j_1} 0^{...} ... with strictly increasing
-    positive run values; returns (i_0, [(value, j, zeros_after), ...])."""
+    """Split a J-avoider e as 0^{i_0} k_1^{j_1} 0^{...} ... (its positive
+    run values increase); returns (i_0, [(value, j, zeros_after), ...])."""
     i0 = _leading_zeros(e)
     runs: list[tuple[int, int, int]] = []
     pos = i0
-    prev_val = 0
     while pos < len(e):
         v = e[pos]
-        if v <= prev_val:
-            raise FormViolation(
-                f"run values must increase strictly, got {v} after {prev_val}"
-            )
         j = 0
         while pos < len(e) and e[pos] == v:
             j += 1
@@ -265,14 +263,13 @@ def _parse_run_form(e: InvSeq) -> tuple[int, list[tuple[int, int, int]]]:
             zeros += 1
             pos += 1
         runs.append((v, j, zeros))
-        prev_val = v
     return i0, runs
 
 
 def phi_J(e: InvSeq) -> FPath:
     """Read the run form: value k with j copies and i zeros after it
-    becomes step number n-k+1 = (j, 1-i); absent values give (0, 1)."""
-    e = validate_invseq(e, FAMILY_J)
+    becomes step number n-k+1 = (j, 1-i); absent values give (0, 1).
+    A trusted core: ``e`` must be a nonempty J-avoider."""
     n = len(e) - 1
     i0, runs = _parse_run_form(e)
     steps = [(0, 1)] * n
@@ -282,7 +279,8 @@ def phi_J(e: InvSeq) -> FPath:
 
 
 def psi_J(q: FPath) -> InvSeq:
-    """Inverse of :func:`phi_J`."""
+    """Inverse of :func:`phi_J`.  A trusted core: ``q`` must be a valid
+    F-path."""
     n = len(q)
     out = [0] * (fpath_height(q) + 1)
     for k in range(1, n + 1):
@@ -337,8 +335,8 @@ def gen_invseq(
     Depth-first over prefixes, carrying each prefix's :class:`_Scan`
     state; ``family=None`` gives every inversion sequence.
     """
-    if n < 0:
-        raise FormViolation(f"n must be >= 0, got {n}")
+    if n < 1:
+        raise FormViolation(f"length must be >= 1, got {n}")
     if n - 1 > guard:
         raise GuardExceeded(n - 1, guard)
     out: list[InvSeq] = []

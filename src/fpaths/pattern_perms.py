@@ -149,10 +149,12 @@ def is_avoider(p: Permutation) -> bool:
 
 
 def validate_avoider(p: Permutation) -> Permutation:
-    """Return p as a tuple, or raise: FormViolation when p is not a
-    permutation of 1..len(p), NotAvoider naming the first pattern of
-    FORBIDDEN that p contains."""
+    """Return p as a tuple, or raise: FormViolation when p is empty or
+    not a permutation of 1..len(p), NotAvoider naming the first pattern
+    of FORBIDDEN that p contains."""
     p = tuple(p)
+    if not p:
+        raise FormViolation("empty permutation; the shortest has length 1")
     if sorted(p) != list(range(1, len(p) + 1)):
         raise FormViolation(f"not a permutation of 1..{len(p)}: {p!r}")
     pat = _first_forbidden(p)
@@ -171,8 +173,8 @@ def gen_avoiders(n: int, guard: int = DEFAULT_GUARD) -> tuple[Permutation, ...]:
     entries above it), so once one value passes, the larger ones do too.
     ``guard`` bounds the common index n - 1, as in every family.
     """
-    if n < 0:
-        raise FormViolation(f"n must be >= 0, got {n}")
+    if n < 1:
+        raise FormViolation(f"length must be >= 1, got {n}")
     if n - 1 > guard:
         raise GuardExceeded(n - 1, guard)
     out: list[Permutation] = []
@@ -267,39 +269,19 @@ def perm_direct_sum(p1: Permutation, p2: Permutation) -> Permutation:
 def shape_analysis(p: Permutation) -> ShapeData:
     """Compute (x, y, z, w, case) for an avoider of length >= 2.
 
-    The four per-case value-interval facts that the surgeries rely on
-    are asserted here, so a corrupted input fails loudly in debug runs.
+    Each case fixes the value intervals that its surgery in
+    :func:`phi_S` relies on; ``test_shape_runs_on_all_avoiders`` states
+    them and checks them on every avoider of length 2..8.
     """
     n1 = len(p)  # N = n + 1
-    n = n1 - 1
     x = p.index(n1) + 1
     z = max(p[: x - 1], default=0)
     y = p.index(z) + 1 if z else 0
     w = min(p[x - 1:])
-    assert z != w
-    prefix_rest = {p[i] for i in range(x - 1) if i + 1 != y}
-    if z == n:
-        if z < w:
-            case = Z_EQ_LT
-            assert x == n1 and w == n1
-            assert prefix_rest == set(range(1, n))
-        else:
-            case = Z_EQ_GT
-            assert 2 <= x <= n and w == x - 1
-            assert prefix_rest == set(range(1, x - 1))
-            assert {p[i] for i in range(x, n1)} == set(range(x - 1, n))
+    if z == n1 - 1:
+        case = Z_EQ_LT if z < w else Z_EQ_GT
     else:
-        if z < w:
-            case = Z_LT_LT
-            assert 1 <= x <= n and z == x - 1 and w == x
-            assert prefix_rest == set(range(1, x - 1))
-            assert {p[i] for i in range(x, n1)} == set(range(x, n1))
-        else:
-            case = Z_LT_GT
-            assert 2 <= x <= n - 1 and x - 1 < z < n and w == x - 1
-            assert prefix_rest == set(range(1, x - 1))
-            assert {p[i] for i in range(x, z + 1)} == set(range(x - 1, z))
-            assert {p[i] for i in range(z + 1, n1)} == set(range(z + 1, n1))
+        case = Z_LT_LT if z < w else Z_LT_GT
     return ShapeData(x, y, z, w, case)
 
 
@@ -318,8 +300,9 @@ def phi_S(p: Permutation) -> FPath:
 
     Each iteration removes the maximum with the surgery of the current
     shape case and prepends one step; see :func:`psi_S` for the inverse.
+    A trusted core: ``p`` must be an avoider, as a tuple.
     """
-    cur = validate_avoider(p)
+    cur = p
     steps: list[tuple[int, int]] = []
     while len(cur) >= 2:
         sh = shape_analysis(cur)
@@ -360,7 +343,8 @@ def psi_S(q: FPath) -> Permutation:
     For a step (a, b) on a current permutation of length L the new
     maximum L+1 goes to position x, determined by cutting blocks off the
     right: tau = the last (1-b)+1 blocks when b <= 0 drops by renaming,
-    omega = the (a-1) blocks before them when a >= 2.
+    omega = the (a-1) blocks before them when a >= 2.  A trusted core:
+    ``q`` must be a valid F-path.
     """
     cur: Permutation = (1,)
     for a, b in q:
@@ -372,13 +356,11 @@ def psi_S(q: FPath) -> Permutation:
         c = len(blocks)
         if a == 1:
             nt = 2 - b
-            assert c >= nt
             tlen = sum(len(t) for t in blocks[c - nt:])
             x = L - tlen + 1
             cur = cur[: x - 1] + (L + 1,) + cur[x - 1:]
         elif b == 1:
             nw = a - 1
-            assert c >= nw + 1
             wlen = sum(len(t) for t in blocks[c - nw:])
             x = L - wlen + 1
             y = cur.index(x - 1) + 1
@@ -388,7 +370,6 @@ def psi_S(q: FPath) -> Permutation:
         else:
             nt = 1 - b
             nw = a - 1
-            assert c >= nt + nw + 1
             tlen = sum(len(t) for t in blocks[c - nt:])
             wlen = sum(len(t) for t in blocks[c - nt - nw: c - nt])
             x = L - tlen - wlen + 1

@@ -28,8 +28,6 @@ from .fpath_core import DEFAULT_GUARD, FPath, StatTriple
 
 SchroderWord = str
 
-ALPHABET = "udh"
-_WIDTH = {"u": 1, "d": 1, "h": 2}
 _RISE = {"u": 1, "d": -1, "h": 0}
 
 
@@ -112,7 +110,6 @@ def _last_rise_from(word: str, level: int) -> int:
         if c == "u" and height == level:
             found = i
         height += _RISE[c]
-    assert found >= 0, "structure guaranteed by suffix class"
     return found
 
 
@@ -120,7 +117,8 @@ def _last_rise_from(word: str, level: int) -> int:
 
 
 def phi_P(p: SchroderWord) -> FPath:
-    """Map a Schröder word to its F-path, peeling steps off the right.
+    """Map a valid Schröder word to its F-path, peeling steps off the
+    right.  A trusted core: the word is not checked.
 
     Suffix classes and the peeled step (Y, Z are the segments at heights
     1 and 2 delimited by the last rises from levels 0 and 1):
@@ -133,7 +131,6 @@ def phi_P(p: SchroderWord) -> FPath:
 
     comp(W) = len(_axis_blocks(W)) - 1.
     """
-    validate_schroder(p)
     steps = []
     w = p
     while w:
@@ -159,7 +156,6 @@ def phi_P(p: SchroderWord) -> FPath:
             body = w[:-3]
             u0 = _last_rise_from(body, 0)
             u1 = _last_rise_from(body, 1)
-            assert u1 > u0
             x, y, z = body[:u0], body[u0 + 1:u1], body[u1 + 1:]
             steps.append((len(_axis_blocks(y)) + 1,
                           1 - len(_axis_blocks(z))))
@@ -169,7 +165,8 @@ def phi_P(p: SchroderWord) -> FPath:
 
 
 def psi_P(q: FPath) -> SchroderWord:
-    """Inverse of :func:`phi_P`, appending one suffix per step of ``q``."""
+    """Inverse of :func:`phi_P`, appending one suffix per step of ``q``.
+    A trusted core: ``q`` must be a valid F-path."""
     w = ""
     for a, b in q:
         if (a, b) == (0, 1):

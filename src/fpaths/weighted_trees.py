@@ -62,8 +62,6 @@ def preorder(t: WTree) -> list[WTree]:
 
 def validate_wtree(t: WTree) -> WTree:
     """Check the weight discipline; vertexes are numbered in preorder."""
-    if t.weight is not None:
-        raise WeightOnLeafOrRoot(0, t.weight)
     if not t.children:
         raise FormViolation("tree must have at least one edge")
 
@@ -116,8 +114,8 @@ def _vertex_info(t: WTree) -> list[tuple[WTree, WTree, bool, bool]]:
 
 
 def phi_T(t: WTree) -> FPath:
-    """Map a weighted tree on n+1 edges to an F-path of length n."""
-    validate_wtree(t)
+    """Map a valid weighted tree on n+1 edges to an F-path of length n.
+    A trusted core: the tree is not checked."""
     info = _vertex_info(t)
     n = len(info) - 1
     steps = []
@@ -150,7 +148,7 @@ def psi_T(q: FPath) -> WTree:
     non-north step turns the previous vertex v_{j-1} into an interior
     vertex with that step's weight and a - b + 1 slots and makes v_j its
     first child, a north step attaches v_j to the deepest vertex with a
-    free slot.
+    free slot.  A trusted core: ``q`` must be a valid F-path.
     """
     n = len(q)
     root_b = _Build(None, fpath_height(q) + 1)
@@ -164,18 +162,15 @@ def psi_T(q: FPath) -> WTree:
             step = q[n - j + 1]  # s_{n-j+2}, 1-based
         if step is not None and step != (0, 1):
             a, b = step
-            parent = prev
-            assert parent is not None and not parent.children
-            parent.weight = a
-            parent.slots = a - b + 1
-            stack.append(parent)
+            prev.weight = a
+            prev.slots = a - b + 1
+            stack.append(prev)
         while stack[-1].slots == 0:
             stack.pop()
         top = stack[-1]
         top.children.append(v)
         top.slots -= 1
         prev = v
-    assert all(x.slots == 0 for x in stack)
     return _freeze(root_b)
 
 

@@ -270,19 +270,25 @@ def test_console_script_is_installed():
 
 
 def test_membership_checks_survive_optimised_mode():
-    """With asserts stripped (python -O) every φ still rejects a
-    non-avoider with NotAvoider."""
+    """With asserts stripped (python -O) every public ``to_fpath`` still
+    rejects a non-avoider with NotAvoider, and every public
+    ``from_fpath`` rejects the non-F-path ((2, 1),) with a typed error."""
     script = (
-        "from fpaths.errors import NotAvoider\n"
-        "from fpaths.inversion_seqs import phi_I, phi_J\n"
-        "from fpaths.pattern_perms import phi_S\n"
-        "for phi, obj in ((phi_S, (2, 3, 4, 1)), (phi_I, (0, 1, 0, 1)),\n"
-        "                 (phi_J, (0, 0, 1, 3, 2))):\n"
+        "from fpaths.errors import NotAvoider, PrefixViolation, StepNotInF\n"
+        "from fpaths.families import FAMILIES, TAGS\n"
+        "for tag, obj in (('perm', (2, 3, 4, 1)), ('inv-i', (0, 1, 0, 1)),\n"
+        "                 ('inv-j', (0, 0, 1, 3, 2))):\n"
         "    try:\n"
-        "        phi(obj)\n"
+        "        FAMILIES[tag].to_fpath(obj)\n"
         "    except NotAvoider:\n"
         "        continue\n"
-        "    raise SystemExit(f'{phi.__name__} accepted {obj}')\n"
+        "    raise SystemExit(f'{tag} to_fpath accepted {obj}')\n"
+        "for tag in TAGS:\n"
+        "    try:\n"
+        "        FAMILIES[tag].from_fpath(((2, 1),))\n"
+        "    except (StepNotInF, PrefixViolation):\n"
+        "        continue\n"
+        "    raise SystemExit(f'{tag} from_fpath accepted ((2, 1),)')\n"
     )
     src = os.path.dirname(os.path.dirname(fpaths.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -73,6 +73,9 @@ def test_empty_conventions():
         ("tree", "[(L)]", 2),
         ("tree", "[L L] x", 6),
         ("tree", "[(9z L)]", 3),
+        ("tree", "[(- L)]", 2),
+        ("tree", "[(1-2 L)]", 2),
+        ("tree", "[L (\u00b2 L)]", 4),
     ],
 )
 def test_parse_error_offsets(tag, text, offset):

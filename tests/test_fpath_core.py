@@ -61,7 +61,11 @@ class TestValidate:
     def test_empty(self):
         assert validate_fpath([]) == ()
 
-    @pytest.mark.parametrize("bad", [(0, 0), (0, 2), (-1, 1), (1, 2), (2, 3)])
+    @pytest.mark.parametrize("bad", [
+        (0, 0), (0, 2), (-1, 1), (1, 2), (2, 3),
+        # not a pair of integers; a float is refused, not truncated
+        (1,), (0, 1, 2), ("a", 1), (1.5, 1),
+    ])
     def test_step_not_in_f(self, bad):
         with pytest.raises(StepNotInF) as info:
             validate_fpath([(0, 1), bad])

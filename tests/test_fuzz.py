@@ -1,0 +1,91 @@
+"""Fuzz at the family boundary: parse, to_fpath and from_fpath.
+
+Short text over each family's alphabet plus separators, and short
+sequences of raw step tuples of small ints, are fed to the public entry
+points of every family.  Only ``FpathsError`` subclasses may escape, and
+every accepted input must round-trip.  Inputs stay short, so trees stay
+shallow.  The runs are derandomized, so the suite is repeatable.
+"""
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from fpaths.errors import FpathsError  # noqa: E402
+from fpaths.families import FAMILIES, TAGS  # noqa: E402
+
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True,
+                database=None)
+
+#: Pieces of each text form.  Fuzz text is a run of pieces, a run of
+#: their letters plus separators, or a small edit of a rendered object.
+PIECES = {
+    "fpath": ("0,1 ", "1,1 ", "1,0 ", "2,1 ", "1,-1 ", "3", ","),
+    "schroder": ("u", "d", "h", "ud"),
+    "bicolored": ("u", "r", "b", "ur", "ub"),
+    "perm": ("1 ", "2 ", "3 ", "4 ", "0"),
+    "inv-i": ("0,", "1,", "2,", "0", "1", "3"),
+    "inv-j": ("0,", "1,", "2,", "0", "1", "3"),
+    "tree": ("[", "]", "L ", "(1 ", "(2 ", ")", "(3"),
+}
+
+
+def texts(tag):
+    fam = FAMILIES[tag]
+    pieces = PIECES[tag]
+    letters = "".join(sorted(set("".join(pieces)))) + " \t-"
+    rendered = [fam.render(o) for n in range(4) for o in fam.generate(n)]
+    edits = st.builds(
+        lambda text, at, cut, put: text[:at] + put + text[at + cut:],
+        st.sampled_from(rendered), st.integers(0, 16), st.integers(0, 2),
+        st.text(letters, max_size=2))
+    return st.one_of(st.lists(st.sampled_from(pieces), max_size=8).map("".join),
+                     st.text(letters, max_size=14), edits)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_parse_accepts_only_round_trippers(tag):
+    fam = FAMILIES[tag]
+
+    @FUZZ
+    @given(texts(tag))
+    def check(text):
+        try:
+            obj = fam.parse(text)
+        except FpathsError:
+            return
+        assert fam.from_fpath(fam.to_fpath(obj)) == obj
+        assert fam.parse(fam.render(obj)) == obj
+
+    check()
+
+
+small = st.integers(-3, 3)
+#: North steps and (a, b) with a >= 1, b <= 1: paths of these alone are
+#: often accepted.  Mixed in: any small pair, wrong lengths and floats.
+f_like = st.one_of(st.just((0, 1)),
+                   st.tuples(st.integers(1, 3), st.integers(-2, 1)))
+any_step = st.one_of(
+    st.tuples(small, small),
+    st.lists(small, max_size=3).map(tuple),
+    st.tuples(st.floats(-3, 3, allow_nan=False), small),
+)
+raw_steps = st.one_of(st.lists(f_like, max_size=8),
+                      st.lists(st.one_of(f_like, any_step), max_size=8))
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_from_fpath_accepts_only_f_paths(tag):
+    fam = FAMILIES[tag]
+
+    @FUZZ
+    @given(raw_steps)
+    def check(steps):
+        try:
+            obj = fam.from_fpath(steps)
+        except FpathsError:
+            return
+        assert fam.to_fpath(obj) == tuple(steps)
+
+    check()

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from fpaths.errors import FormViolation, GuardExceeded, NotAvoider
+from fpaths.families import FAMILIES
 from fpaths.fpath_core import fpath_stats, gen_fpaths
 from fpaths.inversion_seqs import (
     _PATTERNS,
@@ -146,7 +147,12 @@ def named_pattern(e, family):
 
 
 def test_membership_and_generation_match_oracle_exhaustively():
-    for length in range(8):
+    for family in (FAMILY_I, FAMILY_J):
+        with pytest.raises(FormViolation):
+            validate_invseq((), family)
+        with pytest.raises(FormViolation):
+            gen_invseq(0, family)
+    for length in range(1, 8):
         ranges = [range(i) for i in range(1, length + 1)]
         avoiders = {FAMILY_I: [], FAMILY_J: []}
         for e in itertools.product(*ranges):
@@ -270,9 +276,9 @@ def test_round_trip_small():
 
 def test_phi_rejects_non_avoiders():
     with pytest.raises(NotAvoider):
-        phi_I((0, 1, 0, 1))
+        FAMILIES["inv-i"].to_fpath((0, 1, 0, 1))
     with pytest.raises(NotAvoider):
-        phi_J((0, 0, 1, 3, 2))
+        FAMILIES["inv-j"].to_fpath((0, 0, 1, 3, 2))
 
 
 def test_pinned_images():

@@ -10,7 +10,10 @@ import random
 
 import pytest
 
+from collections import Counter
+
 from fpaths.errors import FormViolation, GuardExceeded, NotAvoider
+from fpaths.families import FAMILIES
 from fpaths.fpath_core import fpath_stats, gen_fpaths
 from fpaths.pattern_perms import (
     FORBIDDEN,
@@ -84,6 +87,8 @@ def test_validate_avoider():
         validate_avoider((1, 3))
     with pytest.raises(FormViolation):
         validate_avoider((1, 3))
+    with pytest.raises(FormViolation):
+        validate_avoider(())  # every avoider has length >= 1
 
 
 def first_forbidden_oracle(p):
@@ -100,7 +105,11 @@ def named_pattern(p):
 
 
 def test_membership_and_generation_match_oracle_exhaustively():
-    for n in range(8):
+    with pytest.raises(FormViolation):
+        validate_avoider(())
+    with pytest.raises(FormViolation):
+        gen_avoiders(0)
+    for n in range(1, 8):
         avoiders = []
         for p in itertools.permutations(range(1, n + 1)):
             want = first_forbidden_oracle(p)
@@ -135,8 +144,10 @@ def test_membership_matches_oracle_on_long_inputs(random_fpath):
 
 
 def test_gen_counts():
-    expected = (1, 1, 2, 6, 21, 80, 322, 1347, 5798, 25512)
-    for n, want in enumerate(expected):
+    with pytest.raises(FormViolation):
+        gen_avoiders(0)
+    expected = (1, 2, 6, 21, 80, 322, 1347, 5798, 25512)
+    for n, want in enumerate(expected, 1):
         assert len(gen_avoiders(n)) == want
 
 
@@ -209,10 +220,57 @@ def test_shape_sentinel_case():
     assert sh.case == Z_LT_LT
 
 
+def shape_facts(p, sh):
+    """The 13 facts the surgeries of ``phi_S`` rely on, one bool each:
+    z != w, then per case the bounds on x, z, w and the value sets of
+    the prefix (without y) and of the segments right of x."""
+    n1 = len(p)
+    n, x, z, w = n1 - 1, sh.x, sh.z, sh.w
+    prefix_rest = {p[i] for i in range(x - 1) if i + 1 != sh.y}
+    facts = [z != w]
+    if sh.case == Z_EQ_LT:
+        facts += [
+            x == n1 and w == n1,
+            prefix_rest == set(range(1, n)),
+        ]
+    elif sh.case == Z_EQ_GT:
+        facts += [
+            2 <= x <= n and w == x - 1,
+            prefix_rest == set(range(1, x - 1)),
+            {p[i] for i in range(x, n1)} == set(range(x - 1, n)),
+        ]
+    elif sh.case == Z_LT_LT:
+        facts += [
+            1 <= x <= n and z == x - 1 and w == x,
+            prefix_rest == set(range(1, x - 1)),
+            {p[i] for i in range(x, n1)} == set(range(x, n1)),
+        ]
+    else:
+        facts += [
+            2 <= x <= n - 1 and x - 1 < z < n and w == x - 1,
+            prefix_rest == set(range(1, x - 1)),
+            {p[i] for i in range(x, z + 1)} == set(range(x - 1, z)),
+            {p[i] for i in range(z + 1, n1)} == set(range(z + 1, n1)),
+        ]
+    return facts
+
+
 def test_shape_runs_on_all_avoiders():
-    for n in range(2, 8):
+    case_of = {(True, True): Z_EQ_LT, (True, False): Z_EQ_GT,
+               (False, True): Z_LT_LT, (False, False): Z_LT_GT}
+    cases = Counter()
+    for n in range(2, 9):
         for p in gen_avoiders(n):
-            shape_analysis(p)  # the internal set assertions must hold
+            sh = shape_analysis(p)
+            x = p.index(n) + 1
+            z = max(p[: x - 1], default=0)
+            assert (sh.x, sh.z, sh.w) == (x, z, min(p[x - 1:])), p
+            assert sh.y == (p.index(z) + 1 if z else 0), p
+            assert sh.case == case_of[z == n - 1, z < sh.w], p
+            facts = shape_facts(p, sh)
+            assert all(facts), (p, sh, facts)
+            cases[sh.case] += 1
+    assert set(cases) == set(case_of.values())  # all 13 facts were checked
 
 
 # --------------------------------------------------------------- bijection
@@ -249,7 +307,7 @@ def test_stats_transport():
 
 def test_phi_rejects_non_avoider():
     with pytest.raises(NotAvoider):
-        phi_S((2, 3, 4, 1))
+        FAMILIES["perm"].to_fpath((2, 3, 4, 1))
 
 
 def test_pinned_image():

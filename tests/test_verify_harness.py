@@ -4,7 +4,12 @@ import json
 from collections import Counter
 
 from fpaths.families import FAMILIES, TAGS
-from fpaths.verify_harness import CheckRecord, VerifyReport, run_all
+from fpaths.verify_harness import (
+    CheckRecord,
+    VerifyReport,
+    run_all,
+    verify_round_trips,
+)
 
 
 def test_run_all_small_passes():
@@ -29,6 +34,19 @@ def test_run_all_generates_each_pair_once(monkeypatch):
             info, generate=counted(tag, info.generate)))
     assert run_all(max_n=2).ok
     assert calls == {(tag, n): 1 for tag in TAGS for n in range(3)}
+
+
+def test_psi_image_outside_the_family_is_a_fail_record(monkeypatch):
+    """The harness runs the trusted phi only on family members, so a psi
+    that leaves the family gives a FAIL record, not a crash in phi."""
+    info = FAMILIES["perm"]
+    monkeypatch.setitem(FAMILIES, "perm", dataclasses.replace(
+        info, psi=lambda q: (2, 3, 4, 1)))  # contains 2341
+    objects = {tag: FAMILIES[tag].generate(3) for tag in TAGS}
+    records = {r.name: r for r in verify_round_trips(3, objects)}
+    bad = records["round-trip[perm] phi(psi(q)) == q"]
+    assert (bad.ok, bad.detail) == (False, "0,1 0,1 0,1")
+    assert records["round-trip[tree] phi(psi(q)) == q"].ok
 
 
 def test_json_round_trip():
