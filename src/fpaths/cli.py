@@ -77,7 +77,7 @@ def _cmd_enumerate(args) -> int:
     for obj in fam.generate(args.n):
         line = fam.render(obj)
         if args.stats:
-            st = fam.stats(obj)
+            st = fam.stats_core(obj)
             line += f"\t{st.h},{st.l},{st.a1}"
         print(line)
     return 0
@@ -113,7 +113,7 @@ def _cmd_stats(args) -> int:
     fam = FAMILIES[args.family]
 
     def triple(line):
-        st = fam.stats(fam.parse(line))
+        st = fam.stats_core(fam.parse(line))
         return f"{st.h},{st.l},{st.a1}"
 
     return _each_line("stats", triple)

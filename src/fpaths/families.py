@@ -12,14 +12,14 @@ Family tags (used by the CLI and the verification harness):
 
 Every family is described by a :class:`FamilyInfo` with parse / render /
 generate (at common index n) / to_fpath / from_fpath / stats /
-direct_sum / phi / psi.  ``generate`` yields canonical order; objects of
-common index n biject with F-paths of length n.
+direct_sum / phi / psi / stats_core.  ``generate`` yields canonical
+order; objects of common index n biject with F-paths of length n.
 
 Validation happens here, once: ``parse`` checks text and object, and
-``to_fpath`` / ``from_fpath`` check an object / an F-path, then run the
-trusted core ``phi`` / ``psi``, which assumes a valid argument.  Callers
-holding values already checked (parsed or generated objects, phi's
-F-paths) call ``phi`` / ``psi`` directly.
+``to_fpath`` / ``stats`` check an object and ``from_fpath`` an F-path,
+then run the trusted core ``phi`` / ``stats_core`` / ``psi``, which
+assumes a valid argument.  Callers holding values already checked
+(parsed or generated objects, phi's F-paths) call the cores directly.
 """
 from __future__ import annotations
 
@@ -194,21 +194,24 @@ class FamilyInfo:
     generate: Callable[[int], tuple]        # common index n
     to_fpath: Callable[[object], FPath]     # validate, then phi
     from_fpath: Callable[[FPath], object]   # validate_fpath, then psi
-    stats: Callable[[object], StatTriple]
+    stats: Callable[[object], StatTriple]   # validate, then stats_core
     direct_sum: Callable[[object, object], object]
     phi: Callable[[object], FPath]          # trusted: members only
     psi: Callable[[FPath], object]          # trusted: F-paths only
+    stats_core: Callable[[object], StatTriple]  # trusted: members only
 
 
 def _family(tag, parse, render, generate, validate, phi, psi, stats,
             direct_sum) -> FamilyInfo:
-    """An entry whose to_fpath / from_fpath check with ``validate`` /
-    ``validate_fpath`` and then run the trusted ``phi`` / ``psi``."""
+    """An entry whose to_fpath / stats check with ``validate`` and
+    from_fpath with ``validate_fpath``, then run the trusted ``phi`` /
+    ``stats`` / ``psi``."""
     return FamilyInfo(
         tag, parse, render, generate,
         lambda obj: phi(validate(obj)),
         lambda q: psi(fpath_core.validate_fpath(q)),
-        stats, direct_sum, phi, psi,
+        lambda obj: stats(validate(obj)),
+        direct_sum, phi, psi, stats,
     )
 
 

@@ -48,6 +48,20 @@ class StatTriple(NamedTuple):
     a1: int
 
 
+def int_entries(values) -> tuple[int, ...]:
+    """``values`` as a tuple of ints.  An entry that is not an integer
+    (a float is refused, not truncated) raises :class:`FormViolation`
+    naming its 1-based position."""
+    out = []
+    for pos, v in enumerate(values, 1):
+        try:
+            out.append(index(v))
+        except TypeError:
+            raise FormViolation(
+                f"entry {v!r} at position {pos} is not an integer") from None
+    return tuple(out)
+
+
 def step_in_f(step) -> bool:
     """True if ``step`` is a legal F step."""
     a, b = step

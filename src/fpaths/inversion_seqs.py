@@ -25,11 +25,16 @@ is the number of leading zeros.
 """
 from __future__ import annotations
 
-from itertools import combinations
 from math import inf
 
 from .errors import FormViolation, GuardExceeded, NotAvoider
-from .fpath_core import DEFAULT_GUARD, FPath, StatTriple, fpath_height
+from .fpath_core import (
+    DEFAULT_GUARD,
+    FPath,
+    StatTriple,
+    fpath_height,
+    int_entries,
+)
 
 InvSeq = tuple[int, ...]
 
@@ -38,28 +43,6 @@ FAMILY_J = "J"  # avoids 101, 021
 
 P101, P102, P021 = (1, 0, 1), (1, 0, 2), (0, 2, 1)
 _PATTERNS = {FAMILY_I: (P101, P102), FAMILY_J: (P101, P021)}
-
-
-def word_reduction(word) -> tuple[int, ...]:
-    """Order type of a word, ranks from 0, ties kept.
-
-    >>> word_reduction((5, 2, 5))
-    (1, 0, 1)
-    """
-    ranks = {v: r for r, v in enumerate(sorted(set(word)))}
-    return tuple(ranks[v] for v in word)
-
-
-def invseq_contains(e, pattern) -> bool:
-    """True if some subsequence of e reduces to ``pattern``.
-
-    Brute force over all subsequences, kept as the reference oracle for
-    the tests; the library decides membership with :class:`_Scan`."""
-    pattern = tuple(pattern)
-    k = len(pattern)
-    return any(
-        word_reduction(sub) == pattern for sub in combinations(e, k)
-    )
 
 
 class _Scan:
@@ -112,12 +95,13 @@ class _Scan:
 
 
 def validate_invseq(entries, family: str | None = None) -> InvSeq:
-    """Check length >= 1, the inversion bound and ``family`` avoidance.
+    """Check integer entries, length >= 1, the inversion bound and
+    ``family`` avoidance.
 
     NotAvoider names the first pattern of the family that e contains.
     One linear scan.
     """
-    e = tuple(int(v) for v in entries)
+    e = int_entries(entries)
     if not e:
         raise FormViolation("empty sequence; the shortest has length 1")
     for i, v in enumerate(e, 1):

@@ -28,7 +28,7 @@ from math import inf
 from typing import Iterable, NamedTuple
 
 from .errors import FormViolation, GuardExceeded, NotAvoider
-from .fpath_core import DEFAULT_GUARD, FPath, StatTriple
+from .fpath_core import DEFAULT_GUARD, FPath, StatTriple, int_entries
 
 Permutation = tuple[int, ...]
 
@@ -49,38 +49,6 @@ class ShapeData(NamedTuple):
 
 
 # ------------------------------------------------------ pattern machinery
-
-
-def perm_contains(p: Permutation, pattern: Permutation) -> bool:
-    """Classical containment: some subsequence of p is order-isomorphic
-    to ``pattern``.  Backtracking over positions with pairwise checks.
-
-    Brute force, kept as the reference oracle for the tests; the library
-    decides membership with :func:`validate_avoider`."""
-    k = len(pattern)
-    n = len(p)
-    if k == 0:
-        return True
-
-    def extend(chosen: list[int], start: int) -> bool:
-        t = len(chosen)
-        if t == k:
-            return True
-        for idx in range(start, n - (k - t) + 1):
-            v = p[idx]
-            ok = True
-            for s in range(t):
-                if (pattern[s] < pattern[t]) != (p[chosen[s]] < v):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(idx)
-                if extend(chosen, idx + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend([], 0)
 
 
 def _contains_123(s) -> bool:
@@ -149,10 +117,10 @@ def is_avoider(p: Permutation) -> bool:
 
 
 def validate_avoider(p: Permutation) -> Permutation:
-    """Return p as a tuple, or raise: FormViolation when p is empty or
-    not a permutation of 1..len(p), NotAvoider naming the first pattern
-    of FORBIDDEN that p contains."""
-    p = tuple(p)
+    """Return p as a tuple, or raise: FormViolation when p is empty, has
+    an entry that is not an integer or is not a permutation of 1..len(p),
+    NotAvoider naming the first pattern of FORBIDDEN that p contains."""
+    p = int_entries(p)
     if not p:
         raise FormViolation("empty permutation; the shortest has length 1")
     if sorted(p) != list(range(1, len(p) + 1)):

@@ -4,23 +4,28 @@ Checks are grouped into five entry points, each returning a list of
 :class:`CheckRecord`; :func:`run_all` bundles them into a
 :class:`VerifyReport`.  All checks are exhaustive over the stated sizes
 (no sampling) and deterministic; the first failing object is reported in
-its text form.  The four groups at size n take ``objects``, a dict from
-every tag of ``TAGS`` to ``FAMILIES[tag].generate(n)``, so that each
-family is generated once per n however many groups check it.  They run
-the trusted cores ``phi`` / ``psi`` on these generated objects and
-paths; only the pinned constants go through the validating
+its text form.
+
+For each size n, :func:`size_data` computes every value once: it
+generates each family, runs the trusted core ``phi`` once per generated
+object and ``psi`` once per generated path, and adds the psi values to
+a path -> object table that :func:`run_all` keeps for sizes <= n.  The
+four groups read this :class:`SizeData` and call neither ``phi`` nor
+``psi``: a round trip is a lookup of the stored psi of a stored image,
+``stats_core`` runs once per object and ``fpath_stats`` once per path,
+and the direct-sum check looks every component up in the table.  Only the pinned constants go through the validating
 ``from_fpath``.
 
-    verify_equinumerous(n, objects)   |family_n| == a_total(n) for all
-                                      families
-    verify_round_trips(n, objects)    psi(phi(o)) == o, and psi(q) is a
-                                      generated object with phi(psi(q)) == q
-    verify_statistics(n, objects)     stats(o) == stats(phi(o)); the joint
-                                      distribution matches a_joint; the
-                                      step involution behaves as stated
-    verify_direct_sums(n, objects)    psi respects the direct-sum
-                                      decomposition
-    verify_pinned_examples()          frozen worked examples, bit for bit
+    verify_equinumerous(n, data)   |family_n| == a_total(n) for all
+                                   families
+    verify_round_trips(n, data)    psi(phi(o)) == o, and psi(q) is a
+                                   generated object with phi(psi(q)) == q
+    verify_statistics(n, data)     stats(o) == stats(phi(o)); the joint
+                                   distribution matches a_joint; the
+                                   step involution behaves as stated
+    verify_direct_sums(n, data)    psi respects the direct-sum
+                                   decomposition
+    verify_pinned_examples()       frozen worked examples, bit for bit
 """
 from __future__ import annotations
 
@@ -28,6 +33,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import product
 
 from . import inversion_seqs
 from .counting import a_joint, a_total
@@ -159,11 +165,56 @@ SEQUENCE = (1, 2, 6, 21, 80, 322, 1347, 5798, 25512)
 # ----------------------------------------------------------------- checks
 
 
-def verify_equinumerous(n: int, objects: dict) -> list[CheckRecord]:
+@dataclass(frozen=True)
+class SizeData:
+    """What the four groups read at one size n.
+
+    ``objects[tag]`` is ``FAMILIES[tag].generate(n)`` for every tag.  For
+    every mapped tag, ``images[tag]`` holds phi of each of
+    ``objects[tag]``, index-aligned, and ``preimages[tag]`` maps each
+    generated path of the sizes built so far, n included, to its psi.
+    """
+
+    objects: dict
+    images: dict
+    preimages: dict
+
+
+def size_data(n: int, preimages: dict) -> SizeData:
+    """Generate every family at size n, run phi once per object and psi
+    once per path, and add the size-n paths to ``preimages``, a dict per
+    mapped tag that the caller keeps across sizes.
+
+    An image that equals a generated path is stored as that path, and a
+    psi value that equals a member as that member, so the stored values
+    take no memory of their own.
+    """
+    objects = {tag: FAMILIES[tag].generate(n) for tag in TAGS}
+    paths = objects["fpath"]
+    same_path = {q: q for q in paths}
+    images = {}
+    for tag in _MAPPED_TAGS:
+        fam = FAMILIES[tag]
+        same_member = {o: o for o in objects[tag]}
+        images[tag] = tuple(
+            same_path.get(q, q) for q in map(fam.phi, objects[tag]))
+        preimages[tag].update(
+            (q, same_member.get(o, o))
+            for q, o in zip(paths, map(fam.psi, paths)))
+    return SizeData(objects, images, preimages)
+
+
+def _record(name: str, n: int, bad, render) -> CheckRecord:
+    """PASS when ``bad`` is None, else FAIL naming ``render(bad)``."""
+    return CheckRecord(name, n, bad is None,
+                       "" if bad is None else render(bad))
+
+
+def verify_equinumerous(n: int, data: SizeData) -> list[CheckRecord]:
     expected = a_total(n)
     out = []
     for tag in TAGS:
-        got = len(objects[tag])
+        got = len(data.objects[tag])
         out.append(
             CheckRecord(
                 f"equinumerous[{tag}]",
@@ -175,65 +226,45 @@ def verify_equinumerous(n: int, objects: dict) -> list[CheckRecord]:
     return out
 
 
-def verify_round_trips(n: int, objects: dict) -> list[CheckRecord]:
+def verify_round_trips(n: int, data: SizeData) -> list[CheckRecord]:
     out = []
-    paths = objects["fpath"]
+    paths = data.objects["fpath"]
     render_path = FAMILIES["fpath"].render
     for tag in _MAPPED_TAGS:
-        fam = FAMILIES[tag]
-        bad = next(
-            (o for o in objects[tag] if fam.psi(fam.phi(o)) != o),
-            None,
-        )
-        out.append(
-            CheckRecord(
-                f"round-trip[{tag}] psi(phi(o)) == o",
-                n,
-                bad is None,
-                "" if bad is None else fam.render(bad),
-            )
-        )
-        # phi may only see members, so psi(q) must be one first.
-        members = set(objects[tag])
-        bad = next(
-            (q for q in paths
-             if (o := fam.psi(q)) not in members or fam.phi(o) != q),
-            None,
-        )
-        out.append(
-            CheckRecord(
-                f"round-trip[{tag}] phi(psi(q)) == q",
-                n,
-                bad is None,
-                "" if bad is None else render_path(bad),
-            )
-        )
+        objects, images = data.objects[tag], data.images[tag]
+        psi_of = data.preimages[tag]
+        # psi(phi(o)) is the stored psi of o's image, a generated path.
+        bad = next((o for o, q in zip(objects, images) if psi_of.get(q) != o),
+                   None)
+        out.append(_record(f"round-trip[{tag}] psi(phi(o)) == o", n, bad,
+                           FAMILIES[tag].render))
+        # psi(q) must be a member whose stored image is q.
+        phi_of = dict(zip(objects, images))
+        bad = next((q for q in paths if phi_of.get(psi_of[q]) != q), None)
+        out.append(_record(f"round-trip[{tag}] phi(psi(q)) == q", n, bad,
+                           render_path))
     return out
 
 
-def verify_statistics(n: int, objects: dict) -> list[CheckRecord]:
+def verify_statistics(n: int, data: SizeData) -> list[CheckRecord]:
     out = []
-    paths = objects["fpath"]
-    fdist = Counter(fpath_stats(q)[0] for q in paths)
+    paths = data.objects["fpath"]
+    # Paths share few distinct statistics; store each once.
+    same = {}
+    fstats = {q: same.setdefault(st, st)
+              for q, st in zip(paths, map(fpath_stats, paths))}
+    fdist = Counter(st for st, _ in fstats.values())
     for tag in _MAPPED_TAGS:
         fam = FAMILIES[tag]
-        bad = next(
-            (
-                o
-                for o in objects[tag]
-                if fam.stats(o) != fpath_stats(fam.phi(o))[0]
-            ),
-            None,
-        )
-        out.append(
-            CheckRecord(
-                f"statistics[{tag}] stats(o) == stats(phi(o))",
-                n,
-                bad is None,
-                "" if bad is None else fam.render(bad),
-            )
-        )
-        dist = Counter(fam.stats(o) for o in objects[tag])
+        dist = Counter()
+        bad = None
+        for o, q in zip(data.objects[tag], data.images[tag]):
+            st = fam.stats_core(o)
+            dist[st] += 1
+            if bad is None and (q not in fstats or fstats[q][0] != st):
+                bad = o
+        out.append(_record(f"statistics[{tag}] stats(o) == stats(phi(o))",
+                           n, bad, fam.render))
         out.append(
             CheckRecord(
                 f"statistics[{tag}] joint distribution",
@@ -242,41 +273,29 @@ def verify_statistics(n: int, objects: dict) -> list[CheckRecord]:
                 "" if dist == fdist else f"first diff {_dist_diff(dist, fdist)}",
             )
         )
-    joint_ok = True
-    joint_detail = ""
-    for h in range(n + 1):
-        for l in range(n + 1):
-            for a1 in range(n + 1):
-                want = a_joint(n, h=a1, l=l, m=h)
-                got = fdist.get(StatTriple(h, l, a1), 0)
-                if want != got:
-                    joint_ok = False
-                    joint_detail = f"(h,l,a1)=({h},{l},{a1}): {got} != {want}"
-                    break
-            if not joint_ok:
-                break
-        if not joint_ok:
-            break
-    out.append(CheckRecord("statistics a_joint closed form", n, joint_ok,
-                           joint_detail))
-    inv_ok = True
-    inv_detail = ""
-    for q in paths:
+    diff = next(
+        (
+            f"(h,l,a1)=({h},{l},{a1}): {got} != {want}"
+            for h, l, a1 in product(range(n + 1), repeat=3)
+            if (want := a_joint(n, h=a1, l=l, m=h))
+            != (got := fdist.get(StatTriple(h, l, a1), 0))
+        ),
+        None,
+    )
+    out.append(_record("statistics a_joint closed form", n, diff, str))
+
+    def involution_holds(q):
         r = involution_phi_F(q)
-        (h1, l1, a1), bone1 = fpath_stats(q)
-        (h2, l2, a2), bone2 = fpath_stats(r)
-        good = (
-            involution_phi_F(r) == q
-            and (h2, l2) == (h1, l1)
-            and a2 == bone1 - l1
-            and bone2 == a1 + l1
-            and h1 <= l1 <= bone1
-        )
-        if not good:
-            inv_ok = False
-            inv_detail = FAMILIES["fpath"].render(q)
-            break
-    out.append(CheckRecord("involution relations", n, inv_ok, inv_detail))
+        if r not in fstats or involution_phi_F(r) != q:
+            return False
+        (h1, l1, a1), bone1 = fstats[q]
+        (h2, l2, a2), bone2 = fstats[r]
+        return ((h2, l2) == (h1, l1) and a2 == bone1 - l1
+                and bone2 == a1 + l1 and h1 <= l1 <= bone1)
+
+    bad = next((q for q in paths if not involution_holds(q)), None)
+    out.append(_record("involution relations", n, bad,
+                       FAMILIES["fpath"].render))
     return out
 
 
@@ -288,56 +307,36 @@ def _dist_diff(d1: Counter, d2: Counter) -> str:
     return "?"
 
 
-def verify_direct_sums(n: int, objects: dict) -> list[CheckRecord]:
-    out = []
+def verify_direct_sums(n: int, data: SizeData) -> list[CheckRecord]:
     render_path = FAMILIES["fpath"].render
-    decomps = [(q, fpath_decompose(q)) for q in objects["fpath"]]
-    recomb_bad = next(
+    decomps = [(q, fpath_decompose(q)) for q in data.objects["fpath"]]
+    bad = next(
         (q for q, comps in decomps if reduce(fpath_direct_sum, comps) != q),
         None,
     )
-    out.append(
-        CheckRecord(
-            "direct-sum[fpath] recompose",
-            n,
-            recomb_bad is None,
-            "" if recomb_bad is None else render_path(recomb_bad),
-        )
-    )
+    out = [_record("direct-sum[fpath] recompose", n, bad, render_path)]
+    # Each component is a generated path of size <= n, so its psi is
+    # stored; a missing one fails the record.
     for tag in _MAPPED_TAGS:
-        fam = FAMILIES[tag]
+        dsum, psi_of = FAMILIES[tag].direct_sum, data.preimages[tag]
         bad = None
         for q, comps in decomps:
-            want = fam.psi(q)
-            got = reduce(fam.direct_sum, [fam.psi(c) for c in comps])
-            if got != want:
+            parts = [psi_of.get(c) for c in comps]
+            if None in parts or reduce(dsum, parts) != psi_of[q]:
                 bad = q
                 break
-        out.append(
-            CheckRecord(
-                f"direct-sum[{tag}] psi is a homomorphism",
-                n,
-                bad is None,
-                "" if bad is None else render_path(bad),
-            )
-        )
+        out.append(_record(f"direct-sum[{tag}] psi is a homomorphism", n,
+                           bad, render_path))
     for tag, decompose in (("inv-i", "decompose_I"), ("inv-j", "decompose_J")):
-        fam = FAMILIES[tag]
+        psi_of = data.preimages[tag]
         func = getattr(inversion_seqs, decompose)
-        bad = None
-        for q, comps in decomps:
-            want = [fam.psi(c) for c in comps]
-            if func(fam.psi(q)) != want:
-                bad = q
-                break
-        out.append(
-            CheckRecord(
-                f"direct-sum[{tag}] {decompose} inverts the fold",
-                n,
-                bad is None,
-                "" if bad is None else render_path(bad),
-            )
+        bad = next(
+            (q for q, comps in decomps
+             if func(psi_of[q]) != [psi_of.get(c) for c in comps]),
+            None,
         )
+        out.append(_record(f"direct-sum[{tag}] {decompose} inverts the fold",
+                           n, bad, render_path))
     return out
 
 
@@ -384,15 +383,16 @@ def verify_pinned_examples() -> list[CheckRecord]:
 def run_all(max_n: int = 6) -> VerifyReport:
     """Run every check for 0 <= n <= max_n (pinned examples once).
 
-    Each family is generated once per n, through ``FAMILIES``, and the
-    four groups share those tuples.
+    Each size's :class:`SizeData` is built once and read by all four
+    groups; the psi table it extends lives until this call returns.
     """
     report = VerifyReport(verify_pinned_examples())
+    preimages = {tag: {} for tag in _MAPPED_TAGS}
     for n in range(max_n + 1):
-        objects = {tag: FAMILIES[tag].generate(n) for tag in TAGS}
+        data = size_data(n, preimages)
         for group in (verify_equinumerous, verify_round_trips,
                       verify_statistics, verify_direct_sums):
-            report.records.extend(group(n, objects))
+            report.records.extend(group(n, data))
         # Free this size's objects before the next, larger size is built.
-        del objects
+        del data
     return report

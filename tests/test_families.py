@@ -5,7 +5,13 @@ import pytest
 
 from fpaths import bicolored_dyck, counting, fpath_core, inversion_seqs
 from fpaths import pattern_perms, schroder_paths, weighted_trees
-from fpaths.errors import GuardExceeded, ParseError, StepNotInF
+from fpaths.errors import (
+    FormViolation,
+    GuardExceeded,
+    NotAvoider,
+    ParseError,
+    StepNotInF,
+)
 from fpaths.families import FAMILIES, TAGS, parse_object
 from fpaths.fpath_core import DEFAULT_GUARD, fpath_stats, validate_fpath
 
@@ -46,6 +52,22 @@ def test_registry_maps_agree_with_stats():
                 validate_fpath(q)
                 assert fam.from_fpath(q) == obj
                 assert fam.stats(obj) == fpath_stats(q)[0]
+
+
+def test_public_stats_validates():
+    perm, inv_i = FAMILIES["perm"], FAMILIES["inv-i"]
+    with pytest.raises(NotAvoider):
+        perm.stats((2, 3, 4, 1))
+    with pytest.raises(FormViolation):
+        inv_i.stats((0, 0.5))
+    with pytest.raises(FormViolation):
+        FAMILIES["inv-j"].stats(())
+    with pytest.raises(FormViolation):
+        inv_i.to_fpath((0, 0.5))
+    for tag in TAGS:
+        fam = FAMILIES[tag]
+        for obj in fam.generate(3):
+            assert fam.stats(obj) == fam.stats_core(obj)
 
 
 def test_empty_conventions():

@@ -22,7 +22,6 @@ from fpaths.inversion_seqs import (
     dsum_I,
     dsum_J,
     gen_invseq,
-    invseq_contains,
     max_and_maxid,
     phi_I,
     phi_J,
@@ -31,8 +30,8 @@ from fpaths.inversion_seqs import (
     stats_I,
     stats_J,
     validate_invseq,
-    word_reduction,
 )
+from oracles import invseq_contains, word_reduction
 
 SIX_FPATHS = (
     ((0, 1), (1, 0)),
@@ -109,6 +108,8 @@ def test_contains_against_oracle():
 
 def test_validate():
     assert validate_invseq((0, 1, 0)) == (0, 1, 0)
+    with pytest.raises(FormViolation, match="entry 0.5 at position 2"):
+        validate_invseq((0, 0.5))  # a float is refused, not truncated
     with pytest.raises(FormViolation):
         validate_invseq((0, 2, 0))  # entry 2 needs position >= 3
     with pytest.raises(FormViolation):

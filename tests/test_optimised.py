@@ -1,0 +1,148 @@
+"""The family boundary and the harness under ``python -O``.
+
+``-O`` strips ``assert`` statements, so nothing in the package may rely
+on them.  :func:`sweep` feeds seeded random inputs to every family's
+public entry points: small edits of rendered objects go through
+``parse``, raw step tuples through ``from_fpath``, and raw entry tuples
+through ``to_fpath`` and ``stats``.  Only ``FpathsError`` may escape, and
+every accepted input must round-trip and keep its statistics.  Its
+checks use ``if``/``raise``, since ``-O`` also strips pytest's assertion
+rewriting.  The tests run the sweep, and ``fpaths verify``, in a
+``python -O`` subprocess.  Run by hand: ``python -O tests/test_optimised.py
+[SEED]``.
+"""
+import os
+import random
+import subprocess
+import sys
+
+import fpaths
+from fpaths.errors import FpathsError
+from fpaths.families import FAMILIES, TAGS
+from fpaths.fpath_core import fpath_stats
+
+#: Characters mixed into the text edits besides each family's own.
+EXTRA = " -,.0123456789L()[]x"
+#: Steps that build F-paths, and steps that break them.
+GOOD_STEPS = ((0, 1), (1, 1), (1, 0), (2, 1), (1, -1), (3, -1))
+BAD_STEPS = ((0, 0), (0, 2), (-1, 1), (1, 2), (0.5, 1), (1.0, 1), (1,),
+             (0, 1, 2), ("a", 1), None)
+TUPLE_TAGS = ("perm", "inv-i", "inv-j")
+
+
+class SweepFailure(Exception):
+    """An input that escaped with a foreign error or did not round-trip."""
+
+
+def _text_edit(rng, rendered, alphabet):
+    text = rng.choice(rendered)
+    at = rng.randint(0, len(text))
+    cut = rng.randint(0, 2)
+    put = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 2)))
+    return text[:at] + put + text[at + cut:]
+
+
+def _entry_edit(rng, objects):
+    entries = list(rng.choice(objects))
+    at = rng.randrange(len(entries))
+    entries[at] = rng.choice((
+        rng.randint(-1, len(entries) + 1),
+        entries[at] + 0.0,
+        entries[at] + 0.5,
+    ))
+    return tuple(entries)
+
+
+def _check_object(fam, obj, q):
+    """``obj`` was accepted with image ``q``: it must come back from q
+    and carry q's statistics."""
+    if fam.from_fpath(q) != obj:
+        raise SweepFailure(f"{fam.tag}: {obj!r} does not round-trip")
+    if fam.stats(obj) != fpath_stats(q)[0]:
+        raise SweepFailure(f"{fam.tag}: stats of {obj!r} differ from phi's")
+
+
+def _check_text(fam, text):
+    try:
+        obj = fam.parse(text)
+    except FpathsError:
+        return
+    _check_object(fam, obj, fam.to_fpath(obj))
+    if fam.parse(fam.render(obj)) != obj:
+        raise SweepFailure(f"{fam.tag}: render/parse changes {text!r}")
+
+
+def _check_steps(fam, steps):
+    try:
+        obj = fam.from_fpath(steps)
+    except FpathsError:
+        return
+    if fam.to_fpath(obj) != tuple(tuple(s) for s in steps):
+        raise SweepFailure(f"{fam.tag}: steps {steps!r} do not round-trip")
+
+
+def _check_entries(fam, entries):
+    try:
+        q = fam.to_fpath(entries)
+    except FpathsError:
+        try:
+            fam.stats(entries)
+        except FpathsError:
+            return
+        raise SweepFailure(
+            f"{fam.tag}: stats accepts {entries!r}, to_fpath refuses it")
+    _check_object(fam, entries, q)
+
+
+def sweep(seed: int, per_family: int = 300) -> int:
+    """Run the sweep; return the number of inputs checked."""
+    rng = random.Random(seed)
+    checked = 0
+    for tag in TAGS:
+        fam = FAMILIES[tag]
+        objects = [o for n in range(4) for o in fam.generate(n)]
+        rendered = [fam.render(o) for o in objects]
+        alphabet = sorted(set("".join(rendered)) | set(EXTRA))
+        cases = [(_check_text, _text_edit(rng, rendered, alphabet))
+                 for _ in range(per_family)]
+        for _ in range(per_family // 3):
+            steps = [rng.choice(GOOD_STEPS) for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.5:
+                steps.insert(rng.randint(0, len(steps)), rng.choice(BAD_STEPS))
+            cases.append((_check_steps, tuple(steps)))
+        if tag in TUPLE_TAGS:
+            cases += [(_check_entries, _entry_edit(rng, objects))
+                      for _ in range(per_family // 3)]
+        for check, value in cases:
+            try:
+                check(fam, value)
+            except SweepFailure:
+                raise
+            except Exception as exc:
+                raise SweepFailure(
+                    f"{tag} {check.__name__} {value!r}: {exc!r}") from exc
+            checked += 1
+    return checked
+
+
+def _run_optimised(*argv):
+    src = os.path.dirname(os.path.dirname(fpaths.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-O", *argv], capture_output=True,
+                          text=True, env=env, check=False)
+
+
+def test_sweep_survives_optimised_mode():
+    proc = _run_optimised(__file__, "7")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("checked "), proc.stdout
+
+
+def test_verify_passes_in_optimised_mode():
+    proc = _run_optimised("-m", "fpaths.cli", "verify", "--max-n", "6")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "345 passed, 0 failed, 345 total"
+
+
+if __name__ == "__main__":
+    print(f"checked {sweep(int(sys.argv[1]) if len(sys.argv) > 1 else 0)}")

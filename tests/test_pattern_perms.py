@@ -27,7 +27,6 @@ from fpaths.pattern_perms import (
     crit,
     gen_avoiders,
     is_avoider,
-    perm_contains,
     perm_direct_sum,
     perm_stats,
     phi_S,
@@ -35,6 +34,7 @@ from fpaths.pattern_perms import (
     shape_analysis,
     validate_avoider,
 )
+from oracles import perm_contains
 
 SIX = ((3, 1, 2), (2, 3, 1), (3, 2, 1), (1, 3, 2), (2, 1, 3), (1, 2, 3))
 SIX_FPATHS = (
@@ -89,6 +89,8 @@ def test_validate_avoider():
         validate_avoider((1, 3))
     with pytest.raises(FormViolation):
         validate_avoider(())  # every avoider has length >= 1
+    with pytest.raises(FormViolation, match="entry 1.0 at position 1"):
+        validate_avoider((1.0, 2.0))  # a float is refused, not compared
 
 
 def first_forbidden_oracle(p):

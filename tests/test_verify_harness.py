@@ -1,4 +1,5 @@
-"""The harness itself: reporting shapes and one generation per size."""
+"""The harness itself: reporting shapes, one generation per size and
+one phi per object, one psi per path."""
 import dataclasses
 import json
 from collections import Counter
@@ -8,8 +9,11 @@ from fpaths.verify_harness import (
     CheckRecord,
     VerifyReport,
     run_all,
+    size_data,
     verify_round_trips,
 )
+
+MAPPED = tuple(tag for tag in TAGS if tag != "fpath")
 
 
 def test_run_all_small_passes():
@@ -42,11 +46,79 @@ def test_psi_image_outside_the_family_is_a_fail_record(monkeypatch):
     info = FAMILIES["perm"]
     monkeypatch.setitem(FAMILIES, "perm", dataclasses.replace(
         info, psi=lambda q: (2, 3, 4, 1)))  # contains 2341
-    objects = {tag: FAMILIES[tag].generate(3) for tag in TAGS}
-    records = {r.name: r for r in verify_round_trips(3, objects)}
+    data = size_data(3, {tag: {} for tag in MAPPED})
+    records = {r.name: r for r in verify_round_trips(3, data)}
     bad = records["round-trip[perm] phi(psi(q)) == q"]
     assert (bad.ok, bad.detail) == (False, "0,1 0,1 0,1")
     assert records["round-trip[tree] phi(psi(q)) == q"].ok
+
+
+def _count_cores(monkeypatch):
+    """Wrap every mapped family's phi and psi; count calls per (tag, n),
+    n being the length of the F-path that goes out of phi or into psi."""
+    calls = Counter()
+
+    def counted(kind, tag, func):
+        def wrapper(x):
+            out = func(x)
+            calls[kind, tag, len(out if kind == "phi" else x)] += 1
+            return out
+        return wrapper
+
+    for tag in MAPPED:
+        info = FAMILIES[tag]
+        monkeypatch.setitem(FAMILIES, tag, dataclasses.replace(
+            info, phi=counted("phi", tag, info.phi),
+            psi=counted("psi", tag, info.psi)))
+    return calls
+
+
+def test_run_all_runs_phi_once_per_object_and_psi_once_per_path(
+        monkeypatch):
+    calls = _count_cores(monkeypatch)
+    assert run_all(max_n=4).ok
+    want = Counter()
+    for n in range(5):
+        paths = len(FAMILIES["fpath"].generate(n))
+        for tag in MAPPED:
+            want["phi", tag, n] = len(FAMILIES[tag].generate(n))
+            want["psi", tag, n] = paths
+    # The pinned examples add one phi per tag at the 15-step path.
+    assert {k: v for k, v in calls.items() if k[2] <= 4} == want
+
+
+def test_consecutive_runs_make_the_same_calls(monkeypatch):
+    """Nothing computed in one run is reused by the next."""
+    calls = _count_cores(monkeypatch)
+    assert run_all(max_n=3).ok
+    first = Counter(calls)
+    calls.clear()
+    assert run_all(max_n=3).ok
+    assert calls == first
+
+
+def test_swapped_psi_pair_gives_the_known_fail_lines(monkeypatch):
+    """A psi that swaps the inv-i members 0,0,1 and 0,1,0 fails the two
+    round trips at n = 2 and the two direct-sum records wherever a
+    component maps to a swapped member; statistics do not read psi."""
+    info = FAMILIES["inv-i"]
+    swap = {(0, 0, 1): (0, 1, 0), (0, 1, 0): (0, 0, 1)}
+
+    def psi(q):
+        e = info.psi(q)
+        return swap.get(e, e)
+
+    monkeypatch.setitem(FAMILIES, "inv-i", dataclasses.replace(info, psi=psi))
+    report = run_all(max_n=3)
+    assert [r.line() for r in report.records if not r.ok] == [
+        "FAIL  n=2  round-trip[inv-i] psi(phi(o)) == o  [0,0,1]",
+        "FAIL  n=2  round-trip[inv-i] phi(psi(q)) == q  [0,1 1,1]",
+        "FAIL  n=2  direct-sum[inv-i] psi is a homomorphism  [0,1 1,1]",
+        "FAIL  n=2  direct-sum[inv-i] decompose_I inverts the fold  [0,1 1,1]",
+        "FAIL  n=3  direct-sum[inv-i] psi is a homomorphism  [0,1 0,1 1,0]",
+        "FAIL  n=3  direct-sum[inv-i] decompose_I inverts the fold  "
+        "[0,1 0,1 1,0]",
+    ]
 
 
 def test_json_round_trip():
