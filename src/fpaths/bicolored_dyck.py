@@ -31,7 +31,9 @@ from .errors import (
     ParseError,
     RunFormViolation,
 )
-from .fpath_core import DEFAULT_GUARD, FPath, StatTriple, fpath_height
+from .fpath_core import (
+    DEFAULT_GUARD, FPath, StatTriple, fpath_height, require_str,
+)
 
 BicoloredWord = str
 
@@ -46,7 +48,7 @@ def validate_bicolored(word: str) -> BicoloredWord:
     ``r`` directly following a black step, on a trailing black step (the
     word must end with its red run), and on the empty word (index 0).
     """
-    if word == "":
+    if require_str(word) == "":
         raise RunFormViolation(0, "empty word")
     height = 0
     prev = ""

@@ -69,6 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+#: Built once per process: ``parse_args`` starts each call from a fresh
+#: Namespace, so one parser serves every ``cmd_dispatch``.
+_PARSER = _build_parser()
+
+
 # ------------------------------------------------------------ subcommands
 
 
@@ -183,9 +188,8 @@ _COMMANDS = {
 
 def cmd_dispatch(argv=None) -> int:
     """Parse ``argv`` and run one subcommand; returns the exit status."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

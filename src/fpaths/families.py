@@ -15,15 +15,19 @@ generate (at common index n) / to_fpath / from_fpath / stats /
 direct_sum / phi / psi / stats_core.  ``generate`` yields canonical
 order; objects of common index n biject with F-paths of length n.
 
-Validation happens here, once: ``parse`` checks text and object, and
-``to_fpath`` / ``stats`` check an object and ``from_fpath`` an F-path,
-then run the trusted core ``phi`` / ``stats_core`` / ``psi``, which
-assumes a valid argument.  Callers holding values already checked
-(parsed or generated objects, phi's F-paths) call the cores directly.
+Validation happens here, once: ``parse`` checks text and object,
+``generate`` the common index, and ``to_fpath`` / ``stats`` check an
+object and ``from_fpath`` an F-path, then run the trusted core ``phi`` /
+``stats_core`` / ``psi``, which assumes a valid argument.  These checking
+fields raise an ``FpathsError`` for any argument, of any type, that they
+refuse.  ``render`` and ``direct_sum`` trust their arguments like the
+cores.  Callers holding values already checked (parsed or generated
+objects, phi's F-paths) call the cores directly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Callable
 
 from . import (
@@ -35,7 +39,7 @@ from . import (
     weighted_trees,
 )
 from .errors import FormViolation, ParseError
-from .fpath_core import FPath, StatTriple
+from .fpath_core import FPath, StatTriple, require_str
 from .weighted_trees import WTree
 
 TAGS = ("fpath", "schroder", "bicolored", "perm", "inv-i", "inv-j", "tree")
@@ -51,7 +55,7 @@ def render_fpath(q) -> str:
 
 
 def parse_fpath(text: str) -> FPath:
-    text = text.strip()
+    text = require_str(text).strip()
     if text == "-":
         return ()
     steps = []
@@ -72,7 +76,7 @@ def parse_fpath(text: str) -> FPath:
 def _parse_word(text: str, validate) -> str:
     """Strip, read "-" as the empty word, and let ``validate`` check the
     letters (a ParseError at the first foreign one) and the path."""
-    text = text.strip()
+    text = require_str(text).strip()
     return validate("" if text == "-" else text)
 
 
@@ -85,7 +89,7 @@ def render_perm(p) -> str:
 
 
 def parse_perm(text: str) -> tuple[int, ...]:
-    text = text.strip()
+    text = require_str(text).strip()
     try:
         vals = tuple(int(tok) for tok in text.split())
     except ValueError:
@@ -102,7 +106,7 @@ def render_invseq(e) -> str:
 
 
 def _parse_invseq(text: str, family):
-    text = text.strip()
+    text = require_str(text).strip()
     try:
         vals = tuple(int(tok) for tok in text.split(","))
     except ValueError:
@@ -111,76 +115,77 @@ def _parse_invseq(text: str, family):
 
 
 def render_wtree(t: WTree) -> str:
-    def sub(v: WTree) -> str:
+    """Text form, written in preorder with an explicit stack of child
+    iterators, so depth is unbounded.  Every vertex but the root's first
+    child follows a space."""
+    out = ["["]
+    stack = [iter(t.children)]
+    while stack:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            out.append(")" if stack else "]")
+            continue
+        if out[-1] != "[":
+            out.append(" ")
         if v.is_leaf():
-            return "L"
-        inner = " ".join(sub(c) for c in v.children)
-        return f"({v.weight} {inner})"
-
-    return "[" + " ".join(sub(c) for c in t.children) + "]"
+            out.append("L")
+        else:
+            out.append(f"({v.weight}")
+            stack.append(iter(v.children))
+    return "".join(out)
 
 
 def parse_wtree(text: str) -> WTree:
-    """Parse ``[ subtree* ]`` with subtree = ``L`` | ``( weight subtree+ )``."""
-    s = text.strip()
-    pos = 0
+    """Parse ``[ subtree* ]`` with subtree = ``L`` | ``( weight subtree+ )``.
 
-    def error(msg):
-        raise ParseError(pos, msg)
-
-    def skip_ws():
-        nonlocal pos
+    The vertices still open, the root first, are an explicit stack of
+    ``(weight, children so far)``, so depth is unbounded.
+    """
+    s = require_str(text).strip()
+    if not s or s[0] != "[":
+        raise ParseError(0, "expected '['")
+    pos = 1
+    open_: list[tuple[int | None, list]] = [(None, [])]
+    while True:
         while pos < len(s) and s[pos] == " ":
             pos += 1
-
-    def subtree() -> WTree:
-        nonlocal pos
-        skip_ws()
+        weight, kids = open_[-1]
+        close = "]" if len(open_) == 1 else ")"
         if pos >= len(s):
-            error("unexpected end of input")
-        if s[pos] == "L":
+            raise ParseError(pos, f"missing {close!r}")
+        if s[pos] == close:
             pos += 1
-            return weighted_trees.LEAF
-        if s[pos] != "(":
-            error(f"expected 'L' or '(', got {s[pos]!r}")
-        pos += 1
-        skip_ws()
-        start = pos
-        while pos < len(s) and s[pos] in "-0123456789":
+            if len(open_) == 1:
+                break
+            if not kids:
+                raise ParseError(pos, "weighted vertex needs children")
+            open_.pop()
+            open_[-1][1].append(WTree(weight, tuple(kids)))
+        elif s[pos] == "L":
             pos += 1
-        if start == pos:
-            error("expected a weight")
-        try:
-            weight = int(s[start:pos])
-        except ValueError:
-            raise ParseError(start, f"bad weight {s[start:pos]!r}") from None
-        kids = []
-        skip_ws()
-        while pos < len(s) and s[pos] != ")":
-            kids.append(subtree())
-            skip_ws()
-        if pos >= len(s):
-            error("missing ')'")
+            kids.append(weighted_trees.LEAF)
+        elif s[pos] != "(":
+            raise ParseError(pos, f"expected 'L' or '(', got {s[pos]!r}")
+        else:
+            pos += 1
+            while pos < len(s) and s[pos] == " ":
+                pos += 1
+            start = pos
+            while pos < len(s) and s[pos] in "-0123456789":
+                pos += 1
+            if start == pos:
+                raise ParseError(pos, "expected a weight")
+            try:
+                weight = int(s[start:pos])
+            except ValueError:
+                raise ParseError(start, f"bad weight {s[start:pos]!r}") from None
+            open_.append((weight, []))
+    while pos < len(s) and s[pos] == " ":
         pos += 1
-        if not kids:
-            error("weighted vertex needs children")
-        return WTree(weight, tuple(kids))
-
-    if not s or s[0] != "[":
-        error("expected '['")
-    pos = 1
-    kids = []
-    skip_ws()
-    while pos < len(s) and s[pos] != "]":
-        kids.append(subtree())
-        skip_ws()
-    if pos >= len(s):
-        error("missing ']'")
-    pos += 1
-    skip_ws()
     if pos != len(s):
-        error("trailing characters")
-    return weighted_trees.validate_wtree(WTree(None, tuple(kids)))
+        raise ParseError(pos, "trailing characters")
+    return weighted_trees.validate_wtree(WTree(None, tuple(open_[0][1])))
 
 
 # --------------------------------------------------------------- registry
@@ -190,12 +195,12 @@ def parse_wtree(text: str) -> WTree:
 class FamilyInfo:
     tag: str
     parse: Callable[[str], object]
-    render: Callable[[object], str]
-    generate: Callable[[int], tuple]        # common index n
+    render: Callable[[object], str]         # trusted: members only
+    generate: Callable[[int], tuple]        # common index n, checked
     to_fpath: Callable[[object], FPath]     # validate, then phi
     from_fpath: Callable[[FPath], object]   # validate_fpath, then psi
     stats: Callable[[object], StatTriple]   # validate, then stats_core
-    direct_sum: Callable[[object, object], object]
+    direct_sum: Callable[[object, object], object]  # trusted: members only
     phi: Callable[[object], FPath]          # trusted: members only
     psi: Callable[[FPath], object]          # trusted: F-paths only
     stats_core: Callable[[object], StatTriple]  # trusted: members only
@@ -203,11 +208,12 @@ class FamilyInfo:
 
 def _family(tag, parse, render, generate, validate, phi, psi, stats,
             direct_sum) -> FamilyInfo:
-    """An entry whose to_fpath / stats check with ``validate`` and
-    from_fpath with ``validate_fpath``, then run the trusted ``phi`` /
-    ``stats`` / ``psi``."""
+    """An entry whose generate checks the common index, to_fpath / stats
+    check with ``validate`` and from_fpath with ``validate_fpath``, then
+    run ``generate`` / the trusted ``phi`` / ``stats`` / ``psi``."""
     return FamilyInfo(
-        tag, parse, render, generate,
+        tag, parse, render,
+        lambda n, **kw: generate(_index(n), **kw),
         lambda obj: phi(validate(obj)),
         lambda q: psi(fpath_core.validate_fpath(q)),
         lambda obj: stats(validate(obj)),
@@ -215,11 +221,15 @@ def _family(tag, parse, render, generate, validate, phi, psi, stats,
     )
 
 
-def _size(n: int) -> int:
-    """Object size n + 1 at common index n, which must not be negative."""
+def _index(n) -> int:
+    """The common index n, which must be an integer >= 0."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise FormViolation(f"n must be an integer, got {n!r}") from None
     if n < 0:
         raise FormViolation(f"n must be >= 0, got {n}")
-    return n + 1
+    return n
 
 
 def _identity(q: FPath) -> FPath:
@@ -249,7 +259,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         "bicolored",
         lambda t: _parse_word(t, bicolored_dyck.validate_bicolored),
         render_word,
-        lambda n, **kw: bicolored_dyck.gen_bicolored(_size(n), **kw),
+        lambda n, **kw: bicolored_dyck.gen_bicolored(n + 1, **kw),
         bicolored_dyck.validate_bicolored,
         bicolored_dyck.phi_B, bicolored_dyck.psi_B,
         bicolored_dyck.bicolored_stats, bicolored_dyck.bicolored_direct_sum,
@@ -258,7 +268,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         "perm",
         lambda t: pattern_perms.validate_avoider(parse_perm(t)),
         render_perm,
-        lambda n, **kw: pattern_perms.gen_avoiders(_size(n), **kw),
+        lambda n, **kw: pattern_perms.gen_avoiders(n + 1, **kw),
         pattern_perms.validate_avoider,
         pattern_perms.phi_S, pattern_perms.psi_S,
         pattern_perms.perm_stats, pattern_perms.perm_direct_sum,
@@ -268,7 +278,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         lambda t: _parse_invseq(t, inversion_seqs.FAMILY_I),
         render_invseq,
         lambda n, **kw: inversion_seqs.gen_invseq(
-            _size(n), inversion_seqs.FAMILY_I, **kw),
+            n + 1, inversion_seqs.FAMILY_I, **kw),
         lambda e: inversion_seqs.validate_invseq(e, inversion_seqs.FAMILY_I),
         inversion_seqs.phi_I, inversion_seqs.psi_I,
         inversion_seqs.stats_I, inversion_seqs.dsum_I,
@@ -278,7 +288,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         lambda t: _parse_invseq(t, inversion_seqs.FAMILY_J),
         render_invseq,
         lambda n, **kw: inversion_seqs.gen_invseq(
-            _size(n), inversion_seqs.FAMILY_J, **kw),
+            n + 1, inversion_seqs.FAMILY_J, **kw),
         lambda e: inversion_seqs.validate_invseq(e, inversion_seqs.FAMILY_J),
         inversion_seqs.phi_J, inversion_seqs.psi_J,
         inversion_seqs.stats_J, inversion_seqs.dsum_J,
@@ -287,7 +297,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         "tree",
         parse_wtree,
         render_wtree,
-        lambda n, **kw: weighted_trees.gen_wtrees(_size(n), **kw),
+        lambda n, **kw: weighted_trees.gen_wtrees(n + 1, **kw),
         weighted_trees.validate_wtree,
         weighted_trees.phi_T, weighted_trees.psi_T,
         weighted_trees.wtree_stats, weighted_trees.wtree_direct_sum,

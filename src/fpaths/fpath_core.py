@@ -48,12 +48,30 @@ class StatTriple(NamedTuple):
     a1: int
 
 
+def require_str(value) -> str:
+    """``value`` itself if it is a str; anything else raises
+    :class:`FormViolation`."""
+    if not isinstance(value, str):
+        raise FormViolation(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _entries(values, what: str):
+    """An iterator over ``values``; a non-iterable raises
+    :class:`FormViolation`."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise FormViolation(f"expected a sequence of {what}, "
+                            f"got {type(values).__name__}") from None
+
+
 def int_entries(values) -> tuple[int, ...]:
-    """``values`` as a tuple of ints.  An entry that is not an integer
-    (a float is refused, not truncated) raises :class:`FormViolation`
-    naming its 1-based position."""
+    """``values`` as a tuple of ints.  A non-iterable ``values``, or an
+    entry that is not an integer (a float is refused, not truncated),
+    raises :class:`FormViolation`, naming the entry's 1-based position."""
     out = []
-    for pos, v in enumerate(values, 1):
+    for pos, v in enumerate(_entries(values, "integers"), 1):
         try:
             out.append(index(v))
         except TypeError:
@@ -73,8 +91,9 @@ def validate_fpath(steps: Iterable[Iterable[int]]) -> FPath:
 
     Raises :class:`StepNotInF` with the 0-based position of a step that
     is not a pair of integers in F (a float is refused, not truncated),
-    and :class:`PrefixViolation` with the 1-based length of the shortest
-    prefix where sum(dx) exceeds sum(dy).
+    :class:`PrefixViolation` with the 1-based length of the shortest
+    prefix where sum(dx) exceeds sum(dy), and :class:`FormViolation`
+    when ``steps`` is not iterable.
 
     >>> validate_fpath([(2, 1), (0, 1)])
     Traceback (most recent call last):
@@ -83,7 +102,7 @@ def validate_fpath(steps: Iterable[Iterable[int]]) -> FPath:
     """
     path = []
     sx = sy = 0
-    for pos, raw in enumerate(steps):
+    for pos, raw in enumerate(_entries(steps, "steps")):
         try:
             a, b = raw
             step = (index(a), index(b))

@@ -24,8 +24,9 @@ emits one F-step.  :func:`shape_analysis` exposes (x, y, z, w, case).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import inf
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import FormViolation, GuardExceeded, NotAvoider
 from .fpath_core import DEFAULT_GUARD, FPath, StatTriple, int_entries
@@ -178,18 +179,50 @@ def block_decompose(p: Permutation) -> list[Permutation]:
     plus-indecomposable blocks, each reduced to its own values)."""
     blocks = []
     start = 0
+    for length in _block_lengths(p):
+        blocks.append(tuple(x - start for x in p[start:start + length]))
+        start += length
+    return blocks
+
+
+def _block_lengths(p: Permutation) -> list[int]:
+    """Lengths of the blocks of :func:`block_decompose`, left to right."""
+    lengths = []
+    start = 0
     run_max = 0
     for idx, v in enumerate(p, 1):
         if v > run_max:
             run_max = v
         if run_max == idx:
-            blocks.append(tuple(x - start for x in p[start:idx]))
+            lengths.append(idx - start)
             start = idx
-    return blocks
+    return lengths
 
 
-def block_count(p: Permutation) -> int:
-    return len(block_decompose(p))
+def _later_minima(p) -> list:
+    """Entry i is min(p[i+1:]), inf for the last position."""
+    later = []
+    low = inf
+    for v in reversed(p):
+        later.append(low)
+        if v < low:
+            low = v
+    later.reverse()
+    return later
+
+
+def block_count(p) -> int:
+    """Blocks of p, or of any sequence of distinct values (those of its
+    reduction): the cut points, positions whose prefix maximum is below
+    every later entry (the last position always cuts).  O(len(p))."""
+    count = 0
+    top = -inf
+    for v, low in zip(p, _later_minima(p)):
+        if v > top:
+            top = v
+        if top < low:
+            count += 1
+    return count
 
 
 def asc(p: Permutation) -> int:
@@ -200,24 +233,21 @@ def crit(p: Permutation) -> int:
     """Indexes i where every pair j < i < k with pi(j), pi(k) < pi(i)
     appears in increasing order (pi(j) < pi(k)).
 
+    With L(i) the largest value left of i below pi(i), the index i is
+    critical iff no later entry is below L(i) (vacuously when there is
+    no such value).  Suffix minima and a sorted list of the values seen
+    so far give O(n log n) comparisons.
+
     >>> crit((2, 4, 1, 3))
     3
     """
-    n = len(p)
+    seen: list[int] = []
     count = 0
-    for i in range(n):
-        good = True
-        for j in range(i):
-            if p[j] >= p[i]:
-                continue
-            for k in range(i + 1, n):
-                if p[k] < p[i] and p[j] > p[k]:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
+    for v, low in zip(p, _later_minima(p)):
+        at = bisect_left(seen, v)
+        if at == 0 or seen[at - 1] < low:
             count += 1
+        seen.insert(at, v)
     return count
 
 
@@ -256,13 +286,6 @@ def shape_analysis(p: Permutation) -> ShapeData:
 # -------------------------------------------------------------- bijection
 
 
-def _reduce(vals: Iterable[int]) -> Permutation:
-    vals = tuple(vals)
-    order = sorted(vals)
-    rank = {v: i + 1 for i, v in enumerate(order)}
-    return tuple(rank[v] for v in vals)
-
-
 def phi_S(p: Permutation) -> FPath:
     """Map an avoider of length n+1 to its F-path of length n.
 
@@ -279,16 +302,14 @@ def phi_S(p: Permutation) -> FPath:
             steps.append((0, 1))
             cur = cur[:-1]
         elif sh.case == Z_LT_LT:
-            tau = _reduce(cur[x:])
-            steps.append((1, 2 - block_count(tau)))
+            steps.append((1, 2 - block_count(cur[x:])))
             cur = cur[: x - 1] + cur[x:]
         elif sh.case == Z_EQ_GT:
             head = tuple(
                 x - 1 if i + 1 == sh.y else cur[i] for i in range(x - 1)
             )
             tail = tuple(v + 1 for v in cur[x:])
-            omega = _reduce(tail)
-            steps.append((1 + block_count(omega), 1))
+            steps.append((1 + block_count(tail), 1))
             cur = head + tail
         else:  # Z_LT_GT
             z = sh.z
@@ -297,9 +318,7 @@ def phi_S(p: Permutation) -> FPath:
             )
             mid = tuple(v + 1 for v in cur[x: z + 1])
             tail = cur[z + 1:]
-            omega = _reduce(mid)
-            tau = _reduce(tail)
-            steps.append((1 + block_count(omega), 1 - block_count(tau)))
+            steps.append((1 + block_count(mid), 1 - block_count(tail)))
             cur = head + mid + tail
     steps.reverse()
     return tuple(steps)
@@ -320,16 +339,16 @@ def psi_S(q: FPath) -> Permutation:
         if a == 0:
             cur = cur + (L + 1,)
             continue
-        blocks = block_decompose(cur)
-        c = len(blocks)
+        lengths = _block_lengths(cur)
+        c = len(lengths)
         if a == 1:
             nt = 2 - b
-            tlen = sum(len(t) for t in blocks[c - nt:])
+            tlen = sum(lengths[c - nt:])
             x = L - tlen + 1
             cur = cur[: x - 1] + (L + 1,) + cur[x - 1:]
         elif b == 1:
             nw = a - 1
-            wlen = sum(len(t) for t in blocks[c - nw:])
+            wlen = sum(lengths[c - nw:])
             x = L - wlen + 1
             y = cur.index(x - 1) + 1
             head = tuple(L if i + 1 == y else cur[i] for i in range(x - 1))
@@ -338,8 +357,8 @@ def psi_S(q: FPath) -> Permutation:
         else:
             nt = 1 - b
             nw = a - 1
-            tlen = sum(len(t) for t in blocks[c - nt:])
-            wlen = sum(len(t) for t in blocks[c - nt - nw: c - nt])
+            tlen = sum(lengths[c - nt:])
+            wlen = sum(lengths[c - nt - nw: c - nt])
             x = L - tlen - wlen + 1
             z = x - 1 + wlen
             y = cur.index(x - 1) + 1

@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     TripleDescent,
 )
-from .fpath_core import DEFAULT_GUARD, FPath, StatTriple
+from .fpath_core import DEFAULT_GUARD, FPath, StatTriple, require_str
 
 SchroderWord = str
 
@@ -40,7 +40,7 @@ def validate_schroder(letters: str) -> SchroderWord:
     """
     height = 0
     run = 0  # current streak of d's
-    for i, c in enumerate(letters):
+    for i, c in enumerate(require_str(letters)):
         if c not in _RISE:
             raise ParseError(i, f"letter {c!r} not in 'udh'")
         height += _RISE[c]

@@ -61,27 +61,27 @@ def preorder(t: WTree) -> list[WTree]:
 
 
 def validate_wtree(t: WTree) -> WTree:
-    """Check the weight discipline; vertexes are numbered in preorder."""
-    if not t.children:
+    """Check the weight discipline; vertexes are numbered in preorder.
+    A vertex that is not a WTree with a tuple of children raises
+    :class:`FormViolation`."""
+    if isinstance(t, WTree) and not t.children:
         raise FormViolation("tree must have at least one edge")
-
+    stack = [t]
     idx = 0
-
-    def rec(v: WTree, is_root: bool) -> None:
-        nonlocal idx
-        my = idx
-        idx += 1
-        if is_root or v.is_leaf():
+    while stack:
+        v = stack.pop()
+        if not isinstance(v, WTree) or not isinstance(v.children, tuple):
+            raise FormViolation(
+                f"vertex {idx} is not a WTree with a tuple of children")
+        if v is t or v.is_leaf():
             if v.weight is not None:
-                raise WeightOnLeafOrRoot(my, v.weight)
+                raise WeightOnLeafOrRoot(idx, v.weight)
         else:
             deg = len(v.children)
             if not isinstance(v.weight, int) or not 1 <= v.weight <= deg:
-                raise WeightOutOfRange(my, v.weight, deg)
-        for c in v.children:
-            rec(c, False)
-
-    rec(t, True)
+                raise WeightOutOfRange(idx, v.weight, deg)
+        idx += 1
+        stack.extend(reversed(v.children))
     return t
 
 
@@ -103,13 +103,14 @@ def _vertex_info(t: WTree) -> list[tuple[WTree, WTree, bool, bool]]:
     """Non-root vertices in preorder as
     (vertex, parent, is_leftmost_child, parent_is_root)."""
     info = []
-
-    def rec(v: WTree, is_root: bool) -> None:
-        for pos, c in enumerate(v.children):
-            info.append((c, v, pos == 0, is_root))
-            rec(c, False)
-
-    rec(t, True)
+    stack = [(c, t, pos == 0, True) for pos, c in enumerate(t.children)]
+    stack.reverse()
+    while stack:
+        entry = stack.pop()
+        info.append(entry)
+        v = entry[0]
+        for pos in range(len(v.children) - 1, -1, -1):
+            stack.append((v.children[pos], v, pos == 0, False))
     return info
 
 
@@ -137,7 +138,16 @@ class _Build:
 
 
 def _freeze(b: _Build) -> WTree:
-    return WTree(b.weight, tuple(_freeze(c) for c in b.children))
+    """The WTree of ``b``, built children first from a breadth-first
+    list of the vertices, so depth is unbounded."""
+    order = [b]
+    for v in order:
+        order.extend(v.children)
+    frozen: dict[int, WTree] = {}
+    for v in reversed(order):
+        frozen[id(v)] = WTree(
+            v.weight, tuple(frozen[id(c)] for c in v.children))
+    return frozen[id(b)]
 
 
 def psi_T(q: FPath) -> WTree:

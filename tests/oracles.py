@@ -1,9 +1,10 @@
-"""Brute-force pattern matchers, the reference oracles of the tests.
+"""Brute-force matchers, the reference oracles of the tests.
 
 The library decides membership with linear or quadratic scans
-(``pattern_perms.validate_avoider``, ``inversion_seqs.validate_invseq``);
-these matchers try every subsequence instead, so the tests can check
-the scans against a definition that shares no code with them.
+(``pattern_perms.validate_avoider``, ``inversion_seqs.validate_invseq``)
+and counts critical indexes in O(n log n) (``pattern_perms.crit``);
+these oracles try every subsequence or triple instead, so the tests can
+check the fast code against a definition that shares no code with it.
 """
 from itertools import combinations
 
@@ -53,4 +54,18 @@ def invseq_contains(e, pattern) -> bool:
     return any(
         word_reduction(sub) == pattern
         for sub in combinations(e, len(pattern))
+    )
+
+
+def brute_crit(p) -> int:
+    """Indexes i where every pair j < i < k with p(j), p(k) < p(i)
+    appears in increasing order, by trying every such triple.
+
+    >>> brute_crit((2, 4, 1, 3))
+    3
+    """
+    n = len(p)
+    return sum(
+        not any(p[k] < p[j] < p[i] for j in range(i) for k in range(i + 1, n))
+        for i in range(n)
     )

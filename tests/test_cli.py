@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -126,6 +127,19 @@ def test_stats_reads_stdin():
     assert out.splitlines() == ["0,2,0", "1,2,1"]
 
 
+def test_map_tree_round_trips_a_deep_path(random_fpath):
+    """A seeded F-path of length 3000 goes fpath -> tree -> fpath byte for
+    byte: the tree's parse, render and both maps keep no recursion."""
+    line = FAMILIES["fpath"].render(random_fpath(random.Random(8), 3000))
+    code, tree, err = run_cli("map", "--from", "fpath", "--to", "tree",
+                              stdin=line + "\n")
+    assert (code, err) == (0, "")
+    code, back, err = run_cli("map", "--from", "tree", "--to", "fpath",
+                              stdin=tree)
+    assert (code, err) == (0, "")
+    assert back == line + "\n"
+
+
 # ------------------------------------------------------------------ count
 
 
@@ -226,6 +240,87 @@ def test_unknown_family_is_usage_error():
 
 def test_missing_subcommand_is_usage_error():
     assert run_cli()[0] == 2
+
+
+TOP_HELP = """\
+usage: fpaths [-h] {enumerate,map,stats,count,table,sequence,verify} ...
+
+Bijections, statistics and exact counts for F-paths and six equinumerous
+families.
+
+positional arguments:
+  {enumerate,map,stats,count,table,sequence,verify}
+    enumerate           list all objects of a family
+    map                 map stdin objects between families
+    stats               statistics of stdin objects
+    count               closed-form counts
+    table               triangle of a marginal, n = 0..5
+    sequence            total counts a(0..max-n)
+    verify              run the cross-verification harness
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+MAP_HELP = """\
+usage: fpaths map [-h] --from {fpath,schroder,bicolored,perm,inv-i,inv-j,tree}
+                  --to {fpath,schroder,bicolored,perm,inv-i,inv-j,tree}
+
+options:
+  -h, --help            show this help message and exit
+  --from {fpath,schroder,bicolored,perm,inv-i,inv-j,tree}
+  --to {fpath,schroder,bicolored,perm,inv-i,inv-j,tree}
+"""
+
+
+def test_help_text_is_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli("--help") == (0, TOP_HELP, "")
+    assert run_cli("map", "--help") == (0, MAP_HELP, "")
+
+
+#: One process runs these in order through the one module-level parser.
+REUSE_CALLS = (
+    (("count", "--n", "5", "--h", "2"), None),
+    (("count", "--n", "5"), None),
+    (("map", "--from", "perm"), None),
+    (("map", "--from", "fpath", "--to", "perm"), "0,1 1,1\n-\n1,0\n"),
+    (("verify", "--max-n", "2"), None),
+)
+
+_FIRST_CALL = """\
+import contextlib, io, json, sys
+from fpaths.cli import cmd_dispatch
+argv, stdin = json.loads(sys.argv[1])
+sys.stdin = io.StringIO(stdin or "")
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = cmd_dispatch(argv)
+sys.__stdout__.write(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+
+def test_parser_reuse_leaks_nothing_between_calls(monkeypatch):
+    """Each call of a sequence made in one process, through the one
+    parser, prints and returns what the same call prints and returns as
+    the first call of a fresh interpreter: no option value, default or
+    error state carries over from one call to the next."""
+    src = os.path.dirname(os.path.dirname(fpaths.__file__))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    fresh = []
+    for argv, stdin in REUSE_CALLS:
+        proc = subprocess.run(
+            [sys.executable, "-c", _FIRST_CALL, json.dumps([argv, stdin])],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        fresh.append(tuple(json.loads(proc.stdout)))
+    assert fresh[0] == (0, "110\n", "")
+    assert fresh[2][0] == 2
+    assert fresh[2][2].endswith("the following arguments are required: "
+                                "--to\n")
+    monkeypatch.setenv("COLUMNS", "80")
+    in_process = [run_cli(*argv, stdin=stdin) for argv, stdin in REUSE_CALLS]
+    assert in_process == fresh
 
 
 def test_console_script_is_installed():

@@ -5,6 +5,7 @@ sequences of raw step tuples of small ints, are fed to the public entry
 points of every family.  Only ``FpathsError`` subclasses may escape, and
 every accepted input must round-trip.  Inputs stay short, so trees stay
 shallow.  The runs are derandomized, so the suite is repeatable.
+Arguments of the wrong type go to every checking field of every family.
 """
 import pytest
 
@@ -12,7 +13,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from fpaths.errors import FpathsError  # noqa: E402
+from fpaths.errors import FormViolation, FpathsError  # noqa: E402
 from fpaths.families import FAMILIES, TAGS  # noqa: E402
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True,
@@ -89,3 +90,19 @@ def test_from_fpath_accepts_only_f_paths(tag):
         assert fam.to_fpath(obj) == tuple(steps)
 
     check()
+
+
+#: The fields of ``FamilyInfo`` that check their argument.  ``render``,
+#: ``direct_sum`` and the cores ``phi``, ``psi``, ``stats_core`` trust
+#: theirs: they take only values these fields have checked.
+CHECKING = ("parse", "generate", "to_fpath", "from_fpath", "stats")
+
+
+@pytest.mark.parametrize("field", CHECKING)
+@pytest.mark.parametrize("tag", TAGS)
+def test_wrong_type_arguments_raise_form_violation(tag, field):
+    entry = getattr(FAMILIES[tag], field)
+    # 5 is a valid common index; generate gets the string "5" instead.
+    for arg in (None, 1.5, object(), "5" if field == "generate" else 5):
+        with pytest.raises(FormViolation):
+            entry(arg)

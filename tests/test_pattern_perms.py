@@ -34,7 +34,7 @@ from fpaths.pattern_perms import (
     shape_analysis,
     validate_avoider,
 )
-from oracles import perm_contains
+from oracles import brute_crit, perm_contains
 
 SIX = ((3, 1, 2), (2, 3, 1), (3, 2, 1), (1, 3, 2), (2, 1, 3), (1, 2, 3))
 SIX_FPATHS = (
@@ -183,6 +183,17 @@ def test_block_decompose():
             assert block_count(p) == len(block_decompose(p))
 
 
+def test_block_count_reads_unreduced_sequences():
+    """block_count counts the blocks of a sequence's reduction without
+    building it, on every avoider with n <= 8 spread out and shifted."""
+    rng = random.Random(4)
+    for n in range(9):
+        for p in gen_avoiders(n + 1):
+            spread = tuple(3 * v + rng.randint(0, 2) for v in p)
+            assert block_count(spread) == len(block_decompose(p))
+    assert block_count(()) == 0
+
+
 def test_direct_sum_blocks():
     p = perm_direct_sum((2, 1), (1, 3, 2))
     assert p == (2, 1, 3, 5, 4)
@@ -194,6 +205,16 @@ def test_crit_pinned():
     assert crit((1, 2, 3)) == 3
     assert crit((3, 2, 1)) == 3  # vacuous everywhere
     assert crit((2, 3, 1)) == 2  # index 2 fails via (2,1) after 3
+
+
+def test_crit_matches_brute_force():
+    """The O(n log n) crit against trying every triple, on every avoider
+    with n <= 8 and on every permutation of length 7."""
+    for n in range(9):
+        for p in gen_avoiders(n + 1):
+            assert crit(p) == brute_crit(p)
+    for p in itertools.permutations(range(1, 8)):
+        assert crit(p) == brute_crit(p)
 
 
 def test_perm_stats_six():

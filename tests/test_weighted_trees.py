@@ -77,6 +77,27 @@ def test_validate_errors():
         validate_wtree(WTree(None, (WTree(None, (LEAF,)),)))
 
 
+def test_validate_refuses_non_trees():
+    for bad in (5, None, WTree(None, (5,)), WTree(None, [LEAF]),
+                WTree(None, (WTree(1, (LEAF, None)),))):
+        with pytest.raises(FormViolation):
+            validate_wtree(bad)
+
+
+def test_depth_5000_without_recursion():
+    """A chain of 5000 weight-1 vertices parses, validates, maps both
+    ways and renders back.  Texts are compared, not trees: WTree's
+    dataclass ``__eq__`` still recurses."""
+    depth = 5000
+    text = "[" + "(1 " * depth + "L" + ")" * depth + "]"
+    t = parse(text)
+    assert render(t) == text
+    q = phi_T(t)
+    assert q == ((1, 1),) * depth
+    assert render(psi_T(q)) == text
+    assert tuple(wtree_stats(t)) == (0, 0, depth)
+
+
 def test_preorder_counts_vertices():
     t = parse("[(1 L L) L]")
     assert len(preorder(t)) == 5
