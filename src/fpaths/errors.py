@@ -92,11 +92,9 @@ class RunFormViolation(FpathsError):
 class NotAvoider(FpathsError):
     """The object contains one of the family's forbidden patterns."""
 
-    def __init__(self, pattern, positions=None):
+    def __init__(self, pattern):
         self.pattern = tuple(pattern)
-        self.positions = tuple(positions) if positions is not None else None
-        where = f" at positions {self.positions}" if positions is not None else ""
-        super().__init__(f"contains pattern {self.pattern}{where}")
+        super().__init__(f"contains pattern {self.pattern}")
 
 
 class FormViolation(FpathsError):

@@ -17,19 +17,27 @@ Statistics matched to F-paths:
 The bijection reads non-root vertices v_1.. v_{n+1} in preorder; step i
 comes from vertex v_{n-i+2}: a leftmost child of an interior parent p
 contributes (weight(p), weight(p) - outdeg(p) + 1), anything else (0,1).
+In preorder, v_j is the leftmost child of v_{j-1} exactly when v_{j-1} is
+not a leaf, so phi_T and psi_T read and write the *preorder code*, the
+``(weight, outdegree)`` pair of each vertex, root first, which
+determines the tree: the steps s_1..s_n are the code of v_n..v_1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .errors import FormViolation, GuardExceeded, WeightOnLeafOrRoot, WeightOutOfRange
-from .fpath_core import DEFAULT_GUARD, FPath, StatTriple, fpath_height
+from .fpath_core import DEFAULT_GUARD, NORTH, FPath, StatTriple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WTree:
-    """A vertex: ``weight`` is None on the root and on leaves."""
+    """A vertex: ``weight`` is None on the root and on leaves.
+
+    ``==`` and ``hash`` walk the tree with explicit stacks, so depth is
+    unbounded; ``==`` skips a shared subtree by identity.
+    """
 
     weight: int | None
     children: tuple["WTree", ...] = ()
@@ -37,16 +45,24 @@ class WTree:
     def is_leaf(self) -> bool:
         return not self.children
 
+    def __eq__(self, other):
+        if not isinstance(other, WTree):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            s, t = stack.pop()
+            if s is t:
+                continue
+            if s.weight != t.weight or len(s.children) != len(t.children):
+                return False
+            stack.extend(zip(s.children, t.children))
+        return True
+
+    def __hash__(self):
+        return hash(preorder_code(self))
+
 
 LEAF = WTree(None)
-
-
-def node(weight, *children) -> WTree:
-    return WTree(weight, tuple(children))
-
-
-def root(*children) -> WTree:
-    return WTree(None, tuple(children))
 
 
 def preorder(t: WTree) -> list[WTree]:
@@ -56,8 +72,14 @@ def preorder(t: WTree) -> list[WTree]:
     while stack:
         v = stack.pop()
         out.append(v)
-        stack.extend(reversed(v.children))
+        stack += v.children[::-1]
     return out
+
+
+def preorder_code(t: WTree) -> tuple[tuple[int | None, int], ...]:
+    """``(weight, outdegree)`` of every vertex in preorder, root first:
+    the code that determines the tree."""
+    return tuple([(v.weight, len(v.children)) for v in preorder(t)])
 
 
 def validate_wtree(t: WTree) -> WTree:
@@ -99,89 +121,36 @@ def wtree_stats(t: WTree) -> StatTriple:
 # -------------------------------------------------------------- bijection
 
 
-def _vertex_info(t: WTree) -> list[tuple[WTree, WTree, bool, bool]]:
-    """Non-root vertices in preorder as
-    (vertex, parent, is_leftmost_child, parent_is_root)."""
-    info = []
-    stack = [(c, t, pos == 0, True) for pos, c in enumerate(t.children)]
-    stack.reverse()
-    while stack:
-        entry = stack.pop()
-        info.append(entry)
-        v = entry[0]
-        for pos in range(len(v.children) - 1, -1, -1):
-            stack.append((v.children[pos], v, pos == 0, False))
-    return info
-
-
 def phi_T(t: WTree) -> FPath:
-    """Map a valid weighted tree on n+1 edges to an F-path of length n.
-    A trusted core: the tree is not checked."""
-    info = _vertex_info(t)
-    n = len(info) - 1
-    steps = []
-    for i in range(1, n + 1):
-        v, parent, leftmost, parent_is_root = info[n - i + 1]
-        if leftmost and not parent_is_root:
-            w = parent.weight
-            steps.append((w, w - len(parent.children) + 1))
-        else:
-            steps.append((0, 1))
-    return tuple(steps)
-
-
-@dataclass
-class _Build:
-    weight: int | None
-    slots: int
-    children: list["_Build"] = field(default_factory=list)
-
-
-def _freeze(b: _Build) -> WTree:
-    """The WTree of ``b``, built children first from a breadth-first
-    list of the vertices, so depth is unbounded."""
-    order = [b]
-    for v in order:
-        order.extend(v.children)
-    frozen: dict[int, WTree] = {}
-    for v in reversed(order):
-        frozen[id(v)] = WTree(
-            v.weight, tuple(frozen[id(c)] for c in v.children))
-    return frozen[id(b)]
+    """Map a valid weighted tree on n+1 edges to an F-path of length n:
+    a vertex of weight w and outdegree d > 0 gives (w, w - d + 1), a leaf
+    (0, 1).  A trusted core: the tree is not checked."""
+    code = preorder_code(t)
+    return tuple((w, w - d + 1) if d else NORTH
+                 for w, d in reversed(code[1:-1]))
 
 
 def psi_T(q: FPath) -> WTree:
-    """Inverse of :func:`phi_T`, building the tree with a slot stack.
+    """Inverse of :func:`phi_T`, in one pass over the steps.
 
-    The root opens with height(q)+1 child slots.  Vertices v_1..v_{n+1}
-    are created in preorder; v_j (j >= 2) consumes step s_{n-j+2}: a
-    non-north step turns the previous vertex v_{j-1} into an interior
-    vertex with that step's weight and a - b + 1 slots and makes v_j its
-    first child, a north step attaches v_j to the deepest vertex with a
-    free slot.  A trusted core: ``q`` must be a valid F-path.
+    Read left to right, the steps are the preorder code of v_n, ..., v_1:
+    a non-north step (a, b) is a vertex of weight a and outdegree
+    a - b + 1, a north step a leaf.  Before v_n comes v_{n+1}, always a
+    leaf, and after v_1 the root, which takes the height(q) + 1 subtrees
+    left over.  So the tree is built right to left in preorder: each
+    vertex takes its children, leftmost on top, from a stack of finished
+    subtrees.  A trusted core: ``q`` must be a valid F-path.
     """
-    n = len(q)
-    root_b = _Build(None, fpath_height(q) + 1)
-    stack = [root_b]
-    prev: _Build | None = None
-    for j in range(1, n + 2):
-        v = _Build(None, 0)
-        if j == 1:
-            step = None
+    stack = [LEAF]
+    for a, b in q:
+        if a:
+            d = a - b + 1
+            kids = tuple(reversed(stack[-d:]))
+            del stack[-d:]
+            stack.append(WTree(a, kids))
         else:
-            step = q[n - j + 1]  # s_{n-j+2}, 1-based
-        if step is not None and step != (0, 1):
-            a, b = step
-            prev.weight = a
-            prev.slots = a - b + 1
-            stack.append(prev)
-        while stack[-1].slots == 0:
-            stack.pop()
-        top = stack[-1]
-        top.children.append(v)
-        top.slots -= 1
-        prev = v
-    return _freeze(root_b)
+            stack.append(LEAF)
+    return WTree(None, tuple(reversed(stack)))
 
 
 # ------------------------------------------------------------ direct sums

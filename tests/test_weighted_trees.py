@@ -5,7 +5,9 @@ non-root subtree with e >= 1 edges picks an outdegree d (weight factor d),
 a root tree never takes the factor.
 """
 import functools
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -86,8 +88,7 @@ def test_validate_refuses_non_trees():
 
 def test_depth_5000_without_recursion():
     """A chain of 5000 weight-1 vertices parses, validates, maps both
-    ways and renders back.  Texts are compared, not trees: WTree's
-    dataclass ``__eq__`` still recurses."""
+    ways and renders back."""
     depth = 5000
     text = "[" + "(1 " * depth + "L" + ")" * depth + "]"
     t = parse(text)
@@ -96,6 +97,22 @@ def test_depth_5000_without_recursion():
     assert q == ((1, 1),) * depth
     assert render(psi_T(q)) == text
     assert tuple(wtree_stats(t)) == (0, 0, depth)
+
+
+def _chain(depth, last_weight):
+    """A root over ``depth`` nested vertices of weight 1, except the
+    deepest, which has weight ``last_weight`` and two leaves."""
+    t = WTree(last_weight, (LEAF, LEAF))
+    for _ in range(depth - 1):
+        t = WTree(1, (t,))
+    return WTree(None, (t,))
+
+
+def test_deep_trees_compare_and_hash_without_recursion():
+    a, b, c = _chain(2000, 1), _chain(2000, 1), _chain(2000, 2)
+    assert a == b and hash(a) == hash(b)
+    assert a != c
+    assert a != "L"
 
 
 def test_preorder_counts_vertices():
@@ -192,6 +209,35 @@ def test_pinned_image():
     assert phi_T(t) == PINNED_Q
     assert psi_T(PINNED_Q) == t
     assert tuple(wtree_stats(t)) == (4, 11, 2)
+
+
+#: sha256 of the "\n"-joined ``render(psi_T(q))`` over every F-path of
+#: length 0..6 in generation order (1,779 lines).
+TREE_MAP_SHA256 = (
+    "3023ff9eccdb9fafb2caa20dceabb073e4b65472805e53fc2e6c3633435eb884")
+
+
+def test_tree_map_is_pinned():
+    """Round trips and statistics cannot tell another bijection from
+    this one; the hash of every image up to length 6 can."""
+    lines = [render(psi_T(q)) for n in range(7) for q in gen_fpaths(n)]
+    assert len(lines) == 1779
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == TREE_MAP_SHA256
+
+
+@pytest.mark.parametrize("n", [50, 500, 3000])
+def test_large_trees(random_fpath, n):
+    """Round trips, statistics and direct sums on seeded random paths,
+    comparing separately built trees with ``==``."""
+    rng = random.Random(n)
+    q, q1, q2 = (random_fpath(rng, n) for _ in range(3))
+    t = parse(render(psi_T(q)))
+    assert phi_T(t) == q
+    assert psi_T(phi_T(t)) == t
+    assert wtree_stats(psi_T(q)) == fpath_stats(q)[0]
+    assert (wtree_direct_sum(psi_T(q1), psi_T(q2))
+            == psi_T(q1 + (NORTH,) + q2))
 
 
 # -------------------------------------------------------------- direct sum
