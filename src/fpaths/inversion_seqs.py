@@ -25,6 +25,8 @@ is the number of leading zeros.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import pairwise
 from math import inf
 
 from .errors import FormViolation, GuardExceeded, NotAvoider
@@ -148,29 +150,40 @@ def stats_I(e: InvSeq) -> StatTriple:
 
 
 def phi_I(e: InvSeq) -> FPath:
-    """Delete the rightmost maximum, recording (max drop, maxid drop).
-    A trusted core: ``e`` must be a nonempty I-avoider."""
-    steps = []
-    while len(e) > 1:
-        m, mi = max_and_maxid(e)
-        nxt = e[: mi - 1] + e[mi:]
-        m2, mi2 = max_and_maxid(nxt)
-        steps.append((m - m2, mi - mi2))
-        e = nxt
-    steps.reverse()
-    return tuple(steps)
+    """Read the insertion record of e, the steps of :func:`psi_I`.
+    A trusted core: ``e`` must be a nonempty I-avoider.
+
+    Deleting rightmost maxima removes the entries by value, then by
+    position, from the top; each is deleted at position 1 + the number
+    of earlier entries <= it.  Sorted, these (value, position) records,
+    made in one pass with :func:`bisect_right`, are the (max, maxid)
+    after each step, and the steps are their differences.
+    """
+    seen: list[int] = []
+    record = []
+    for v in e:
+        i = bisect_right(seen, v)
+        seen.insert(i, v)
+        record.append((v, i + 1))
+    record.sort()
+    return tuple((m - m0, p - p0) for (m0, p0), (m, p) in pairwise(record))
 
 
 def psi_I(q: FPath) -> InvSeq:
     """Inverse of :func:`phi_I`: insert a fresh maximum per step.
-    A trusted core: ``q`` must be a valid F-path."""
-    cur: InvSeq = (0,)
+    A trusted core: ``q`` must be a valid F-path.
+
+    The insertion record is (max, maxid) after each step, from (0, 1):
+    step (a, b) adds a to the max and b to its rightmost position, and
+    inserts the new max there.
+    """
+    cur = [0]
+    m, mi = 0, 1
     for a, b in q:
-        m, mi = max_and_maxid(cur)
-        value = m + a
-        pos = mi + b
-        cur = cur[: pos - 1] + (value,) + cur[pos - 1:]
-    return cur
+        m += a
+        mi += b
+        cur.insert(mi - 1, m)
+    return tuple(cur)
 
 
 def dsum_I(e: InvSeq, f: InvSeq) -> InvSeq:

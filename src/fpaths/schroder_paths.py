@@ -11,10 +11,15 @@ Statistics matched to F-paths:
     hdd   all horizontal steps + all dd factors = north
     peak  all ud factors                        = aone
 
-The bijection peels a step off the right end of the word; which rule
-applies is decided by the word's suffix class (h / ud / hd / udd / hdd).
+The bijection reads a word as the record of how ψ built it, one piece
+``[uh]d*`` per step, left to right.  A north step appends an ``h`` on
+the x-axis; any other step appends ``ud``, ``hd``, ``udd`` or ``hdd``
+and may lift one or two axis ``h``'s to ``u``'s, which takes them and
+the axis ``h``'s after them off the axis.
 """
 from __future__ import annotations
+
+import re
 
 from .errors import (
     BelowAxis,
@@ -79,120 +84,65 @@ def schroder_stats(p: SchroderWord) -> StatTriple:
     return StatTriple(comp, hdd, peak)
 
 
-# ------------------------------------------------------- axis bookkeeping
-
-
-def _axis_blocks(word: str) -> list[str]:
-    """Split at the horizontal steps lying on the x-axis.
-
-    A word with comp = c yields c+1 blocks (possibly empty); the blocks
-    may still contain horizontal steps at positive height.
-    """
-    blocks = []
-    height = 0
-    cur = []
-    for c in word:
-        if c == "h" and height == 0:
-            blocks.append("".join(cur))
-            cur = []
-        else:
-            cur.append(c)
-            height += _RISE[c]
-    blocks.append("".join(cur))
-    return blocks
-
-
-def _last_rise_from(word: str, level: int) -> int:
-    """Index of the last ``u`` that rises from ``level`` to ``level + 1``."""
-    height = 0
-    found = -1
-    for i, c in enumerate(word):
-        if c == "u" and height == level:
-            found = i
-        height += _RISE[c]
-    return found
-
-
 # -------------------------------------------------------------- bijection
+
+_PIECE = re.compile("[uh]d*")
 
 
 def phi_P(p: SchroderWord) -> FPath:
-    """Map a valid Schröder word to its F-path, peeling steps off the
-    right.  A trusted core: the word is not checked.
+    """Read a valid Schröder word left to right as the pieces
+    :func:`psi_P` appended.  A trusted core: the word is not checked.
 
-    Suffix classes and the peeled step (Y, Z are the segments at heights
-    1 and 2 delimited by the last rises from levels 0 and 1):
+    ``axis`` holds the letters of the north pieces still on the x-axis (a
+    ``u`` was lifted by a later piece); ``lift()`` pops it up to and
+    including the topmost ``u`` and counts the entries popped:
 
-        ... h                  -> (0, 1)
-        ... ud                 -> (1, 1)
-        X u Y  hd              -> (comp(Y) + 2, 1)          rest X h Y
-        X u Z  udd             -> (1, -comp(Z))             rest X h Z
-        X u Y u Z  hdd         -> (comp(Y) + 2, -comp(Z))   rest X h Y h Z
-
-    comp(W) = len(_axis_blocks(W)) - 1.
+        h or u  -> (0, 1), pushed       udd  -> (1, 1 - lift())
+        ud      -> (1, 1)               hdd  -> (r2 + 1, 1 - r1)
+        hd      -> (lift() + 1, 1)              r1, r2 = lift(), lift()
     """
     steps = []
-    w = p
-    while w:
-        if w[-1] == "h":
+    axis: list[str] = []
+
+    def lift() -> int:
+        r = 1
+        while axis.pop() != "u":
+            r += 1
+        return r
+
+    for piece in _PIECE.findall(p):
+        if len(piece) == 1:
+            axis.append(piece)
             steps.append((0, 1))
-            w = w[:-1]
-        elif w[-2] == "u":  # ...ud
-            steps.append((1, 1))
-            w = w[:-2]
-        elif w[-2] == "h":  # ...hd
-            body = w[:-2]
-            u0 = _last_rise_from(body, 0)
-            x, y = body[:u0], body[u0 + 1:]
-            steps.append((len(_axis_blocks(y)) + 1, 1))
-            w = x + "h" + y
-        elif w[-3] == "u":  # ...udd
-            body = w[:-3]
-            u0 = _last_rise_from(body, 0)
-            x, z = body[:u0], body[u0 + 1:]
-            steps.append((1, 1 - len(_axis_blocks(z))))
-            w = x + "h" + z
-        else:  # ...hdd
-            body = w[:-3]
-            u0 = _last_rise_from(body, 0)
-            u1 = _last_rise_from(body, 1)
-            x, y, z = body[:u0], body[u0 + 1:u1], body[u1 + 1:]
-            steps.append((len(_axis_blocks(y)) + 1,
-                          1 - len(_axis_blocks(z))))
-            w = x + "h" + y + "h" + z
-    steps.reverse()
+            continue
+        r1 = lift() if len(piece) == 3 else 0
+        steps.append((1 if piece[0] == "u" else lift() + 1, 1 - r1))
     return tuple(steps)
 
 
 def psi_P(q: FPath) -> SchroderWord:
-    """Inverse of :func:`phi_P`, appending one suffix per step of ``q``.
-    A trusted core: ``q`` must be a valid F-path."""
-    w = ""
+    """Inverse of :func:`phi_P`: one piece per step.  A trusted core:
+    ``q`` must be a valid F-path.
+
+    ``axis`` holds the indexes of the ``h``'s on the x-axis.  A step
+    (a, b) != (0, 1) lifts ``axis[b - 1]`` to ``u`` when b <= 0 and
+    ``axis[b - a]`` when a > b, dropping the top a - b entries.
+    """
+    w: list[str] = []
+    axis: list[int] = []
     for a, b in q:
-        if (a, b) == (0, 1):
-            w += "h"
-        elif (a, b) == (1, 1):
-            w += "ud"
-        else:
-            blocks = _axis_blocks(w)
-            c = len(blocks) - 1
-            if a == 1:  # b <= 0: X u Z udd
-                j = -b
-                x = "h".join(blocks[: c - j])
-                z = "h".join(blocks[c - j:])
-                w = x + "u" + z + "udd"
-            elif b == 1:  # a >= 2: X u Y hd
-                k = a - 2
-                x = "h".join(blocks[: c - k])
-                y = "h".join(blocks[c - k:])
-                w = x + "u" + y + "hd"
-            else:  # a >= 2, b <= 0: X u Y u Z hdd
-                k, j = a - 2, -b
-                x = "h".join(blocks[: c - k - j - 1])
-                y = "h".join(blocks[c - k - j - 1: c - j])
-                z = "h".join(blocks[c - j:])
-                w = x + "u" + y + "u" + z + "hdd"
-    return w
+        if a == 0:
+            axis.append(len(w))
+            w.append("h")
+            continue
+        if b <= 0:
+            w[axis[b - 1]] = "u"
+        if a > b:
+            w[axis[b - a]] = "u"
+            del axis[b - a:]
+        w.append("u" if a == 1 else "h")
+        w.append("d" if b == 1 else "dd")
+    return "".join(w)
 
 
 # ------------------------------------------------------------ enumeration

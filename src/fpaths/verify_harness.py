@@ -13,8 +13,8 @@ a path -> object table that :func:`run_all` keeps for sizes <= n.  The
 four groups read this :class:`SizeData` and call neither ``phi`` nor
 ``psi``: a round trip is a lookup of the stored psi of a stored image,
 ``stats_core`` runs once per object and ``fpath_stats`` once per path,
-and the direct-sum check looks every component up in the table.  Only the pinned constants go through the validating
-``from_fpath``.
+and the direct-sum check looks every component up in the table.
+Only the pinned constants go through the validating ``from_fpath``.
 
     verify_equinumerous(n, data)   |family_n| == a_total(n) for all
                                    families

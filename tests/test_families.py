@@ -1,5 +1,7 @@
 """Registry wiring: parse/render round trips and the common size index."""
 import doctest
+import hashlib
+import random
 
 import pytest
 
@@ -13,7 +15,15 @@ from fpaths.errors import (
     StepNotInF,
 )
 from fpaths.families import FAMILIES, TAGS, parse_object
-from fpaths.fpath_core import DEFAULT_GUARD, fpath_stats, validate_fpath
+from fpaths.fpath_core import (
+    DEFAULT_GUARD,
+    NORTH,
+    fpath_decompose,
+    fpath_stats,
+    gen_fpaths,
+    validate_fpath,
+)
+import oracles
 
 
 def test_tags_complete():
@@ -68,6 +78,64 @@ def test_public_stats_validates():
         fam = FAMILIES[tag]
         for obj in fam.generate(3):
             assert fam.stats(obj) == fam.stats_core(obj)
+
+
+#: sha256 of the "\n"-joined ``render(psi(q))`` over every F-path of
+#: length 0..6 in generation order (1,779 lines); the tree family's pin
+#: is in test_weighted_trees.py.
+MAP_SHA256 = {
+    "schroder":
+        "41f2a33a21ea161c9650f7404853fa542c44c5d06d9edf1620b9246805a077ba",
+    "bicolored":
+        "0e815d93939d8d058f60902aa1c02b7b6a139648c621370600ca60c89aae10bd",
+    "perm":
+        "96fa9bbad6c1232be3412409ef6a12d37104c152ff51fd44b7ea51e808dae1cb",
+    "inv-i":
+        "dca85e15a0ee745aed637ca6cdc08f34612353836658f70f079ae05091e687ed",
+    "inv-j":
+        "92fb59bec2818826b5dc869668d256df534bdf4d7a8a7f4226a3811a116b5c3d",
+}
+
+
+@pytest.mark.parametrize("tag", sorted(MAP_SHA256))
+def test_family_map_is_pinned(tag):
+    """Round trips and statistics cannot tell another bijection from
+    this one; the hash of every image up to length 6 can."""
+    fam = FAMILIES[tag]
+    lines = [fam.render(fam.psi(q)) for n in range(7) for q in gen_fpaths(n)]
+    assert len(lines) == 1779
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == MAP_SHA256[tag]
+
+
+MAPPED = ("schroder", "bicolored", "perm", "inv-i", "inv-j", "tree")
+DECOMPOSE = {
+    "inv-i": inversion_seqs.decompose_I,
+    "inv-j": inversion_seqs.decompose_J,
+}
+
+
+@pytest.mark.parametrize(
+    "tag, n",
+    [(tag, n) for n in (50, 500) for tag in MAPPED]
+    # perm's validate_avoider and phi_S/psi_S are still quadratic
+    + [(tag, 3000) for tag in MAPPED if tag != "perm"],
+)
+def test_large_objects_cross_the_boundary(random_fpath, tag, n):
+    """Seeded random paths: the checked round trip through text,
+    statistics, direct sums and, for the inversion sequences, the
+    decomposition into connected summands."""
+    fam = FAMILIES[tag]
+    rng = random.Random(n)
+    q, q1, q2 = (random_fpath(rng, n) for _ in range(3))
+    obj = fam.psi(q)
+    assert fam.to_fpath(fam.parse(fam.render(obj))) == q
+    assert fam.stats(obj) == fpath_stats(q)[0]
+    joined = q1 + (NORTH,) + q2
+    assert fam.direct_sum(fam.psi(q1), fam.psi(q2)) == fam.psi(joined)
+    if tag in DECOMPOSE:
+        assert (DECOMPOSE[tag](fam.psi(joined))
+                == [fam.psi(r) for r in fpath_decompose(joined)])
 
 
 def test_empty_conventions():
@@ -131,6 +199,7 @@ def test_parse_validates_semantics_too():
         pattern_perms,
         inversion_seqs,
         weighted_trees,
+        oracles,
     ],
 )
 def test_doctests(module):

@@ -3,7 +3,8 @@
 The avoidance oracle spells out each pattern as explicit triple
 comparisons - no shared code with the reduction matcher
 ``invseq_contains``, which in turn is the oracle for the linear scan
-behind ``validate_invseq``.
+behind ``validate_invseq``.  The paper's max deletion,
+``oracles.delete_max_phi_I``, is the oracle for the one-pass phi_I.
 """
 import itertools
 import random
@@ -31,7 +32,7 @@ from fpaths.inversion_seqs import (
     stats_J,
     validate_invseq,
 )
-from oracles import invseq_contains, word_reduction
+from oracles import delete_max_phi_I, invseq_contains, word_reduction
 
 SIX_FPATHS = (
     ((0, 1), (1, 0)),
@@ -273,6 +274,20 @@ def test_round_trip_small():
         for q in gen_fpaths(n):
             assert phi_I(psi_I(q)) == q
             assert phi_J(psi_J(q)) == q
+
+
+def test_phi_I_equals_max_deletion():
+    for n in range(8):
+        for e in gen_invseq(n + 1, FAMILY_I):
+            assert phi_I(e) == delete_max_phi_I(e), e
+
+
+@pytest.mark.parametrize("n", [50, 500])
+def test_max_deletion_inverts_psi_I(random_fpath, n):
+    rng = random.Random(n)
+    for _ in range(3):
+        q = random_fpath(rng, n)
+        assert delete_max_phi_I(psi_I(q)) == q
 
 
 def test_phi_rejects_non_avoiders():

@@ -2,8 +2,11 @@
 
 Enumeration oracle: compose all letter strings of the right width and
 filter with string-level checks (``"ddd" in w`` for the descent rule),
-sharing no code with the production generator.
+sharing no code with the production generator.  The paper's suffix
+peeling, ``oracles.peel_phi_P``, is the oracle for the one-pass phi_P.
 """
+import random
+
 import pytest
 
 from fpaths.errors import (
@@ -22,6 +25,7 @@ from fpaths.schroder_paths import (
     schroder_stats,
     validate_schroder,
 )
+from oracles import peel_phi_P
 
 SIX = ("uudd", "uhd", "udud", "hud", "udh", "hh")
 SIX_FPATHS = (
@@ -133,6 +137,21 @@ def test_round_trip_small():
             assert psi_P(phi_P(w)) == w
         for q in gen_fpaths(n):
             assert phi_P(psi_P(q)) == q
+
+
+def test_phi_equals_suffix_peeling():
+    for n in range(8):
+        for w in gen_schroder(n):
+            assert phi_P(w) == peel_phi_P(w), w
+
+
+@pytest.mark.parametrize("n", [50, 500])
+def test_suffix_peeling_inverts_psi(random_fpath, n):
+    rng = random.Random(n)
+    for _ in range(3):
+        q = random_fpath(rng, n)
+        # the peeling never ends on some invalid words, so check first
+        assert peel_phi_P(validate_schroder(psi_P(q))) == q
 
 
 def test_stats_transport():
