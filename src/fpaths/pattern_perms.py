@@ -1,8 +1,7 @@
 """Permutations avoiding 2341, 2431 and 3241, and their F-path bijection.
 
-Permutations are tuples of 1..N.  The class avoiding the three patterns
-is closed under removing the maximum's "shape surgery" below, and a
-permutation of length n+1 maps to an F-path of length n.
+Permutations are tuples of 1..N, and an avoider of length n+1 maps to
+an F-path of length n.
 
 Statistics matched to F-paths:
 
@@ -11,22 +10,22 @@ Statistics matched to F-paths:
     crit        "critical" indexes (see :func:`crit`),     = aone + asc + 1
                 so aone = crit - asc - 1
 
-Shape of a permutation pi of length N (with the sentinel pi(0) = 0):
-
-    x = position of the maximum N
-    z = largest value left of x   (0 if x = 1)
-    y = position of z             (0 if z = 0)
-    w = smallest value at or right of x
-
-Avoiders always have z != w, giving four cases by (z == N-1?) and
-(z > w?); each case removes the maximum by a different value surgery and
-emits one F-step.  :func:`shape_analysis` exposes (x, y, z, w, case).
+The bijection reads an avoider as the record of how ψ built it from
+(1,), inserting the new maximum once per step.  A north step (0, 1)
+appends it as a block of its own.  Any other step (a, b) takes blocks
+off the right: the last blocks τ, 2 - b of them when a = 1 and 1 - b
+when a >= 2, and when a >= 2 the a - 1 blocks ω before them.  The
+maximum goes right before ω τ.  When a >= 2 the largest value before ω
+rises to the top of ω's values, which each drop by one, so that the
+block holding it (the head block), the maximum, ω and τ merge into one
+block; when a = 1 the maximum and τ do.  φ undoes this from the last
+step: the maximum's index x and the number w of values it rotated give
+back, with the same blocks, how many of them the step took.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from math import inf
-from typing import NamedTuple
 
 from .errors import FormViolation, GuardExceeded, NotAvoider
 from .fpath_core import DEFAULT_GUARD, FPath, StatTriple, int_entries
@@ -34,19 +33,6 @@ from .fpath_core import DEFAULT_GUARD, FPath, StatTriple, int_entries
 Permutation = tuple[int, ...]
 
 FORBIDDEN = ((2, 3, 4, 1), (2, 4, 3, 1), (3, 2, 4, 1))
-
-Z_EQ_LT = "Z_EQ_LT"   # z = N-1, z < w   (max at the last position)
-Z_LT_LT = "Z_LT_LT"   # z < N-1, z < w
-Z_EQ_GT = "Z_EQ_GT"   # z = N-1, z > w
-Z_LT_GT = "Z_LT_GT"   # z < N-1, z > w
-
-
-class ShapeData(NamedTuple):
-    x: int
-    y: int
-    z: int
-    w: int
-    case: str
 
 
 # ------------------------------------------------------ pattern machinery
@@ -174,31 +160,6 @@ def gen_avoiders(n: int, guard: int = DEFAULT_GUARD) -> tuple[Permutation, ...]:
 # ---------------------------------------------------- blocks & statistics
 
 
-def block_decompose(p: Permutation) -> list[Permutation]:
-    """Split at every prefix that is a sub-permutation {1..i} (the
-    plus-indecomposable blocks, each reduced to its own values)."""
-    blocks = []
-    start = 0
-    for length in _block_lengths(p):
-        blocks.append(tuple(x - start for x in p[start:start + length]))
-        start += length
-    return blocks
-
-
-def _block_lengths(p: Permutation) -> list[int]:
-    """Lengths of the blocks of :func:`block_decompose`, left to right."""
-    lengths = []
-    start = 0
-    run_max = 0
-    for idx, v in enumerate(p, 1):
-        if v > run_max:
-            run_max = v
-        if run_max == idx:
-            lengths.append(idx - start)
-            start = idx
-    return lengths
-
-
 def _later_minima(p) -> list:
     """Entry i is min(p[i+1:]), inf for the last position."""
     later = []
@@ -261,109 +222,86 @@ def perm_direct_sum(p1: Permutation, p2: Permutation) -> Permutation:
     return tuple(p1) + tuple(v + len(p1) for v in p2)
 
 
-# ------------------------------------------------------------------ shape
-
-
-def shape_analysis(p: Permutation) -> ShapeData:
-    """Compute (x, y, z, w, case) for an avoider of length >= 2.
-
-    Each case fixes the value intervals that its surgery in
-    :func:`phi_S` relies on; ``test_shape_runs_on_all_avoiders`` states
-    them and checks them on every avoider of length 2..8.
-    """
-    n1 = len(p)  # N = n + 1
-    x = p.index(n1) + 1
-    z = max(p[: x - 1], default=0)
-    y = p.index(z) + 1 if z else 0
-    w = min(p[x - 1:])
-    if z == n1 - 1:
-        case = Z_EQ_LT if z < w else Z_EQ_GT
-    else:
-        case = Z_LT_LT if z < w else Z_LT_GT
-    return ShapeData(x, y, z, w, case)
-
-
 # -------------------------------------------------------------- bijection
 
 
-def phi_S(p: Permutation) -> FPath:
-    """Map an avoider of length n+1 to its F-path of length n.
+def _take(blocks: list[int], total: int) -> int:
+    """Pop blocks off the right until their lengths add up to ``total``;
+    return how many were popped."""
+    count = 0
+    while total:
+        total -= blocks.pop()
+        count += 1
+    return count
 
-    Each iteration removes the maximum with the surgery of the current
-    shape case and prepends one step; see :func:`psi_S` for the inverse.
-    A trusted core: ``p`` must be an avoider, as a tuple.
+
+def phi_S(p: Permutation) -> FPath:
+    """Map an avoider of length n+1 to its F-path of length n.  A trusted
+    core: ``p`` must be an avoider, as a tuple.
+
+    Backward, each step deletes the maximum, at index x, and undoes the
+    rotation of :func:`psi_S`: the largest value z left of x is at least
+    x, and when z > x it goes back to x and the w = z - x entries after
+    the maximum go up by one.  Forward, ψ's block stack reads the record
+    (x, w) of each step on a permutation of length ``size``: the blocks
+    covering its last size - x - w entries are τ, those covering the w
+    before them are ω.
     """
-    cur = p
-    steps: list[tuple[int, int]] = []
-    while len(cur) >= 2:
-        sh = shape_analysis(cur)
-        x = sh.x
-        if sh.case == Z_EQ_LT:
-            steps.append((0, 1))
-            cur = cur[:-1]
-        elif sh.case == Z_LT_LT:
-            steps.append((1, 2 - block_count(cur[x:])))
-            cur = cur[: x - 1] + cur[x:]
-        elif sh.case == Z_EQ_GT:
-            head = tuple(
-                x - 1 if i + 1 == sh.y else cur[i] for i in range(x - 1)
-            )
-            tail = tuple(v + 1 for v in cur[x:])
-            steps.append((1 + block_count(tail), 1))
-            cur = head + tail
-        else:  # Z_LT_GT
-            z = sh.z
-            head = tuple(
-                x - 1 if i + 1 == sh.y else cur[i] for i in range(x - 1)
-            )
-            mid = tuple(v + 1 for v in cur[x: z + 1])
-            tail = cur[z + 1:]
-            steps.append((1 + block_count(mid), 1 - block_count(tail)))
-            cur = head + mid + tail
-    steps.reverse()
+    cur = list(p)
+    record = []
+    for top in range(len(cur), 1, -1):
+        x = cur.index(top)
+        z = max(cur[:x], default=0)
+        del cur[x]
+        if z > x:
+            cur[cur.index(z)] = x
+            cur[x:z] = [v + 1 for v in cur[x:z]]
+        record.append((x, z - x))
+    steps = []
+    blocks = [1]
+    for size, (x, w) in enumerate(reversed(record), 1):
+        tau = _take(blocks, size - x - w)
+        head = 0
+        if w:
+            steps.append((_take(blocks, w) + 1, 1 - tau))
+            head = blocks.pop()
+        else:
+            steps.append((1, 2 - tau) if tau else (0, 1))
+        blocks.append(size - x + head + 1)
     return tuple(steps)
 
 
 def psi_S(q: FPath) -> Permutation:
-    """Inverse of :func:`phi_S`: grow from (1,) one step at a time.
+    """Inverse of :func:`phi_S`: insert the maximum once per step of
+    ``q``.  A trusted core: ``q`` must be a valid F-path.
 
-    For a step (a, b) on a current permutation of length L the new
-    maximum L+1 goes to position x, determined by cutting blocks off the
-    right: tau = the last (1-b)+1 blocks when b <= 0 drops by renaming,
-    omega = the (a-1) blocks before them when a >= 2.  A trusted core:
-    ``q`` must be a valid F-path.
+    Entry e is the one that step e inserted, 0 the initial 1.  ``by_pos``
+    holds the entries in position order, ``by_val`` in value order and
+    ``blocks`` the block lengths; the values are read off ``by_val``
+    once, at the end.  On a permutation of length e, step e inserts e at
+    index e - |ω| - |τ| and, when a >= 2, moves the head block's largest
+    value to the top of ω's with one pop and one insert on ``by_val``.
     """
-    cur: Permutation = (1,)
-    for a, b in q:
-        L = len(cur)
+    by_pos = [0]
+    by_val = [0]
+    blocks = [1]
+    for e, (a, b) in enumerate(q, 1):
         if a == 0:
-            cur = cur + (L + 1,)
+            by_pos.append(e)
+            by_val.append(e)
+            blocks.append(1)
             continue
-        lengths = _block_lengths(cur)
-        c = len(lengths)
-        if a == 1:
-            nt = 2 - b
-            tlen = sum(lengths[c - nt:])
-            x = L - tlen + 1
-            cur = cur[: x - 1] + (L + 1,) + cur[x - 1:]
-        elif b == 1:
-            nw = a - 1
-            wlen = sum(lengths[c - nw:])
-            x = L - wlen + 1
-            y = cur.index(x - 1) + 1
-            head = tuple(L if i + 1 == y else cur[i] for i in range(x - 1))
-            tail = tuple(v - 1 for v in cur[x - 1:])
-            cur = head + (L + 1,) + tail
-        else:
-            nt = 1 - b
-            nw = a - 1
-            tlen = sum(lengths[c - nt:])
-            wlen = sum(lengths[c - nt - nw: c - nt])
-            x = L - tlen - wlen + 1
-            z = x - 1 + wlen
-            y = cur.index(x - 1) + 1
-            head = tuple(z if i + 1 == y else cur[i] for i in range(x - 1))
-            mid = tuple(v - 1 for v in cur[x - 1: x - 1 + wlen])
-            tail = cur[x - 1 + wlen:]
-            cur = head + (L + 1,) + mid + tail
-    return cur
+        t = len(blocks) - (2 - b if a == 1 else 1 - b)  # the first τ block
+        cut = tau = sum(blocks[t:])
+        if a >= 2:
+            t -= a - 1  # the first ω block
+            cut = sum(blocks[t:])
+            by_val.insert(e - tau - 1, by_val.pop(e - cut - 1))
+            t -= 1  # the head block
+        blocks[t:] = [sum(blocks[t:]) + 1]
+        by_pos.insert(e - cut, e)
+        by_val.append(e)
+    value = [0] * len(by_val)
+    for v, i in enumerate(by_val, 1):
+        value[i] = v
+    return tuple(value[i] for i in by_pos)

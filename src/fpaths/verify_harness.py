@@ -37,7 +37,7 @@ from itertools import product
 
 from . import inversion_seqs
 from .counting import a_joint, a_total
-from .families import FAMILIES, TAGS
+from .families import FAMILIES, TAGS, _index
 from .fpath_core import (
     StatTriple,
     fpath_decompose,
@@ -385,7 +385,9 @@ def run_all(max_n: int = 6) -> VerifyReport:
 
     Each size's :class:`SizeData` is built once and read by all four
     groups; the psi table it extends lives until this call returns.
+    A ``max_n`` that is not an integer >= 0 raises FormViolation.
     """
+    max_n = _index(max_n)
     report = VerifyReport(verify_pinned_examples())
     preimages = {tag: {} for tag in _MAPPED_TAGS}
     for n in range(max_n + 1):

@@ -9,11 +9,16 @@ check the fast code against a definition that shares no code with it.
 Likewise ``schroder_paths.phi_P`` and ``inversion_seqs.phi_I`` read the
 construction record in one pass, while :func:`peel_phi_P` and
 :func:`delete_max_phi_I` take the object apart one step at a time, as
-the paper defines φ_P and φ_I.
+the paper defines φ_P and φ_I.  ``pattern_perms.phi_S``/``psi_S`` read
+and write the insertion record of the maximum; :func:`shape_phi_S` and
+:func:`shape_psi_S` rebuild the permutation at every step by the four
+shape-case surgeries of :func:`shape_analysis`.
 """
 from itertools import combinations
+from typing import NamedTuple
 
 from fpaths.inversion_seqs import max_and_maxid
+from fpaths.pattern_perms import block_count
 
 
 def perm_contains(p, pattern) -> bool:
@@ -180,3 +185,152 @@ def delete_max_phi_I(e) -> tuple:
         e = nxt
     steps.reverse()
     return tuple(steps)
+
+
+# ------------------------------------------------- avoiders by shape case
+#
+# Shape of a permutation p of length N (with the sentinel p(0) = 0):
+#
+#     x = position of the maximum N
+#     z = largest value left of x   (0 if x = 1)
+#     y = position of z             (0 if z = 0)
+#     w = smallest value at or right of x
+#
+# Avoiders always have z != w, giving four cases by (z == N-1?) and
+# (z > w?); each case removes the maximum by a different value surgery
+# and emits one F-step.
+
+Z_EQ_LT = "Z_EQ_LT"   # z = N-1, z < w   (max at the last position)
+Z_LT_LT = "Z_LT_LT"   # z < N-1, z < w
+Z_EQ_GT = "Z_EQ_GT"   # z = N-1, z > w
+Z_LT_GT = "Z_LT_GT"   # z < N-1, z > w
+
+
+class ShapeData(NamedTuple):
+    x: int
+    y: int
+    z: int
+    w: int
+    case: str
+
+
+def block_decompose(p) -> list:
+    """Split at every prefix that is a sub-permutation {1..i} (the
+    plus-indecomposable blocks, each reduced to its own values)."""
+    blocks = []
+    start = 0
+    for length in _block_lengths(p):
+        blocks.append(tuple(x - start for x in p[start:start + length]))
+        start += length
+    return blocks
+
+
+def _block_lengths(p) -> list[int]:
+    """Lengths of the blocks of :func:`block_decompose`, left to right."""
+    lengths = []
+    start = 0
+    run_max = 0
+    for idx, v in enumerate(p, 1):
+        if v > run_max:
+            run_max = v
+        if run_max == idx:
+            lengths.append(idx - start)
+            start = idx
+    return lengths
+
+
+def shape_analysis(p) -> ShapeData:
+    """Compute (x, y, z, w, case) for an avoider of length >= 2.
+
+    Each case fixes the value intervals that its surgery in
+    :func:`shape_phi_S` relies on; ``test_shape_runs_on_all_avoiders``
+    states them and checks them on every avoider of length 2..8.
+    """
+    n1 = len(p)  # N = n + 1
+    x = p.index(n1) + 1
+    z = max(p[: x - 1], default=0)
+    y = p.index(z) + 1 if z else 0
+    w = min(p[x - 1:])
+    if z == n1 - 1:
+        case = Z_EQ_LT if z < w else Z_EQ_GT
+    else:
+        case = Z_LT_LT if z < w else Z_LT_GT
+    return ShapeData(x, y, z, w, case)
+
+
+def shape_phi_S(p) -> tuple:
+    """φ_S of an avoider, as a tuple: each iteration removes the maximum
+    with the surgery of the current shape case and prepends one step."""
+    cur = p
+    steps = []
+    while len(cur) >= 2:
+        sh = shape_analysis(cur)
+        x = sh.x
+        if sh.case == Z_EQ_LT:
+            steps.append((0, 1))
+            cur = cur[:-1]
+        elif sh.case == Z_LT_LT:
+            steps.append((1, 2 - block_count(cur[x:])))
+            cur = cur[: x - 1] + cur[x:]
+        elif sh.case == Z_EQ_GT:
+            head = tuple(
+                x - 1 if i + 1 == sh.y else cur[i] for i in range(x - 1)
+            )
+            tail = tuple(v + 1 for v in cur[x:])
+            steps.append((1 + block_count(tail), 1))
+            cur = head + tail
+        else:  # Z_LT_GT
+            z = sh.z
+            head = tuple(
+                x - 1 if i + 1 == sh.y else cur[i] for i in range(x - 1)
+            )
+            mid = tuple(v + 1 for v in cur[x: z + 1])
+            tail = cur[z + 1:]
+            steps.append((1 + block_count(mid), 1 - block_count(tail)))
+            cur = head + mid + tail
+    steps.reverse()
+    return tuple(steps)
+
+
+def shape_psi_S(q) -> tuple:
+    """Inverse of :func:`shape_phi_S`: grow from (1,) one step at a time.
+
+    For a step (a, b) on a current permutation of length L the new
+    maximum L+1 goes to position x, determined by cutting blocks off the
+    right: tau = the last (1-b)+1 blocks when b <= 0 drops by renaming,
+    omega = the (a-1) blocks before them when a >= 2.
+    """
+    cur = (1,)
+    for a, b in q:
+        L = len(cur)
+        if a == 0:
+            cur = cur + (L + 1,)
+            continue
+        lengths = _block_lengths(cur)
+        c = len(lengths)
+        if a == 1:
+            nt = 2 - b
+            tlen = sum(lengths[c - nt:])
+            x = L - tlen + 1
+            cur = cur[: x - 1] + (L + 1,) + cur[x - 1:]
+        elif b == 1:
+            nw = a - 1
+            wlen = sum(lengths[c - nw:])
+            x = L - wlen + 1
+            y = cur.index(x - 1) + 1
+            head = tuple(L if i + 1 == y else cur[i] for i in range(x - 1))
+            tail = tuple(v - 1 for v in cur[x - 1:])
+            cur = head + (L + 1,) + tail
+        else:
+            nt = 1 - b
+            nw = a - 1
+            tlen = sum(lengths[c - nt:])
+            wlen = sum(lengths[c - nt - nw: c - nt])
+            x = L - tlen - wlen + 1
+            z = x - 1 + wlen
+            y = cur.index(x - 1) + 1
+            head = tuple(z if i + 1 == y else cur[i] for i in range(x - 1))
+            mid = tuple(v - 1 for v in cur[x - 1: x - 1 + wlen])
+            tail = cur[x - 1 + wlen:]
+            cur = head + (L + 1,) + mid + tail
+    return cur

@@ -19,6 +19,7 @@ import fpaths
 from fpaths.cli import cmd_dispatch
 from fpaths.errors import FormViolation
 from fpaths.families import FAMILIES, TAGS
+from fpaths.verify_harness import run_all
 
 
 def run_cli(*argv, stdin=None):
@@ -227,6 +228,15 @@ def test_verify_passes(tmp_path):
     data = json.loads(target.read_text())
     assert data["ok"] is True
     assert data["failed"] == 0
+
+
+def test_verify_negative_max_n_is_usage_error():
+    with pytest.raises(FormViolation):
+        run_all(-1)
+    code, out, err = run_cli("verify", "--max-n", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "fpaths verify: n must be >= 0, got -1\n"
 
 
 # ------------------------------------------------------------ bad usage

@@ -3,7 +3,9 @@
 The containment oracle re-implements pattern matching with
 itertools.combinations and order-type comparison, sharing nothing with
 the backtracking matcher ``perm_contains``, which in turn is the oracle
-for the fast membership test behind ``validate_avoider``.
+for the fast membership test behind ``validate_avoider``.  The
+insertion-record cores ``phi_S``/``psi_S`` are checked against the
+shape-case surgeries ``shape_phi_S``/``shape_psi_S`` of the oracles.
 """
 import itertools
 import random
@@ -14,16 +16,11 @@ from collections import Counter
 
 from fpaths.errors import FormViolation, GuardExceeded, NotAvoider
 from fpaths.families import FAMILIES
-from fpaths.fpath_core import fpath_stats, gen_fpaths
+from fpaths.fpath_core import NORTH, fpath_stats, gen_fpaths
 from fpaths.pattern_perms import (
     FORBIDDEN,
-    Z_EQ_GT,
-    Z_EQ_LT,
-    Z_LT_GT,
-    Z_LT_LT,
     asc,
     block_count,
-    block_decompose,
     crit,
     gen_avoiders,
     is_avoider,
@@ -31,10 +28,20 @@ from fpaths.pattern_perms import (
     perm_stats,
     phi_S,
     psi_S,
-    shape_analysis,
     validate_avoider,
 )
-from oracles import brute_crit, perm_contains
+from oracles import (
+    Z_EQ_GT,
+    Z_EQ_LT,
+    Z_LT_GT,
+    Z_LT_LT,
+    block_decompose,
+    brute_crit,
+    perm_contains,
+    shape_analysis,
+    shape_phi_S,
+    shape_psi_S,
+)
 
 SIX = ((3, 1, 2), (2, 3, 1), (3, 2, 1), (1, 3, 2), (2, 1, 3), (1, 2, 3))
 SIX_FPATHS = (
@@ -307,11 +314,57 @@ def test_six_object_table():
 
 def test_case3_case4_surgeries():
     base = (3, 2, 1, 5, 4, 7, 6, 8)
-    q = phi_S(base)
-    assert phi_S((3, 2, 1, 8, 4, 9, 6, 5, 7)) == q + ((3, 1),)
-    assert phi_S((3, 2, 1, 7, 4, 9, 6, 5, 8)) == q + ((2, 0),)
-    assert psi_S(q + ((3, 1),)) == (3, 2, 1, 8, 4, 9, 6, 5, 7)
-    assert psi_S(q + ((2, 0),)) == (3, 2, 1, 7, 4, 9, 6, 5, 8)
+    for phi, psi in ((phi_S, psi_S), (shape_phi_S, shape_psi_S)):
+        q = phi(base)
+        assert phi((3, 2, 1, 8, 4, 9, 6, 5, 7)) == q + ((3, 1),)
+        assert phi((3, 2, 1, 7, 4, 9, 6, 5, 8)) == q + ((2, 0),)
+        assert psi(q + ((3, 1),)) == (3, 2, 1, 8, 4, 9, 6, 5, 7)
+        assert psi(q + ((2, 0),)) == (3, 2, 1, 7, 4, 9, 6, 5, 8)
+
+
+def test_record_cores_match_the_shape_oracles():
+    """Every F-path of length <= 8 and every avoider of length <= 9."""
+    for n in range(9):
+        for q in gen_fpaths(n):
+            assert psi_S(q) == shape_psi_S(q), q
+        for p in gen_avoiders(n + 1):
+            assert phi_S(p) == shape_phi_S(p), p
+
+
+def test_record_cores_match_the_shape_oracles_at_n_500(random_fpath):
+    rng = random.Random(500)
+    for _ in range(3):
+        q = random_fpath(rng, 500)
+        p = shape_psi_S(q)
+        assert psi_S(q) == p
+        assert phi_S(p) == shape_phi_S(p) == q
+
+
+#: Paths of length about 3000 whose steps reach deep into the block
+#: stack: a >= 3 and b <= -2, long runs of one step, and a seeded walk.
+LARGE_PATHS = {
+    "(0,1)^6(3,-2)": lambda walk: (((0, 1),) * 6 + ((3, -2),)) * 400,
+    "(0,1)^4(5,1)": lambda walk: (((0, 1),) * 4 + ((5, 1),)) * 600,
+    "(1,1)": lambda walk: ((1, 1),) * 3000,
+    "(0,1)^1500(2,1)^1499": lambda walk: ((0, 1),) * 1500 + ((2, 1),) * 1499,
+    "walk": lambda walk: walk(random.Random(3000), 3000),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_PATHS)
+def test_large_paths_with_deep_steps(random_fpath, name):
+    """Round trip, statistics and direct sum at n ~ 3000, and the shape
+    oracles on the first 500 steps."""
+    q = LARGE_PATHS[name](random_fpath)
+    p = psi_S(q)
+    assert phi_S(p) == q
+    assert perm_stats(p) == fpath_stats(q)[0]
+    half = q[: len(q) // 2]
+    assert perm_direct_sum(p, psi_S(half)) == psi_S(q + (NORTH,) + half)
+    head = q[:500]
+    p = shape_psi_S(head)
+    assert psi_S(head) == p
+    assert phi_S(p) == shape_phi_S(p) == head
 
 
 def test_round_trip_small():
