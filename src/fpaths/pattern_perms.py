@@ -286,11 +286,6 @@ def psi_S(q: FPath) -> Permutation:
     by_val = [0]
     blocks = [1]
     for e, (a, b) in enumerate(q, 1):
-        if a == 0:
-            by_pos.append(e)
-            by_val.append(e)
-            blocks.append(1)
-            continue
         t = len(blocks) - (2 - b if a == 1 else 1 - b)  # the first τ block
         cut = tau = sum(blocks[t:])
         if a >= 2:

@@ -331,30 +331,26 @@ def test_record_cores_match_the_shape_oracles():
             assert phi_S(p) == shape_phi_S(p), p
 
 
-def test_record_cores_match_the_shape_oracles_at_n_500(random_fpath):
-    rng = random.Random(500)
-    for _ in range(3):
-        q = random_fpath(rng, 500)
-        p = shape_psi_S(q)
-        assert psi_S(q) == p
-        assert phi_S(p) == shape_phi_S(p) == q
-
-
 #: Paths of length about 3000 whose steps reach deep into the block
-#: stack: a >= 3 and b <= -2, long runs of one step, and a seeded walk.
+#: stack: a >= 3 and b <= -2, long runs of one step, and a seeded walk;
+#: then seeded walks of length 500, which the shape oracles check whole.
 LARGE_PATHS = {
     "(0,1)^6(3,-2)": lambda walk: (((0, 1),) * 6 + ((3, -2),)) * 400,
     "(0,1)^4(5,1)": lambda walk: (((0, 1),) * 4 + ((5, 1),)) * 600,
     "(1,1)": lambda walk: ((1, 1),) * 3000,
     "(0,1)^1500(2,1)^1499": lambda walk: ((0, 1),) * 1500 + ((2, 1),) * 1499,
     "walk": lambda walk: walk(random.Random(3000), 3000),
+    **{
+        f"walk500-{seed}": lambda walk, seed=seed: walk(random.Random(seed), 500)
+        for seed in (500, 501, 502)
+    },
 }
 
 
 @pytest.mark.parametrize("name", LARGE_PATHS)
 def test_large_paths_with_deep_steps(random_fpath, name):
-    """Round trip, statistics and direct sum at n ~ 3000, and the shape
-    oracles on the first 500 steps."""
+    """Round trip, statistics and direct sum, and the shape oracles on
+    the first 500 steps."""
     q = LARGE_PATHS[name](random_fpath)
     p = psi_S(q)
     assert phi_S(p) == q
