@@ -4,9 +4,15 @@ Everything here is arbitrary-precision integer arithmetic.  Each closed
 form is a product of binomials divided by (n+1); the division is always
 performed last and checked exact (:class:`InexactDivision` guards
 against formula regressions - it never fires on correct inputs).  The
-summed closed forms step each binomial from the previous term's by an
-exact ratio of small integers, not one ``comb`` per term, and no result
-is cached between calls.
+summed closed forms step each term from the previous one by an exact
+ratio p/q of small integers, not one ``comb`` per term: every factor of
+p and q is linear in the step number, so the factors are built once per
+call as ``range`` objects, those common to p and q cancel, and each
+step's p and q are multiplied at C level, with every division checked.
+:func:`a_joint` returns its zero cells before any binomial.  No result
+is cached between calls.  The counts read every argument with
+``operator.index``, so a non-integer raises :class:`FormViolation`; an
+integer out of range counts 0.
 
 Step classes used by :func:`f_refined` (a path of length n with l north
 steps and statistics as in :mod:`.fpath_core`):
@@ -21,9 +27,12 @@ so ``aone = i + j`` and ``bone = i + k + l``.
 """
 from __future__ import annotations
 
+from functools import partial, reduce
+from itertools import repeat
 from math import comb
+from operator import index, mul
 
-from .errors import InexactDivision
+from .errors import FormViolation, InexactDivision
 
 BigCount = int
 
@@ -65,6 +74,15 @@ def multinomial(n: int, parts) -> BigCount:
     return out
 
 
+def _int(value) -> int:
+    """A count's argument, read with ``operator.index``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise FormViolation(
+            f"counts take integer arguments, got {value!r}") from None
+
+
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
@@ -72,43 +90,69 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _term_run(count: int, *runs):
-    """Yield, for i in range(count), the product over ``runs`` of
+def _ratio_factors(runs) -> tuple[list, list]:
+    """The factors of term(i+1) / term(i) for the runs of
+    :func:`_stepped_sum`, as two lists (numerator, denominator) of pairs
+    (c, e), each standing for the integer c + i·e.
+
+    A binomial moves its top by da, then its bottom one unit at a time:
+    C(a+1, b) = C(a, b)·(a+1)/(a+1-b), C(a-1, b) = C(a, b)·(a-b)/a and
+    C(a, b+1) = C(a, b)·(a-b)/(b+1), with a and b themselves linear in i.
+    A pair on both sides cancels.
+    """
+    num, den = [], []
+    for a, b, da, db in runs:
+        if da > 0:
+            num.append((a + 1, da))
+            den.append((a + 1 - b, da - db))
+        elif da < 0:
+            num.append((a - b, da - db))
+            den.append((a, da))
+        a += da
+        num.append((a - b, da - db))
+        den.append((b + 1, db))
+        if db == 2:
+            num.append((a - b - 1, da - db))
+            den.append((b + 2, db))
+    for f in num[:]:
+        if f in den:
+            num.remove(f)
+            den.remove(f)
+    return num, den
+
+
+def _products(factors, steps: int):
+    """Iterator over i in range(steps) of the product of c + i·e over
+    ``factors``, multiplied at C level."""
+    seqs = [range(c, c + steps * e, e) if e else repeat(c, steps)
+            for c, e in factors]
+    return reduce(partial(map, mul), seqs) if seqs else repeat(1, steps)
+
+
+def _stepped_sum(count: int, *runs) -> BigCount:
+    """Sum over i in range(count) of the product over ``runs`` of
     C(a + i·da, b + i·db), one run being a tuple (a, b, da, db) with
     da in (-1, 0, 1) and db in (1, 2).
 
-    The first term is seeded with ``comb0``.  Each later one comes from
-    the one before by an exact ratio of small integers: every binomial
-    moves its top by da, then its bottom one unit at a time, and the
-    ratios are multiplied into one division.  Every term must be
-    non-zero, so that no ratio divides by zero; nothing is stepped past
-    the last term.
+    The first term is seeded with ``comb0``.  Each later one is the one
+    before times p/q, where p and q are the products of the cancelled
+    factors of :func:`_ratio_factors`, and every division is checked
+    exact.  Every term must be non-zero, so that no ratio divides by
+    zero; nothing is stepped past the last term.
     """
     if count < 1:
-        return
+        return 0
     term = 1
     for a, b, _, _ in runs:
         term *= comb0(a, b)
-    yield term
-    for i in range(count - 1):
-        num = den = 1
-        for a, b, da, db in runs:
-            a += i * da
-            b += i * db
-            if da > 0:      # C(a+1, b) = C(a, b)·(a+1)/(a+1-b)
-                num *= a + 1
-                den *= a + 1 - b
-            elif da < 0:    # C(a-1, b) = C(a, b)·(a-b)/a
-                num *= a - b
-                den *= a
-            a += da
-            num *= a - b    # C(a, b+1) = C(a, b)·(a-b)/(b+1)
-            den *= b + 1
-            if db == 2:
-                num *= a - b - 1
-                den *= b + 2
-        term = _exact_div(term * num, den)
-        yield term
+    total = term
+    num, den = _ratio_factors(runs)
+    for p, q in zip(_products(num, count - 1), _products(den, count - 1)):
+        term, r = divmod(term * p, q)
+        if r:
+            raise InexactDivision(term * q + r, q)
+        total += term
+    return total
 
 
 # ------------------------------------------------------- refined counts
@@ -123,6 +167,7 @@ def f_refined(n: int, i: int, j: int, k: int, l: int, m: int) -> BigCount:
     >>> f_refined(2, 0, 0, 1, 1, 0)
     1
     """
+    n, i, j, k, l, m = map(_int, (n, i, j, k, l, m))
     if min(i, j, k, l, m) < 0 or m > n:
         return 0
     n_prime = n - i - j - k - l
@@ -148,12 +193,19 @@ def a_joint(n: int, h: int, l: int, m: int) -> BigCount:
     >>> a_joint(2, 1, 1, 1)
     2
     """
-    if min(h, l, m) < 0 or max(h, l, m) > n:
-        return 0
+    # Inlined _int: this runs once per cell of a joint table.
+    try:
+        n, h, l, m = index(n), index(h), index(l), index(m)
+    except TypeError:
+        raise FormViolation(
+            f"counts take integer arguments, got {(n, h, l, m)!r}") from None
     s = 2 * (n - l) - h
     t = n - m - s
+    # Most cells are zero: C(n-l, h) or series_coeff(t, s) vanishes.
+    if not (0 <= h <= n - l and 0 <= m <= n and t >= 0 and l >= 0):
+        return 0
     return _exact_div(
-        (m + 1) * comb0(n + 1, l + 1) * comb0(n - l, h) * series_coeff(t, s),
+        (m + 1) * comb(n + 1, l + 1) * comb(n - l, h) * series_coeff(t, s),
         n + 1,
     )
 
@@ -164,7 +216,7 @@ def a_joint(n: int, h: int, l: int, m: int) -> BigCount:
 # Each is its own closed form (summing a_joint would hide formula bugs in
 # the very identities the verification harness checks).  a_marginal calls
 # them only with n >= 0 and every fixed value in 0..n.  The summed forms
-# add only their non-zero terms, each stepped by _term_run.
+# add only their non-zero terms, each stepped by _stepped_sum.
 
 
 def _a_hl(n, h, l):
@@ -181,9 +233,9 @@ def _a_hm(n, h, m):
     # the one s == 0 term (h = 0, i = n) is [t == 0].  At m = n, lo > hi.
     lo = max(0, (n + m - h + 1) // 2)
     hi = min(n - h, (2 * n - h - 1) // 2)
-    acc = int(h == 0 and m == n) + sum(
-        _term_run(hi - lo + 1, (n - h + 1, lo + 1, 0, 1),
-                  (n - m - 1, h - n - m + 2 * lo, 0, 2)))
+    acc = int(h == 0 and m == n) + _stepped_sum(
+        hi - lo + 1, (n - h + 1, lo + 1, 0, 1),
+        (n - m - 1, h - n - m + 2 * lo, 0, 2))
     return _exact_div((m + 1) * comb0(n + 1, h) * acc, n + 1)
 
 
@@ -198,7 +250,7 @@ def _a_h(n, h):
     # sum over i = 0..n-h of C(n-h+1, i)·C(n+1, 2i+h+1); the second
     # factor vanishes past i = (n-h) // 2.
     count = (n - h) // 2 + 1
-    acc = sum(_term_run(count, (n - h + 1, 0, 0, 1), (n + 1, h + 1, 0, 2)))
+    acc = _stepped_sum(count, (n - h + 1, 0, 0, 1), (n + 1, h + 1, 0, 2))
     return _exact_div(comb0(n + 1, h) * acc, n + 1)
 
 
@@ -210,8 +262,8 @@ def _a_m(n, m):
     # sum over i = 0..n of C(n+1, i)·series_coeff(n-m-i, 2i).  The s == 0
     # term (i = 0) is [m == n]; for 1 <= i <= n-m the series coefficient
     # is C(n-m+i-1, 2i-1), and it vanishes past i = n-m.
-    acc = int(m == n) + sum(
-        _term_run(n - m, (n + 1, 1, 0, 1), (n - m, 1, 1, 2)))
+    acc = int(m == n) + _stepped_sum(
+        n - m, (n + 1, 1, 0, 1), (n - m, 1, 1, 2))
     return _exact_div((m + 1) * acc, n + 1)
 
 
@@ -221,11 +273,12 @@ def a_total(n: int) -> BigCount:
     >>> [a_total(n) for n in range(7)]
     [1, 2, 6, 21, 80, 322, 1347]
     """
+    n = _int(n)
     if n < 0:
         return 0
     # sum over i = 0..n of C(n+1, i+1)·C(2n+1-i, i); every term is
     # non-zero.
-    acc = sum(_term_run(n + 1, (n + 1, 1, 0, 1), (2 * n + 1, 0, -1, 1)))
+    acc = _stepped_sum(n + 1, (n + 1, 1, 0, 1), (2 * n + 1, 0, -1, 1))
     return _exact_div(acc, n + 1)
 
 
@@ -242,6 +295,8 @@ def a_marginal(n: int, h: int | None = None, l: int | None = None,
     >>> a_marginal(4)
     80
     """
+    n = _int(n)
+    h, l, m = (None if v is None else _int(v) for v in (h, l, m))
     fixed = (h is not None, l is not None, m is not None)
     if n < 0 or any(v is not None and not 0 <= v <= n for v in (h, l, m)):
         return 0
@@ -266,4 +321,4 @@ def a_marginal(n: int, h: int | None = None, l: int | None = None,
 
 def sequence(max_n: int) -> list[BigCount]:
     """The sequence a_total(0..max_n) as a list."""
-    return [a_total(n) for n in range(max_n + 1)]
+    return [a_total(n) for n in range(_int(max_n) + 1)]

@@ -12,8 +12,11 @@ construction record in one pass, while :func:`peel_phi_P` and
 the paper defines φ_P and φ_I.  ``pattern_perms.phi_S``/``psi_S`` read
 and write the insertion record of the maximum; :func:`shape_phi_S` and
 :func:`shape_psi_S` rebuild the permutation at every step by the four
-shape-case surgeries of :func:`shape_analysis`.
+shape-case surgeries of :func:`shape_analysis`.  :func:`joint_dp`
+counts F-paths by their statistics with a transfer over the steps, for
+the closed form ``counting.a_joint``.
 """
+from collections import Counter
 from itertools import combinations
 from typing import NamedTuple
 
@@ -334,3 +337,26 @@ def shape_psi_S(q) -> tuple:
             tail = cur[x - 1 + wlen:]
             cur = head + (L + 1,) + mid + tail
     return cur
+
+
+def joint_dp(n: int) -> Counter:
+    """The F-paths of length n counted by ``(height, north, aone)``, by a
+    forward transfer over the steps, with no closed form and no
+    enumeration.
+
+    From height h, the north step (0, 1) goes to h + 1 with north + 1.
+    Each h' <= h is reached by one step with a = 1 (b = 1 + h' - h),
+    which adds 1 to aone, and by the h - h' steps with a >= 2
+    (a = 2..h - h' + 1, b = a + h' - h).
+    """
+    layer = Counter({(0, 0, 0): 1})
+    for _ in range(n):
+        nxt = Counter()
+        for (h, l, a1), c in layer.items():
+            nxt[h + 1, l + 1, a1] += c
+            for g in range(h + 1):
+                nxt[g, l, a1 + 1] += c
+                if g < h:
+                    nxt[g, l, a1] += (h - g) * c
+        layer = nxt
+    return layer

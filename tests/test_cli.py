@@ -5,7 +5,9 @@ stdin is swapped by hand for the same reason.  A few tests run real
 subprocesses instead, to check what cmd_dispatch alone cannot reach.
 """
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -215,6 +217,49 @@ def test_sequence_plain_and_bfile():
     assert (code, out) == (0, "1 2 6 21 80 322 1347\n")
     code, out, _ = run_cli("sequence", "--max-n", "3", "--bfile")
     assert (code, out) == (0, "0 1\n1 2\n2 6\n3 21\n")
+
+
+#: n values of the pinned count grid, from the empty path to n = 1000.
+COUNT_NS = (0, 1, 2, 5, 13, 40, 150, 318, 1000)
+
+
+def count_grid():
+    """Seeded ``count`` argument lists: every subset of --h/--l/--m with
+    values from -1 to n+1, and two --refined signatures i,j,k,l,m with
+    m mostly in the signature's range, per n."""
+    rng = random.Random(5)
+    for n in COUNT_NS:
+        for flags in itertools.product((False, True), repeat=3):
+            argv = ["count", "--n", str(n)]
+            for flag, on in zip(("--h", "--l", "--m"), flags):
+                if on:
+                    argv += [flag, str(rng.randint(-1, n + 1))]
+            yield argv
+        for _ in range(2):
+            i, j, k = (rng.randint(0, n // 6) for _ in range(3))
+            rest = n - i - j - k                # l + n'
+            l = rest - rng.randint(0, rest // 4)
+            s = 2 * (rest - l) + j + k          # the height a path needs
+            m = rng.randint(0, max(l - s, 0) + 1)
+            yield ["count", "--n", str(n), "--refined", f"{i},{j},{k},{l},{m}"]
+
+
+#: sha256 of the concatenated stdout of ``sequence --max-n 60``,
+#: ``table --which h``, ``table --which l`` and the ``count_grid`` calls.
+COUNT_OUTPUT_SHA256 = (
+    "d563b179f812c2a60fbf11eefc1e69e3558bcb02c0d0668fa62d67037c9c28d0")
+
+
+def test_counting_output_is_pinned():
+    calls = [["sequence", "--max-n", "60"], ["table", "--which", "h"],
+             ["table", "--which", "l"], *count_grid()]
+    out = []
+    for argv in calls:
+        code, text, err = run_cli(*argv)
+        assert (code, err) == (0, ""), argv
+        out.append(text)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == \
+        COUNT_OUTPUT_SHA256
 
 
 # ----------------------------------------------------------------- verify

@@ -1,10 +1,12 @@
 """Counting formulas against brute-force distributions and pinned tables."""
+import itertools
 import math
 import random
 from collections import Counter
 
 import pytest
 
+from fpaths import counting
 from fpaths.counting import (
     a_joint,
     a_marginal,
@@ -15,7 +17,9 @@ from fpaths.counting import (
     sequence,
     series_coeff,
 )
+from fpaths.errors import FormViolation, InexactDivision
 from fpaths.fpath_core import fpath_stats, gen_fpaths
+from oracles import joint_dp
 
 SEQUENCE = (1, 2, 6, 21, 80, 322, 1347, 5798, 25512)
 
@@ -183,6 +187,22 @@ def test_a_joint_against_brute():
                     assert a_joint(n, h=h, l=l, m=m) == want
 
 
+def test_joint_dp_against_enumeration():
+    for n in range(6):
+        assert joint_dp(n) == Counter(fpath_stats(q)[0] for q in gen_fpaths(n))
+
+
+def test_a_joint_against_transfer_dp():
+    # Every cell past the exhaustive range, borders -1 and n+1 included.
+    for n in range(31):
+        dist = joint_dp(n)
+        for m in range(-1, n + 2):          # height
+            for l in range(-1, n + 2):      # north
+                for h in range(-1, n + 2):  # aone
+                    want = dist.get((m, l, h), 0)
+                    assert a_joint(n, h=h, l=l, m=m) == want, (n, h, l, m)
+
+
 def test_a_joint_out_of_range():
     assert a_joint(3, -1, 0, 0) == 0
     assert a_joint(3, 0, 4, 0) == 0
@@ -309,3 +329,114 @@ def test_out_of_range_counts_are_zero():
                            {"l": w, "m": v}, {"h": w, "l": v}):
                     assert a_marginal(n, **kw) == 0, (n, kw)
                 assert a_marginal(n, h=v, l=w, m=w) == 0
+
+
+# ------------------------------------------------------------- stepping
+
+
+#: Every run shape (da, db) that the summed closed forms may use.
+RUN_SHAPES = list(itertools.product((-1, 0, 1), (1, 2)))
+
+
+def _stepped_cases(shape):
+    """Runs (a, b, da, db) and counts with every term non-zero."""
+    da, db = shape
+    for a in range(9):
+        for b in range(4):
+            for count in range(6):
+                if all(0 <= b + i * db <= a + i * da for i in range(count)):
+                    yield (a, b, da, db), count
+
+
+def _direct_sum(count, *runs):
+    return sum(math.prod(comb0(a + i * da, b + i * db)
+                         for a, b, da, db in runs)
+               for i in range(count))
+
+
+def _cancels(runs):
+    """Whether a factor common to p and q cancels in these runs."""
+    num, den = counting._ratio_factors(runs)
+    full = sum(2 + 2 * (da != 0) + 2 * (db == 2) for _, _, da, db in runs)
+    return len(num) + len(den) < full
+
+
+@pytest.mark.parametrize("shape", RUN_SHAPES)
+def test_stepped_sum_single_runs(shape):
+    counts = set()
+    for run, count in _stepped_cases(shape):
+        assert counting._stepped_sum(count, run) == _direct_sum(count, run)
+        counts.add(count)
+    assert {0, 1} <= counts
+
+
+def test_stepped_sum_pairs_of_runs():
+    rng = random.Random(12)
+    cancels = set()
+    for s1, s2 in itertools.product(RUN_SHAPES, repeat=2):
+        cases1, cases2 = list(_stepped_cases(s1)), list(_stepped_cases(s2))
+        for _ in range(40):
+            (r1, c1), (r2, c2) = rng.choice(cases1), rng.choice(cases2)
+            count = min(c1, c2)
+            got = counting._stepped_sum(count, r1, r2)
+            assert got == _direct_sum(count, r1, r2), (count, r1, r2)
+            cancels.add(_cancels((r1, r2)))
+    assert cancels == {False, True}
+
+
+def test_stepped_sum_guard_is_live(monkeypatch):
+    # One denominator factor off by one: a step's division leaves a
+    # remainder, and the per-step check must catch it.
+    real = counting._ratio_factors
+
+    def off_by_one(runs):
+        num, den = real(runs)
+        (c, e), *rest = den
+        return num, [(c + 1, e), *rest]
+
+    monkeypatch.setattr(counting, "_ratio_factors", off_by_one)
+    with pytest.raises(InexactDivision) as caught:
+        a_marginal(40, m=3)
+    # Raised by the step, not by the final division by n + 1.
+    assert caught.traceback[-1].name == "_stepped_sum"
+
+
+# ------------------------------------------------------- argument types
+
+
+def test_a_total_rejects_non_integers():
+    with pytest.raises(FormViolation):
+        a_total(2.0)
+    assert a_total(True) == 2
+
+
+def test_a_joint_rejects_non_integers():
+    with pytest.raises(FormViolation):
+        a_joint(5, 1, 2, 1.0)
+    with pytest.raises(FormViolation):
+        a_joint(5, None, 2, 1)
+    assert a_joint(5, -1, 2, 1) == a_joint(5, 1, 2, 9) == 0
+
+
+def test_a_marginal_rejects_non_integers():
+    with pytest.raises(FormViolation):
+        a_marginal(5, h=1.5)
+    with pytest.raises(FormViolation):
+        a_marginal(5.0)
+    with pytest.raises(FormViolation):
+        a_marginal(5, l="2")
+    assert a_marginal(5, m=-1) == a_marginal(5, h=6) == 0
+
+
+def test_f_refined_rejects_non_integers():
+    with pytest.raises(FormViolation):
+        f_refined(2, 1, 0, 0, 1, 1.0)
+    with pytest.raises(FormViolation):
+        f_refined(2.0, 1, 0, 0, 1, 1)
+    assert f_refined(2, 1, 0, 0, 1, 3) == f_refined(2, -1, 0, 0, 1, 1) == 0
+
+
+def test_sequence_rejects_non_integers():
+    with pytest.raises(FormViolation):
+        sequence(3.0)
+    assert sequence(-1) == []
