@@ -10,9 +10,9 @@ p and q is linear in the step number, so the factors are built once per
 call as ``range`` objects, those common to p and q cancel, and each
 step's p and q are multiplied at C level, with every division checked.
 :func:`a_joint` returns its zero cells before any binomial.  No result
-is cached between calls.  The counts read every argument with
-``operator.index``, so a non-integer raises :class:`FormViolation`; an
-integer out of range counts 0.
+is cached between calls.  Every public function reads every argument
+with ``operator.index``, so a non-integer raises :class:`FormViolation`;
+an integer out of range counts 0.
 
 Step classes used by :func:`f_refined` (a path of length n with l north
 steps and statistics as in :mod:`.fpath_core`):
@@ -33,12 +33,14 @@ from math import comb
 from operator import index, mul
 
 from .errors import FormViolation, InexactDivision
+from .fpath_core import int_entries
 
 BigCount = int
 
 
 def comb0(n: int, k: int) -> BigCount:
     """Binomial coefficient that is 0 outside 0 <= k <= n."""
+    n, k = _int(n), _int(k)
     if k < 0 or n < 0 or k > n:
         return 0
     return comb(n, k)
@@ -53,17 +55,18 @@ def series_coeff(t: int, s: int) -> BigCount:
     >>> [series_coeff(t, 3) for t in range(5)]
     [1, 3, 6, 10, 15]
     """
+    t, s = _int(t), _int(s)
     if t < 0:
         return 0
     if s == 0:
         return 1 if t == 0 else 0
-    return comb0(t + s - 1, s - 1)
+    return comb(t + s - 1, s - 1)
 
 
 def multinomial(n: int, parts) -> BigCount:
     """Multinomial coefficient n! / prod(p!); 0 if any part is negative
     or the parts do not sum to n."""
-    parts = list(parts)
+    n, parts = _int(n), int_entries(parts)
     if any(p < 0 for p in parts) or sum(parts) != n:
         return 0
     out = 1
@@ -134,8 +137,8 @@ def _stepped_sum(count: int, *runs) -> BigCount:
     C(a + i·da, b + i·db), one run being a tuple (a, b, da, db) with
     da in (-1, 0, 1) and db in (1, 2).
 
-    The first term is seeded with ``comb0``.  Each later one is the one
-    before times p/q, where p and q are the products of the cancelled
+    The first term is seeded with ``math.comb``.  Each later one is the
+    one before times p/q, where p and q are the products of the cancelled
     factors of :func:`_ratio_factors`, and every division is checked
     exact.  Every term must be non-zero, so that no ratio divides by
     zero; nothing is stepped past the last term.
@@ -144,7 +147,7 @@ def _stepped_sum(count: int, *runs) -> BigCount:
         return 0
     term = 1
     for a, b, _, _ in runs:
-        term *= comb0(a, b)
+        term *= comb(a, b)
     total = term
     num, den = _ratio_factors(runs)
     for p, q in zip(_products(num, count - 1), _products(den, count - 1)):

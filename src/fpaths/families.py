@@ -115,42 +115,38 @@ def _parse_invseq(text: str, family):
 
 
 def render_wtree(t: WTree) -> str:
-    """Text form, written in preorder with an explicit stack of child
-    iterators, so depth is unbounded.  Every vertex but the root's first
-    child follows a space."""
-    out = ["["]
-    stack = [iter(t.children)]
-    while stack:
-        v = next(stack[-1], None)
-        if v is None:
-            stack.pop()
-            out.append(")" if stack else "]")
-            continue
-        if out[-1] != "[":
-            out.append(" ")
-        if v.is_leaf():
-            out.append("L")
+    """Text form, written from the code in one pass over a stack of the
+    children each open vertex still has to write, so depth is unbounded."""
+    out = []
+    left = [t[0][1]]
+    for w, d in t[1:]:
+        left[-1] -= 1
+        if d:
+            out.append(f" ({w}")
+            left.append(d)
         else:
-            out.append(f"({v.weight}")
-            stack.append(iter(v.children))
-    return "".join(out)
+            out.append(" L")
+            while left and not left[-1]:
+                left.pop()
+                out.append(")" if left else "]")
+    return "[" + "".join(out)[1:]
 
 
 def parse_wtree(text: str) -> WTree:
-    """Parse ``[ subtree* ]`` with subtree = ``L`` | ``( weight subtree+ )``.
-
-    The vertices still open, the root first, are an explicit stack of
-    ``(weight, children so far)``, so depth is unbounded.
+    """Parse ``[ subtree* ]`` with subtree = ``L`` | ``( weight subtree+ )``
+    into the preorder code.  The vertices still open, the root first, are
+    a stack of indexes into the code, so depth is unbounded.
     """
     s = require_str(text).strip()
     if not s or s[0] != "[":
         raise ParseError(0, "expected '['")
     pos = 1
-    open_: list[tuple[int | None, list]] = [(None, [])]
+    weights: list[int | None] = [None]
+    degrees = [0]
+    open_ = [0]
     while True:
         while pos < len(s) and s[pos] == " ":
             pos += 1
-        weight, kids = open_[-1]
         close = "]" if len(open_) == 1 else ")"
         if pos >= len(s):
             raise ParseError(pos, f"missing {close!r}")
@@ -158,13 +154,12 @@ def parse_wtree(text: str) -> WTree:
             pos += 1
             if len(open_) == 1:
                 break
-            if not kids:
+            if not degrees[open_.pop()]:
                 raise ParseError(pos, "weighted vertex needs children")
-            open_.pop()
-            open_[-1][1].append(WTree(weight, tuple(kids)))
-        elif s[pos] == "L":
+            continue
+        if s[pos] == "L":
             pos += 1
-            kids.append(weighted_trees.LEAF)
+            weight = None
         elif s[pos] != "(":
             raise ParseError(pos, f"expected 'L' or '(', got {s[pos]!r}")
         else:
@@ -180,12 +175,16 @@ def parse_wtree(text: str) -> WTree:
                 weight = int(s[start:pos])
             except ValueError:
                 raise ParseError(start, f"bad weight {s[start:pos]!r}") from None
-            open_.append((weight, []))
+        degrees[open_[-1]] += 1
+        if weight is not None:
+            open_.append(len(weights))
+        weights.append(weight)
+        degrees.append(0)
     while pos < len(s) and s[pos] == " ":
         pos += 1
     if pos != len(s):
         raise ParseError(pos, "trailing characters")
-    return weighted_trees.validate_wtree(WTree(None, tuple(open_[0][1])))
+    return weighted_trees.validate_wtree(tuple(zip(weights, degrees)))
 
 
 # --------------------------------------------------------------- registry

@@ -14,11 +14,11 @@ and write the insertion record of the maximum; :func:`shape_phi_S` and
 :func:`shape_psi_S` rebuild the permutation at every step by the four
 shape-case surgeries of :func:`shape_analysis`.  :func:`joint_dp`
 counts F-paths by their statistics with a transfer over the steps, for
-the closed form ``counting.a_joint``.
+the closed forms ``counting.a_joint`` and ``counting.a_marginal``.
 """
 from collections import Counter
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from fpaths.inversion_seqs import max_and_maxid
 from fpaths.pattern_perms import block_count
@@ -339,10 +339,10 @@ def shape_psi_S(q) -> tuple:
     return cur
 
 
-def joint_dp(n: int) -> Counter:
-    """The F-paths of length n counted by ``(height, north, aone)``, by a
-    forward transfer over the steps, with no closed form and no
-    enumeration.
+def joint_dp(max_n: int) -> Iterator[Counter]:
+    """The F-paths of each length n = 0..max_n counted by ``(height,
+    north, aone)``, one layer per n from a single forward transfer over
+    the steps, with no closed form and no enumeration.
 
     From height h, the north step (0, 1) goes to h + 1 with north + 1.
     Each h' <= h is reached by one step with a = 1 (b = 1 + h' - h),
@@ -350,7 +350,8 @@ def joint_dp(n: int) -> Counter:
     (a = 2..h - h' + 1, b = a + h' - h).
     """
     layer = Counter({(0, 0, 0): 1})
-    for _ in range(n):
+    yield layer
+    for _ in range(max_n):
         nxt = Counter()
         for (h, l, a1), c in layer.items():
             nxt[h + 1, l + 1, a1] += c
@@ -359,4 +360,4 @@ def joint_dp(n: int) -> Counter:
                 if g < h:
                     nxt[g, l, a1] += (h - g) * c
         layer = nxt
-    return layer
+        yield layer

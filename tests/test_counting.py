@@ -187,20 +187,43 @@ def test_a_joint_against_brute():
                     assert a_joint(n, h=h, l=l, m=m) == want
 
 
+@pytest.fixture(scope="module")
+def dp_layers():
+    """``joint_dp``'s layers for n = 0..40, from one pass."""
+    return list(joint_dp(40))
+
+
 def test_joint_dp_against_enumeration():
-    for n in range(6):
-        assert joint_dp(n) == Counter(fpath_stats(q)[0] for q in gen_fpaths(n))
+    for n, dist in enumerate(joint_dp(5)):
+        assert dist == Counter(fpath_stats(q)[0] for q in gen_fpaths(n))
 
 
-def test_a_joint_against_transfer_dp():
+def test_a_joint_against_transfer_dp(dp_layers):
     # Every cell past the exhaustive range, borders -1 and n+1 included.
-    for n in range(31):
-        dist = joint_dp(n)
+    for n, dist in enumerate(dp_layers[:31]):
         for m in range(-1, n + 2):          # height
             for l in range(-1, n + 2):      # north
                 for h in range(-1, n + 2):  # aone
                     want = dist.get((m, l, h), 0)
                     assert a_joint(n, h=h, l=l, m=m) == want, (n, h, l, m)
+
+
+#: ``a_marginal``'s keyword for each place of a ``joint_dp`` key.
+DP_AXES = ("m", "l", "h")
+
+
+def test_marginals_against_transfer_dp(dp_layers):
+    """All seven marginal forms (one or two of h, l, m fixed, or none)
+    against the projections of the DP, borders -1 and n+1 included."""
+    for n, dist in enumerate(dp_layers):
+        for r in range(3):
+            for fixed in itertools.combinations(range(3), r):
+                proj = Counter()
+                for key, c in dist.items():
+                    proj[tuple(key[i] for i in fixed)] += c
+                for vals in itertools.product(range(-1, n + 2), repeat=r):
+                    kw = {DP_AXES[i]: v for i, v in zip(fixed, vals)}
+                    assert a_marginal(n, **kw) == proj.get(vals, 0), (n, kw)
 
 
 def test_a_joint_out_of_range():
@@ -408,6 +431,17 @@ def test_a_total_rejects_non_integers():
     with pytest.raises(FormViolation):
         a_total(2.0)
     assert a_total(True) == 2
+
+
+def test_helpers_reject_non_integers():
+    for call in (lambda: series_coeff(-1.5, 3), lambda: series_coeff(2.0, 3),
+                 lambda: series_coeff(2, None), lambda: comb0(2, 1.5),
+                 lambda: comb0("5", 2), lambda: multinomial(5, (2.0, 3)),
+                 lambda: multinomial(5, 3), lambda: multinomial(5.0, (2, 3))):
+        with pytest.raises(FormViolation):
+            call()
+    assert series_coeff(True, 3) == 3 and comb0(5, True) == 5
+    assert multinomial(5, iter([2, 3])) == 10
 
 
 def test_a_joint_rejects_non_integers():

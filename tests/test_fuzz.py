@@ -2,9 +2,10 @@
 
 Short text over each family's alphabet plus separators, and short
 sequences of raw step tuples of small ints, are fed to the public entry
-points of every family.  Only ``FpathsError`` subclasses may escape, and
-every accepted input must round-trip.  Inputs stay short, so trees stay
-shallow.  The runs are derandomized, so the suite is repeatable.
+points of every family, and short raw codes to the tree family's.  Only
+``FpathsError`` subclasses may escape, and every accepted input must
+round-trip.  Inputs stay short, so trees stay shallow.  The runs are
+derandomized, so the suite is repeatable.
 Arguments of the wrong type go to every checking field of every family.
 """
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from fpaths.errors import FormViolation, FpathsError  # noqa: E402
 from fpaths.families import FAMILIES, TAGS  # noqa: E402
+from fpaths.fpath_core import fpath_stats  # noqa: E402
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True,
                 database=None)
@@ -88,6 +90,45 @@ def test_from_fpath_accepts_only_f_paths(tag):
         except FpathsError:
             return
         assert fam.to_fpath(obj) == tuple(steps)
+
+    check()
+
+
+#: Pieces of raw tree codes: a weight or an outdegree is None, a small
+#: int or a float, and a few items have the wrong length.
+code_value = st.one_of(st.none(), st.integers(-1, 3),
+                       st.floats(-1, 3, allow_nan=False))
+code_item = st.one_of(st.tuples(st.none(), st.integers(0, 3)),
+                      st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                      st.tuples(code_value, code_value),
+                      st.lists(code_value, max_size=3).map(tuple))
+#: Raw codes are runs of such items, or generated trees with at most one
+#: item cut and one put in.
+raw_codes = st.one_of(
+    st.lists(code_item, max_size=8).map(tuple),
+    st.builds(lambda t, at, cut, put: t[:at] + tuple(put) + t[at + cut:],
+              st.sampled_from([t for n in range(4)
+                               for t in FAMILIES["tree"].generate(n)]),
+              st.integers(0, 6), st.integers(0, 1),
+              st.lists(code_item, max_size=1)))
+
+
+def test_tree_codes_accepted_only_if_they_round_trip():
+    """A tree is a plain tuple any caller can build: to_fpath and stats
+    refuse a bad one with an FpathsError, and agree on a good one."""
+    fam = FAMILIES["tree"]
+
+    @FUZZ
+    @given(raw_codes)
+    def check(code):
+        try:
+            q = fam.to_fpath(code)
+        except FpathsError:
+            with pytest.raises(FpathsError):
+                fam.stats(code)
+            return
+        assert fam.from_fpath(q) == code
+        assert fam.stats(code) == fpath_stats(q)[0]
 
     check()
 

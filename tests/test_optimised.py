@@ -4,7 +4,7 @@
 on them.  :func:`sweep` feeds seeded random inputs to every family's
 public entry points: small edits of rendered objects go through
 ``parse``, raw step tuples through ``from_fpath``, and raw entry tuples
-through ``to_fpath`` and ``stats``.  Only ``FpathsError`` may escape, and
+(tree codes with one pair edited) through ``to_fpath`` and ``stats``.  Only ``FpathsError`` may escape, and
 every accepted input must round-trip and keep its statistics.  Its
 checks use ``if``/``raise``, since ``-O`` also strips pytest's assertion
 rewriting.  The tests run the sweep, and ``fpaths verify``, in a
@@ -27,7 +27,6 @@ EXTRA = " -,.0123456789L()[]x"
 GOOD_STEPS = ((0, 1), (1, 1), (1, 0), (2, 1), (1, -1), (3, -1))
 BAD_STEPS = ((0, 0), (0, 2), (-1, 1), (1, 2), (0.5, 1), (1.0, 1), (1,),
              (0, 1, 2), ("a", 1), None)
-TUPLE_TAGS = ("perm", "inv-i", "inv-j")
 
 
 class SweepFailure(Exception):
@@ -51,6 +50,23 @@ def _entry_edit(rng, objects):
         entries[at] + 0.5,
     ))
     return tuple(entries)
+
+
+def _pair_edit(rng, trees):
+    """A tree code with one pair's weight or outdegree changed."""
+    code = list(rng.choice(trees))
+    at = rng.randrange(len(code))
+    pair = list(code[at])
+    i = rng.randrange(2)
+    pair[i] = rng.choice((None, rng.randint(-1, 3),
+                          (pair[i] or 0) + rng.choice((0.0, 0.5))))
+    code[at] = tuple(pair)
+    return tuple(code)
+
+
+#: The raw-entry edit of each family whose objects are tuples.
+ENTRY_EDITS = {"perm": _entry_edit, "inv-i": _entry_edit,
+               "inv-j": _entry_edit, "tree": _pair_edit}
 
 
 def _check_object(fam, obj, q):
@@ -110,8 +126,8 @@ def sweep(seed: int, per_family: int = 300) -> int:
             if rng.random() < 0.5:
                 steps.insert(rng.randint(0, len(steps)), rng.choice(BAD_STEPS))
             cases.append((_check_steps, tuple(steps)))
-        if tag in TUPLE_TAGS:
-            cases += [(_check_entries, _entry_edit(rng, objects))
+        if tag in ENTRY_EDITS:
+            cases += [(_check_entries, ENTRY_EDITS[tag](rng, objects))
                       for _ in range(per_family // 3)]
         for check, value in cases:
             try:

@@ -22,10 +22,8 @@ from fpaths.families import FAMILIES
 from fpaths.fpath_core import NORTH, fpath_stats, gen_fpaths
 from fpaths.weighted_trees import (
     LEAF,
-    WTree,
     gen_wtrees,
     phi_T,
-    preorder,
     psi_T,
     validate_wtree,
     wtree_direct_sum,
@@ -62,26 +60,33 @@ def oracle_count(edges):
 
 def test_validate_errors():
     with pytest.raises(FormViolation):
-        validate_wtree(WTree(None, ()))
+        validate_wtree(((None, 0),))
     with pytest.raises(WeightOnLeafOrRoot) as exc:
-        validate_wtree(WTree(None, (WTree(2),)))
+        validate_wtree(((None, 1), (2, 0)))
     assert exc.value.vertex == 1
     with pytest.raises(WeightOnLeafOrRoot) as exc:
-        validate_wtree(WTree(1, (LEAF,)))
+        validate_wtree(((1, 1), LEAF))
     assert exc.value.vertex == 0
     with pytest.raises(WeightOutOfRange) as exc:
         parse("[(3 L L)]")
     assert exc.value.vertex == 1
     with pytest.raises(WeightOutOfRange):
-        validate_wtree(WTree(None, (WTree(0, (LEAF,)),)))
+        validate_wtree(((None, 1), (0, 1), LEAF))
     # unweighted interior non-root vertex is just as illegal
     with pytest.raises(WeightOutOfRange):
-        validate_wtree(WTree(None, (WTree(None, (LEAF,)),)))
+        validate_wtree(((None, 1), (None, 1), LEAF))
 
 
 def test_validate_refuses_non_trees():
-    for bad in (5, None, WTree(None, (5,)), WTree(None, [LEAF]),
-                WTree(None, (WTree(1, (LEAF, None)),))):
+    for bad in (5, None, (), ((None, 1), 5), [(None, 1), LEAF],
+                ((None, 1), (1, 2), LEAF, None),
+                ((None, 1), (1, 2), LEAF),            # a vertex missing
+                ((None, 1), LEAF, LEAF),              # a vertex past the end
+                ((None, 1), LEAF, (1, 1)),            # one that fills a slot
+                ((None, 1), (None, -1)),              # negative outdegree
+                ((None, 1.0), LEAF),                  # float outdegree
+                ((None, 1), (1, 1.0), LEAF),
+                ((None, 1), (None, 0, 0)), ((None, 1), (None,))):
         with pytest.raises(FormViolation):
             validate_wtree(bad)
 
@@ -102,10 +107,7 @@ def test_depth_5000_without_recursion():
 def _chain(depth, last_weight):
     """A root over ``depth`` nested vertices of weight 1, except the
     deepest, which has weight ``last_weight`` and two leaves."""
-    t = WTree(last_weight, (LEAF, LEAF))
-    for _ in range(depth - 1):
-        t = WTree(1, (t,))
-    return WTree(None, (t,))
+    return ((None, 1),) + ((1, 1),) * (depth - 1) + ((last_weight, 2), LEAF, LEAF)
 
 
 def test_deep_trees_compare_and_hash_without_recursion():
@@ -113,12 +115,7 @@ def test_deep_trees_compare_and_hash_without_recursion():
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert a != "L"
-
-
-def test_preorder_counts_vertices():
-    t = parse("[(1 L L) L]")
-    assert len(preorder(t)) == 5
-    assert preorder(t)[0] is t
+    assert render(a) == "[" + "(1 " * 2000 + "L L" + ")" * 2000 + "]"
 
 
 # ------------------------------------------------------------- generation
@@ -142,6 +139,13 @@ def test_gen_canonical_order():
         "[(2 L L)]",
         "[(1 (1 L))]",
     ]
+
+
+def test_generated_trees_share_their_pairs():
+    """One call builds each non-root pair once, however many trees hold
+    it: a fresh pair per vertex would cost memory at every n."""
+    pairs = [v for t in gen_wtrees(7) for v in t[1:]]
+    assert len({id(v) for v in pairs}) == len(set(pairs))
 
 
 def test_guard():
