@@ -21,14 +21,17 @@ block holding it (the head block), the maximum, ω and τ merge into one
 block; when a = 1 the maximum and τ do.  φ undoes this from the last
 step: the maximum's index x and the number w of values it rotated give
 back, with the same blocks, how many of them the step took.
+
+ψ maps every F-path to an avoider, so :func:`validate_avoider` accepts p
+iff ψ(φ(p)) == p and scans in O(n^2) only to name a pattern.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from math import inf
 
-from .errors import FormViolation, GuardExceeded, NotAvoider
-from .fpath_core import DEFAULT_GUARD, FPath, StatTriple, int_entries
+from .errors import FormViolation, FpathsError, GuardExceeded, NotAvoider
+from .fpath_core import DEFAULT_GUARD, FPath, StatTriple, int_entries, validate_fpath
 
 Permutation = tuple[int, ...]
 
@@ -89,14 +92,8 @@ def _forbidden_ending_at(prefix, x) -> Permutation | None:
 
 def _first_forbidden(p: Permutation) -> Permutation | None:
     """The first pattern of FORBIDDEN that p contains, or None.  O(n^2)."""
-    first = len(FORBIDDEN)
-    for k in range(3, len(p)):
-        pat = _forbidden_ending_at(p[:k], p[k])
-        if pat is not None:
-            first = min(first, FORBIDDEN.index(pat))
-            if first == 0:
-                break
-    return FORBIDDEN[first] if first < len(FORBIDDEN) else None
+    found = {_forbidden_ending_at(p[:k], p[k]) for k in range(3, len(p))}
+    return next((pat for pat in FORBIDDEN if pat in found), None)
 
 
 def is_avoider(p: Permutation) -> bool:
@@ -106,12 +103,19 @@ def is_avoider(p: Permutation) -> bool:
 def validate_avoider(p: Permutation) -> Permutation:
     """Return p as a tuple, or raise: FormViolation when p is empty, has
     an entry that is not an integer or is not a permutation of 1..len(p),
-    NotAvoider naming the first pattern of FORBIDDEN that p contains."""
+    NotAvoider naming the first pattern of FORBIDDEN that p contains.
+    p passes by the round trip ψ(φ(p)) == p; when that fails or raises,
+    :func:`_first_forbidden` decides, so no verdict rests on φ of it."""
     p = int_entries(p)
     if not p:
         raise FormViolation("empty permutation; the shortest has length 1")
     if sorted(p) != list(range(1, len(p) + 1)):
         raise FormViolation(f"not a permutation of 1..{len(p)}: {p!r}")
+    try:
+        if psi_S(validate_fpath(phi_S(p))) == p:
+            return p
+    except FpathsError:
+        pass
     pat = _first_forbidden(p)
     if pat is not None:
         raise NotAvoider(pat)
@@ -229,37 +233,46 @@ def _take(blocks: list[int], total: int) -> int:
     """Pop blocks off the right until their lengths add up to ``total``;
     return how many were popped."""
     count = 0
-    while total:
+    while total > 0:
         total -= blocks.pop()
         count += 1
+    if total:  # only on a permutation that is no avoider
+        raise FormViolation("the blocks do not split as an avoider's do")
     return count
+
+
+def _insertion_record(p: Permutation) -> list[tuple[int, int]]:
+    """The (x, w) of each step of :func:`psi_S`, last step first, over ids
+    (indexes in p) in value order and in position order (``alive``).  The
+    values left of the maximum, at x, are 1..x-1 and the z >= x of least
+    id; undoing ψ's rotation moves z down to x, and w = z - x."""
+    by_val = sorted(range(len(p)), key=p.__getitem__)
+    alive = list(range(len(p)))
+    record = []
+    while len(by_val) > 1:
+        x = bisect_left(alive, by_val.pop())
+        del alive[x]
+        w = 0
+        if x:
+            upper = by_val[x - 1:]
+            w = upper.index(min(upper))
+            by_val.insert(x - 1, by_val.pop(x - 1 + w))
+        record.append((x, w))
+    return record
 
 
 def phi_S(p: Permutation) -> FPath:
     """Map an avoider of length n+1 to its F-path of length n.  A trusted
-    core: ``p`` must be an avoider, as a tuple.
+    core: on a permutation that is no avoider it returns some tuple or
+    raises FormViolation.
 
-    Backward, each step deletes the maximum, at index x, and undoes the
-    rotation of :func:`psi_S`: the largest value z left of x is at least
-    x, and when z > x it goes back to x and the w = z - x entries after
-    the maximum go up by one.  Forward, ψ's block stack reads the record
-    (x, w) of each step on a permutation of length ``size``: the blocks
-    covering its last size - x - w entries are τ, those covering the w
-    before them are ω.
+    ψ's block stack reads the record (x, w) of each step on a
+    permutation of length ``size``: the blocks covering its last size -
+    x - w entries are τ, those covering the w before them are ω.
     """
-    cur = list(p)
-    record = []
-    for top in range(len(cur), 1, -1):
-        x = cur.index(top)
-        z = max(cur[:x], default=0)
-        del cur[x]
-        if z > x:
-            cur[cur.index(z)] = x
-            cur[x:z] = [v + 1 for v in cur[x:z]]
-        record.append((x, z - x))
     steps = []
     blocks = [1]
-    for size, (x, w) in enumerate(reversed(record), 1):
+    for size, (x, w) in enumerate(reversed(_insertion_record(p)), 1):
         tau = _take(blocks, size - x - w)
         head = 0
         if w:

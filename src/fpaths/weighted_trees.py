@@ -30,6 +30,7 @@ not a leaf, so the steps s_1..s_n are the code of v_n..v_1.
 from __future__ import annotations
 
 from itertools import product
+from operator import index
 
 from .errors import FormViolation, GuardExceeded, WeightOnLeafOrRoot, WeightOutOfRange
 from .fpath_core import DEFAULT_GUARD, NORTH, FPath, StatTriple, fpath_height
@@ -45,19 +46,24 @@ def validate_wtree(t: WTree) -> WTree:
     the child slots still open; vertexes are numbered in preorder, the
     root 0.  Anything but a tuple of ``(weight, outdegree)`` pairs whose
     outdegrees, integers >= 0, fill the tree exactly at its last vertex
-    raises :class:`FormViolation`."""
+    raises :class:`FormViolation`.  Returns the code with both fields read
+    by ``operator.index``: ``True`` becomes 1 and a float is refused."""
     if not isinstance(t, tuple) or not t:
         raise FormViolation(
             "a tree is a non-empty tuple of (weight, outdegree) pairs")
+    code = []
     open_ = 1                   # the root fills the first slot
     for idx, v in enumerate(t):
         if not open_:
             raise FormViolation(f"vertex {idx} lies past the end of the tree")
-        if not (isinstance(v, tuple) and len(v) == 2
-                and isinstance(v[1], int) and v[1] >= 0):
+        try:
+            w, d = v if isinstance(v, tuple) else ()
+            d = index(d)
+        except (TypeError, ValueError):
+            d = -1
+        if d < 0:
             raise FormViolation(
                 f"vertex {idx} is not a (weight, outdegree >= 0) pair")
-        w, d = v
         if not idx and not d:
             raise FormViolation("tree must have at least one edge")
         if not idx or not d:
@@ -65,10 +71,11 @@ def validate_wtree(t: WTree) -> WTree:
                 raise WeightOnLeafOrRoot(idx, w)
         elif not isinstance(w, int) or not 1 <= w <= d:
             raise WeightOutOfRange(idx, w, d)
+        code.append((w if w is None else index(w), d))
         open_ += d - 1
     if open_:
         raise FormViolation(f"the tree is missing {open_} vertexes")
-    return t
+    return tuple(code)
 
 
 def wtree_stats(t: WTree) -> StatTriple:

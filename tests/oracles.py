@@ -12,9 +12,12 @@ construction record in one pass, while :func:`peel_phi_P` and
 the paper defines φ_P and φ_I.  ``pattern_perms.phi_S``/``psi_S`` read
 and write the insertion record of the maximum; :func:`shape_phi_S` and
 :func:`shape_psi_S` rebuild the permutation at every step by the four
-shape-case surgeries of :func:`shape_analysis`.  :func:`joint_dp`
-counts F-paths by their statistics with a transfer over the steps, for
-the closed forms ``counting.a_joint`` and ``counting.a_marginal``.
+shape-case surgeries of :func:`shape_analysis`, and :func:`value_record`
+reads the record off a list of values rather than of ids.
+:func:`joint_dp` counts F-paths by their statistics with a transfer over
+the steps, for the closed forms ``counting.a_joint`` and
+``counting.a_marginal``, and :func:`step_class_dp` by their step
+classes, for ``counting.f_refined``.
 """
 from collections import Counter
 from itertools import combinations
@@ -295,6 +298,25 @@ def shape_phi_S(p) -> tuple:
     return tuple(steps)
 
 
+def value_record(p) -> list:
+    """The (x, w) record of ``pattern_perms._insertion_record``, last step
+    first, on a value list: each step deletes the maximum, at index x;
+    the largest value z left of x is at least x, and when z > x it goes
+    back to x and the w = z - x entries after the maximum go up by one.
+    O(n) Python work per step."""
+    cur = list(p)
+    record = []
+    for top in range(len(cur), 1, -1):
+        x = cur.index(top)
+        z = max(cur[:x], default=0)
+        del cur[x]
+        if z > x:
+            cur[cur.index(z)] = x
+            cur[x:z] = [v + 1 for v in cur[x:z]]
+        record.append((x, z - x))
+    return record
+
+
 def shape_psi_S(q) -> tuple:
     """Inverse of :func:`shape_phi_S`: grow from (1,) one step at a time.
 
@@ -359,5 +381,31 @@ def joint_dp(max_n: int) -> Iterator[Counter]:
                 nxt[g, l, a1 + 1] += c
                 if g < h:
                     nxt[g, l, a1] += (h - g) * c
+        layer = nxt
+        yield layer
+
+
+def step_class_dp(max_n: int) -> Iterator[Counter]:
+    """The F-paths of each length n = 0..max_n counted by ``(height, i,
+    j, k, l)``, the step classes of ``counting.f_refined``, one layer per
+    n from a single forward transfer over the steps.
+
+    From height h: (0, 1) is class l and goes to h + 1, (1, 1) is class
+    i and stays at h.  Each g < h is reached by one step (1, b) with
+    b <= 0 (class j) and one (a, 1) with a >= 2 (class k), and by the
+    h - g - 1 steps with a >= 2 and b <= 0, which are in no class.
+    """
+    layer = Counter({(0, 0, 0, 0, 0): 1})
+    yield layer
+    for _ in range(max_n):
+        nxt = Counter()
+        for (h, i, j, k, l), c in layer.items():
+            nxt[h + 1, i, j, k, l + 1] += c
+            nxt[h, i + 1, j, k, l] += c
+            for g in range(h):
+                nxt[g, i, j + 1, k, l] += c
+                nxt[g, i, j, k + 1, l] += c
+                if g < h - 1:
+                    nxt[g, i, j, k, l] += (h - g - 1) * c
         layer = nxt
         yield layer

@@ -19,7 +19,7 @@ from fpaths.counting import (
 )
 from fpaths.errors import FormViolation, InexactDivision
 from fpaths.fpath_core import fpath_stats, gen_fpaths
-from oracles import joint_dp
+from oracles import joint_dp, step_class_dp
 
 SEQUENCE = (1, 2, 6, 21, 80, 322, 1347, 5798, 25512)
 
@@ -163,6 +163,28 @@ def test_f_refined_against_brute_signatures():
                         for m in range(n + 1):
                             want = dist.get((i, j, k, l, m), 0)
                             assert f_refined(n, i, j, k, l, m) == want
+
+
+def test_step_class_dp_against_enumeration():
+    for n, dist in enumerate(step_class_dp(6)):
+        want = Counter()
+        for q in gen_fpaths(n):
+            i, j, k, l, h = signature(q)
+            want[h, i, j, k, l] += 1
+        assert dist == want, n
+
+
+def test_f_refined_against_step_class_dp():
+    """Every signature for n <= 12, past the exhaustive range, borders
+    -1 and n+1 included and the class total up to n + 1."""
+    for n, dist in enumerate(step_class_dp(12)):
+        sides = range(-1, n + 2)
+        for i, j, k, l in itertools.product(sides, repeat=4):
+            if i + j + k + l > n + 1:
+                continue
+            for m in sides:
+                want = dist.get((m, i, j, k, l), 0)
+                assert f_refined(n, i, j, k, l, m) == want, (n, i, j, k, l, m)
 
 
 def test_f_refined_sums_to_total():

@@ -117,9 +117,7 @@ DECOMPOSE = {
 
 @pytest.mark.parametrize(
     "tag, n",
-    [(tag, n) for n in (50, 500) for tag in MAPPED]
-    # perm's validate_avoider, run by parse and to_fpath, is still quadratic
-    + [(tag, 3000) for tag in MAPPED if tag != "perm"],
+    [(tag, n) for n in (50, 500, 3000) for tag in MAPPED],
 )
 def test_large_objects_cross_the_boundary(random_fpath, tag, n):
     """Seeded random paths: the checked round trip through text,

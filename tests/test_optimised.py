@@ -4,7 +4,8 @@
 on them.  :func:`sweep` feeds seeded random inputs to every family's
 public entry points: small edits of rendered objects go through
 ``parse``, raw step tuples through ``from_fpath``, and raw entry tuples
-(tree codes with one pair edited) through ``to_fpath`` and ``stats``.  Only ``FpathsError`` may escape, and
+(permutations with two entries swapped, tree codes with one pair
+edited) through ``to_fpath`` and ``stats``.  Only ``FpathsError`` may escape, and
 every accepted input must round-trip and keep its statistics.  Its
 checks use ``if``/``raise``, since ``-O`` also strips pytest's assertion
 rewriting.  The tests run the sweep, and ``fpaths verify``, in a
@@ -52,20 +53,33 @@ def _entry_edit(rng, objects):
     return tuple(entries)
 
 
+def _swap_edit(rng, perms):
+    """A permutation with one entry edited, or the direct sum of two
+    generated avoiders with two entries swapped: about a third of those
+    swaps leave no avoider, so they reach the round-trip rejection."""
+    if rng.random() < 0.5:
+        return _entry_edit(rng, perms)
+    entries = list(FAMILIES["perm"].direct_sum(rng.choice(perms),
+                                               rng.choice(perms)))
+    i, j = rng.randrange(len(entries)), rng.randrange(len(entries))
+    entries[i], entries[j] = entries[j], entries[i]
+    return tuple(entries)
+
+
 def _pair_edit(rng, trees):
     """A tree code with one pair's weight or outdegree changed."""
     code = list(rng.choice(trees))
     at = rng.randrange(len(code))
     pair = list(code[at])
     i = rng.randrange(2)
-    pair[i] = rng.choice((None, rng.randint(-1, 3),
+    pair[i] = rng.choice((None, True, False, rng.randint(-1, 3),
                           (pair[i] or 0) + rng.choice((0.0, 0.5))))
     code[at] = tuple(pair)
     return tuple(code)
 
 
 #: The raw-entry edit of each family whose objects are tuples.
-ENTRY_EDITS = {"perm": _entry_edit, "inv-i": _entry_edit,
+ENTRY_EDITS = {"perm": _swap_edit, "inv-i": _entry_edit,
                "inv-j": _entry_edit, "tree": _pair_edit}
 
 

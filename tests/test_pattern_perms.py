@@ -3,9 +3,11 @@
 The containment oracle re-implements pattern matching with
 itertools.combinations and order-type comparison, sharing nothing with
 the backtracking matcher ``perm_contains``, which in turn is the oracle
-for the fast membership test behind ``validate_avoider``.  The
+for the pattern scan ``_first_forbidden``.  ``validate_avoider`` decides
+membership by a φ/ψ round trip and is checked against that scan.  The
 insertion-record cores ``phi_S``/``psi_S`` are checked against the
-shape-case surgeries ``shape_phi_S``/``shape_psi_S`` of the oracles.
+shape-case surgeries ``shape_phi_S``/``shape_psi_S`` of the oracles,
+and the id-list record against the value-list ``value_record``.
 """
 import itertools
 import random
@@ -16,9 +18,11 @@ from collections import Counter
 
 from fpaths.errors import FormViolation, GuardExceeded, NotAvoider
 from fpaths.families import FAMILIES
-from fpaths.fpath_core import NORTH, fpath_stats, gen_fpaths
+from fpaths.fpath_core import NORTH, fpath_stats, gen_fpaths, validate_fpath
 from fpaths.pattern_perms import (
     FORBIDDEN,
+    _first_forbidden,
+    _insertion_record,
     asc,
     block_count,
     crit,
@@ -41,6 +45,7 @@ from oracles import (
     shape_analysis,
     shape_phi_S,
     shape_psi_S,
+    value_record,
 )
 
 SIX = ((3, 1, 2), (2, 3, 1), (3, 2, 1), (1, 3, 2), (2, 1, 3), (1, 2, 3))
@@ -127,6 +132,23 @@ def test_membership_and_generation_match_oracle_exhaustively():
             if want is None:
                 avoiders.append(p)
         assert list(gen_avoiders(n)) == avoiders, n
+
+
+def test_round_trip_check_matches_the_pattern_scan():
+    """validate_avoider accepts, or names a pattern, exactly as the
+    O(n^2) scan does, on every permutation of length <= 8 (a φ that
+    raised anything but FpathsError on a non-avoider would escape)."""
+    for n in range(1, 9):
+        for p in itertools.permutations(range(1, n + 1)):
+            assert named_pattern(p) == _first_forbidden(p), p
+
+
+def test_round_trip_holds_on_every_avoider():
+    """The scan is the fallback for failed round trips only: no avoider
+    of length <= 9 takes it."""
+    for n in range(1, 10):
+        for p in gen_avoiders(n):
+            assert psi_S(validate_fpath(phi_S(p))) == p, p
 
 
 def plant(rng, p, pattern):
@@ -349,11 +371,12 @@ LARGE_PATHS = {
 
 @pytest.mark.parametrize("name", LARGE_PATHS)
 def test_large_paths_with_deep_steps(random_fpath, name):
-    """Round trip, statistics and direct sum, and the shape oracles on
-    the first 500 steps."""
+    """Round trip, the value-list record, statistics and direct sum, and
+    the shape oracles on the first 500 steps."""
     q = LARGE_PATHS[name](random_fpath)
     p = psi_S(q)
     assert phi_S(p) == q
+    assert _insertion_record(p) == value_record(p)
     assert perm_stats(p) == fpath_stats(q)[0]
     half = q[: len(q) // 2]
     assert perm_direct_sum(p, psi_S(half)) == psi_S(q + (NORTH,) + half)
