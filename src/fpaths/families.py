@@ -59,17 +59,17 @@ def parse_fpath(text: str) -> FPath:
     if text == "-":
         return ()
     steps = []
-    offset = 0
-    for token in text.split():
-        pos = text.index(token, offset)
+    for at, token in enumerate(text.split()):
         parts = token.split(",")
-        if len(parts) != 2:
-            raise ParseError(pos, f"expected 'a,b', got {token!r}")
         try:
-            steps.append((int(parts[0]), int(parts[1])))
+            a, b = parts
+            steps.append((int(a), int(b)))
         except ValueError:
-            raise ParseError(pos, f"non-integer step {token!r}") from None
-        offset = pos + len(token)
+            why = ("non-integer step" if len(parts) == 2
+                   else "expected 'a,b', got")
+            # splitting ``at`` times leaves the text from token ``at`` on
+            pos = len(text) - len(text.split(None, at)[-1])
+            raise ParseError(pos, f"{why} {token!r}") from None
     return fpath_core.validate_fpath(steps)
 
 
@@ -91,7 +91,7 @@ def render_perm(p) -> str:
 def parse_perm(text: str) -> tuple[int, ...]:
     text = require_str(text).strip()
     try:
-        vals = tuple(int(tok) for tok in text.split())
+        vals = tuple(map(int, text.split()))
     except ValueError:
         raise ParseError(0, f"non-integer entry in {text!r}") from None
     if not vals:
@@ -108,7 +108,7 @@ def render_invseq(e) -> str:
 def _parse_invseq(text: str, family):
     text = require_str(text).strip()
     try:
-        vals = tuple(int(tok) for tok in text.split(","))
+        vals = tuple(map(int, text.split(",")))
     except ValueError:
         raise ParseError(0, f"non-integer entry in {text!r}") from None
     return inversion_seqs.validate_invseq(vals, family)

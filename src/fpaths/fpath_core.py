@@ -80,12 +80,6 @@ def int_entries(values) -> tuple[int, ...]:
     return tuple(out)
 
 
-def step_in_f(step) -> bool:
-    """True if ``step`` is a legal F step."""
-    a, b = step
-    return (a == 0 and b == 1) or (a >= 1 and b <= 1)
-
-
 def validate_fpath(steps: Iterable[Iterable[int]]) -> FPath:
     """Normalize ``steps`` to a tuple of int pairs and check the F-path axioms.
 
@@ -101,20 +95,19 @@ def validate_fpath(steps: Iterable[Iterable[int]]) -> FPath:
     fpaths.errors.PrefixViolation: prefix of length 1 has sum(dx) > sum(dy)
     """
     path = []
-    sx = sy = 0
+    height = 0
     for pos, raw in enumerate(_entries(steps, "steps")):
         try:
             a, b = raw
-            step = (index(a), index(b))
+            a, b = index(a), index(b)
         except (TypeError, ValueError):
             raise StepNotInF(raw, pos) from None
-        if not step_in_f(step):
-            raise StepNotInF(step, pos)
-        sx += step[0]
-        sy += step[1]
-        if sx > sy:
+        if b > 1 or a < 1 and (a, b) != NORTH:
+            raise StepNotInF((a, b), pos)
+        height += b - a
+        if height < 0:
             raise PrefixViolation(pos + 1)
-        path.append(step)
+        path.append((a, b))
     return tuple(path)
 
 

@@ -22,16 +22,16 @@ block; when a = 1 the maximum and τ do.  φ undoes this from the last
 step: the maximum's index x and the number w of values it rotated give
 back, with the same blocks, how many of them the step took.
 
-ψ maps every F-path to an avoider, so :func:`validate_avoider` accepts p
-iff ψ(φ(p)) == p and scans in O(n^2) only to name a pattern.
+:func:`validate_avoider` decides membership in one O(n log n) scan and
+scans in O(n^2) only to name a pattern.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from math import inf
 
 from .errors import FormViolation, FpathsError, GuardExceeded, NotAvoider
-from .fpath_core import DEFAULT_GUARD, FPath, StatTriple, int_entries, validate_fpath
+from .fpath_core import DEFAULT_GUARD, FPath, StatTriple, int_entries
 
 Permutation = tuple[int, ...]
 
@@ -96,30 +96,56 @@ def _first_forbidden(p: Permutation) -> Permutation | None:
     return next((pat for pat in FORBIDDEN if pat in found), None)
 
 
-def is_avoider(p: Permutation) -> bool:
-    return _first_forbidden(tuple(p)) is None
+def _contains_forbidden(p: Permutation) -> bool:
+    """True iff the permutation p contains a pattern of FORBIDDEN, in one
+    scan with O(n log n) comparisons.
+
+    The orders 123, 132 and 213 are those whose first entry is below
+    their last, so (see :func:`_forbidden_ending_at`) p contains one iff
+    some i < j < k < l have p_l < p_i < p_k and p_l < p_j.  At k, take
+    p_l = t, the least entry after k, and r the last index before k with
+    p_r > t; the entries between r and k lie below t.  So one exists iff
+    a value before k other than p_r lies in (t, p_k).  ``tops`` holds the
+    prefix's right-to-left maxima, negated, and p_r is the last above t.
+    """
+    seen: list[int] = []
+    tops: list[int] = []
+    for v, t in zip(p, _later_minima(p)):
+        if v > t:
+            lo = bisect_left(seen, t)
+            between = bisect_left(seen, v, lo) - lo
+            if between > 1 or between and -tops[bisect_left(tops, -t) - 1] > v:
+                return True
+        insort(seen, v)
+        while tops and tops[-1] > -v:
+            tops.pop()
+        tops.append(-v)
+    return False
 
 
 def validate_avoider(p: Permutation) -> Permutation:
     """Return p as a tuple, or raise: FormViolation when p is empty, has
     an entry that is not an integer or is not a permutation of 1..len(p),
     NotAvoider naming the first pattern of FORBIDDEN that p contains.
-    p passes by the round trip ψ(φ(p)) == p; when that fails or raises,
-    :func:`_first_forbidden` decides, so no verdict rests on φ of it."""
+    :func:`_contains_forbidden` decides, and :func:`_first_forbidden`
+    runs only on a rejection, to name the pattern."""
     p = int_entries(p)
     if not p:
         raise FormViolation("empty permutation; the shortest has length 1")
     if sorted(p) != list(range(1, len(p) + 1)):
         raise FormViolation(f"not a permutation of 1..{len(p)}: {p!r}")
-    try:
-        if psi_S(validate_fpath(phi_S(p))) == p:
-            return p
-    except FpathsError:
-        pass
-    pat = _first_forbidden(p)
-    if pat is not None:
-        raise NotAvoider(pat)
+    if _contains_forbidden(p):
+        raise NotAvoider(_first_forbidden(p))
     return p
+
+
+def is_avoider(p) -> bool:
+    """True iff :func:`validate_avoider` accepts p, whatever p is."""
+    try:
+        validate_avoider(p)
+    except FpathsError:
+        return False
+    return True
 
 
 def gen_avoiders(n: int, guard: int = DEFAULT_GUARD) -> tuple[Permutation, ...]:

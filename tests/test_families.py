@@ -1,12 +1,14 @@
 """Registry wiring: parse/render round trips and the common size index."""
 import doctest
 import hashlib
+import importlib
+import pkgutil
 import random
 
 import pytest
 
-from fpaths import bicolored_dyck, counting, fpath_core, inversion_seqs
-from fpaths import pattern_perms, schroder_paths, weighted_trees
+import fpaths
+from fpaths import inversion_seqs
 from fpaths.errors import (
     FormViolation,
     GuardExceeded,
@@ -150,6 +152,9 @@ def test_empty_conventions():
     "tag, text, offset",
     [
         ("fpath", "0,1 x", 4),
+        ("fpath", "0,1 0,1 0,1,2", 8),
+        ("fpath", "0,1 0,1x 0,1", 4),
+        ("fpath", "1,1 1,1 1", 8),
         ("fpath", "0 1", 0),
         ("schroder", "uxd", 1),
         ("bicolored", "uq", 1),
@@ -189,17 +194,13 @@ def test_parse_validates_semantics_too():
 
 @pytest.mark.parametrize(
     "module",
-    [
-        fpath_core,
-        counting,
-        schroder_paths,
-        bicolored_dyck,
-        pattern_perms,
-        inversion_seqs,
-        weighted_trees,
-        oracles,
-    ],
+    [fpaths]
+    + [importlib.import_module(f"fpaths.{info.name}")
+       for info in pkgutil.iter_modules(fpaths.__path__)]
+    + [oracles],
 )
 def test_doctests(module):
+    """The examples in every module of the package, found by walking it,
+    so that a new module's examples run too."""
     result = doctest.testmod(module, verbose=False)
     assert result.failed == 0

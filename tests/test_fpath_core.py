@@ -61,6 +61,27 @@ class TestValidate:
     def test_empty(self):
         assert validate_fpath([]) == ()
 
+    def test_bools_become_ints(self):
+        q = validate_fpath([(False, True), (True, True)])
+        assert q == ((0, 1), (1, 1))
+        assert all(type(v) is int for step in q for v in step)
+
+    def test_accepts_a_generator(self):
+        steps = ((a, 1) for a in (0, 1, 0))
+        assert validate_fpath(steps) == ((0, 1), (1, 1), (0, 1))
+
+    def test_single_steps_against_the_definition(self):
+        for a, b in itertools.product(range(-3, 5), range(-3, 4)):
+            in_f = (a, b) == (0, 1) or (a >= 1 and b <= 1)
+            try:
+                validate_fpath([(0, 1), (0, 1), (0, 1), (a, b)])
+            except StepNotInF as exc:
+                assert not in_f and exc.position == 3, (a, b)
+            except PrefixViolation:
+                assert in_f and a - b > 3, (a, b)
+            else:
+                assert in_f, (a, b)
+
     @pytest.mark.parametrize("bad", [
         (0, 0), (0, 2), (-1, 1), (1, 2), (2, 3),
         # not a pair of integers; a float is refused, not truncated

@@ -56,7 +56,7 @@ def _entry_edit(rng, objects):
 def _swap_edit(rng, perms):
     """A permutation with one entry edited, or the direct sum of two
     generated avoiders with two entries swapped: about a third of those
-    swaps leave no avoider, so they reach the round-trip rejection."""
+    swaps leave no avoider, so they reach the membership scan's rejection."""
     if rng.random() < 0.5:
         return _entry_edit(rng, perms)
     entries = list(FAMILIES["perm"].direct_sum(rng.choice(perms),

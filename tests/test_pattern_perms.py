@@ -4,7 +4,8 @@ The containment oracle re-implements pattern matching with
 itertools.combinations and order-type comparison, sharing nothing with
 the backtracking matcher ``perm_contains``, which in turn is the oracle
 for the pattern scan ``_first_forbidden``.  ``validate_avoider`` decides
-membership by a φ/ψ round trip and is checked against that scan.  The
+membership by the one-pass order scan ``_contains_forbidden``, with no
+bijection involved, and is checked against ``_first_forbidden``.  The
 insertion-record cores ``phi_S``/``psi_S`` are checked against the
 shape-case surgeries ``shape_phi_S``/``shape_psi_S`` of the oracles,
 and the id-list record against the value-list ``value_record``.
@@ -16,6 +17,7 @@ import pytest
 
 from collections import Counter
 
+from fpaths import pattern_perms
 from fpaths.errors import FormViolation, GuardExceeded, NotAvoider
 from fpaths.families import FAMILIES
 from fpaths.fpath_core import NORTH, fpath_stats, gen_fpaths, validate_fpath
@@ -134,18 +136,42 @@ def test_membership_and_generation_match_oracle_exhaustively():
         assert list(gen_avoiders(n)) == avoiders, n
 
 
-def test_round_trip_check_matches_the_pattern_scan():
+def test_membership_scan_matches_the_pattern_scan():
     """validate_avoider accepts, or names a pattern, exactly as the
-    O(n^2) scan does, on every permutation of length <= 8 (a φ that
-    raised anything but FpathsError on a non-avoider would escape)."""
+    O(n^2) scan does, on every permutation of length <= 8."""
     for n in range(1, 9):
         for p in itertools.permutations(range(1, n + 1)):
             assert named_pattern(p) == _first_forbidden(p), p
 
 
+def test_membership_runs_no_bijection(monkeypatch):
+    """validate_avoider decides without φ_S or ψ_S, so a perm's
+    ``to_fpath`` runs φ_S once, as its core."""
+
+    def refuse(*args):
+        raise AssertionError("membership must not run the bijection")
+
+    monkeypatch.setattr(pattern_perms, "phi_S", refuse)
+    monkeypatch.setattr(pattern_perms, "psi_S", refuse)
+    for n in range(1, 8):
+        for p in itertools.permutations(range(1, n + 1)):
+            want = _first_forbidden(p)
+            if want is None:
+                assert validate_avoider(p) == p
+            else:
+                with pytest.raises(NotAvoider) as exc:
+                    validate_avoider(p)
+                assert exc.value.pattern == want, p
+
+
+def test_is_avoider_refuses_what_validation_refuses():
+    for p in ([1, 1, 1], [0, 5], "abc", [], 5, (2, 3, 4, 1), (1.0,)):
+        assert not is_avoider(p), p
+    assert is_avoider([2, 3, 1])
+
+
 def test_round_trip_holds_on_every_avoider():
-    """The scan is the fallback for failed round trips only: no avoider
-    of length <= 9 takes it."""
+    """φ_S and ψ_S invert each other on every avoider of length <= 9."""
     for n in range(1, 10):
         for p in gen_avoiders(n):
             assert psi_S(validate_fpath(phi_S(p))) == p, p
@@ -371,10 +397,11 @@ LARGE_PATHS = {
 
 @pytest.mark.parametrize("name", LARGE_PATHS)
 def test_large_paths_with_deep_steps(random_fpath, name):
-    """Round trip, the value-list record, statistics and direct sum, and
-    the shape oracles on the first 500 steps."""
+    """Membership, round trip, the value-list record, statistics, direct
+    sum, and the shape oracles on the first 500 steps."""
     q = LARGE_PATHS[name](random_fpath)
     p = psi_S(q)
+    assert validate_avoider(p) == p and is_avoider(p)
     assert phi_S(p) == q
     assert _insertion_record(p) == value_record(p)
     assert perm_stats(p) == fpath_stats(q)[0]
