@@ -12,17 +12,21 @@ Family tags (used by the CLI and the verification harness):
 
 Every family is described by a :class:`FamilyInfo` with parse / render /
 generate (at common index n) / to_fpath / from_fpath / stats /
-direct_sum / phi / psi / stats_core.  ``generate`` yields canonical
-order; objects of common index n biject with F-paths of length n.
+direct_sum / decompose / phi / psi / stats_core.  ``generate`` yields
+canonical order; objects of common index n biject with F-paths of
+length n.
 
 Validation happens here, once: ``parse`` checks text and object,
 ``generate`` the common index, and ``to_fpath`` / ``stats`` check an
 object and ``from_fpath`` an F-path, then run the trusted core ``phi`` /
 ``stats_core`` / ``psi``, which assumes a valid argument.  These checking
 fields raise an ``FpathsError`` for any argument, of any type, that they
-refuse.  ``render`` and ``direct_sum`` trust their arguments like the
-cores.  Callers holding values already checked (parsed or generated
-objects, phi's F-paths) call the cores directly.
+refuse.  ``render``, ``direct_sum`` and ``decompose`` trust their
+arguments like the cores.  ``decompose`` undoes the ``direct_sum`` fold
+through the hub: ``psi`` is a homomorphism, so the summands of an object
+are ``psi`` of the height-0 components of its F-path.  Callers holding
+values already checked (parsed or generated objects, phi's F-paths)
+call the cores directly.
 """
 from __future__ import annotations
 
@@ -200,6 +204,7 @@ class FamilyInfo:
     from_fpath: Callable[[FPath], object]   # validate_fpath, then psi
     stats: Callable[[object], StatTriple]   # validate, then stats_core
     direct_sum: Callable[[object, object], object]  # trusted: members only
+    decompose: Callable[[object], list]     # trusted: members only
     phi: Callable[[object], FPath]          # trusted: members only
     psi: Callable[[FPath], object]          # trusted: F-paths only
     stats_core: Callable[[object], StatTriple]  # trusted: members only
@@ -209,14 +214,17 @@ def _family(tag, parse, render, generate, validate, phi, psi, stats,
             direct_sum) -> FamilyInfo:
     """An entry whose generate checks the common index, to_fpath / stats
     check with ``validate`` and from_fpath with ``validate_fpath``, then
-    run ``generate`` / the trusted ``phi`` / ``stats`` / ``psi``."""
+    run ``generate`` / the trusted ``phi`` / ``stats`` / ``psi``, and
+    whose decompose maps the F-path's components back with ``psi``."""
     return FamilyInfo(
         tag, parse, render,
         lambda n, **kw: generate(_index(n), **kw),
         lambda obj: phi(validate(obj)),
         lambda q: psi(fpath_core.validate_fpath(q)),
         lambda obj: stats(validate(obj)),
-        direct_sum, phi, psi, stats,
+        direct_sum,
+        lambda obj: [psi(c) for c in fpath_core.fpath_decompose(phi(obj))],
+        phi, psi, stats,
     )
 
 

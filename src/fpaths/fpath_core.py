@@ -211,24 +211,23 @@ def fpath_decompose(q: FPath) -> list[FPath]:
     height, so that choice is forced.
 
     Returns the list ``[R_1, ..., R_{m+1}]`` (length ``height(q) + 1``).
+    One pass keeps ``last[i - 1]``, the last (0,1) landing at height i:
+    one landing at h drops the entries above h, which the path can only
+    reach again through later (0,1) steps.
 
     >>> fpath_decompose(((0, 1), (1, 0), (0, 1)))
     [((0, 1), (1, 0)), ()]
     """
-    heights = []
+    last = []
     h = 0
-    for a, b in q:
-        h += b - a
-        heights.append(h)
-    m = h if q else 0
-    last_at = {}
     for pos, step in enumerate(q):
+        a, b = step
+        h += b - a
         if step == NORTH:
-            last_at[heights[pos]] = pos
-    seps = [last_at[i] for i in range(1, m + 1)]
+            last[h - 1:] = [pos]
     parts = []
     start = 0
-    for p in seps:
+    for p in last[:h]:
         parts.append(tuple(q[start:p]))
         start = p + 1
     parts.append(tuple(q[start:]))

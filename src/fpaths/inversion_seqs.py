@@ -193,33 +193,6 @@ def dsum_I(e: InvSeq, f: InvSeq) -> InvSeq:
     return e[:mi] + shifted + e[mi:]
 
 
-def decompose_I(g: InvSeq) -> list[InvSeq]:
-    """Peel connected right summands; inverse of folding :func:`dsum_I`.
-
-    A sequence is connected (a single summand) iff maxid = max + 1.
-    Otherwise the last summand starts right after the unique position k
-    realizing the height deficit and runs while entries stay >= g_{k+1}.
-    """
-    parts: list[InvSeq] = []
-    cur = g
-    while True:
-        m, mi = max_and_maxid(cur)
-        if mi - m == 1:
-            break
-        deficit = mi - m - 1
-        k = max(i for i in range(1, len(cur) + 1) if i - cur[i - 1] == deficit)
-        base = cur[k]
-        j = k + 1
-        while j < len(cur) and cur[j] >= base:
-            j += 1
-        f = tuple(v - base for v in cur[k: j])
-        parts.append(f)
-        cur = cur[:k] + cur[j:]
-    parts.append(cur)
-    parts.reverse()
-    return parts
-
-
 # ---------------------------------------------------------------- family J
 
 
@@ -293,32 +266,6 @@ def dsum_J(e: InvSeq, f: InvSeq) -> InvSeq:
     m = len(f)
     tail = tuple(v + m if v > 0 else 0 for v in e[first:])
     return e[:first] + tuple(f) + tail
-
-
-def decompose_J(g: InvSeq) -> list[InvSeq]:
-    """Peel right summands; inverse of folding :func:`dsum_J`.
-
-    Connected means first = 1.  Otherwise the last summand occupies
-    positions r..r+m-1 where r = first and m is the smallest positive
-    integer with g_{r+m} >= m+1 (no such m: the summand runs to the end).
-    """
-    parts: list[InvSeq] = []
-    cur = g
-    while _leading_zeros(cur) > 1:
-        r = _leading_zeros(cur)
-        n = len(cur)
-        m = n - r + 1
-        for cand in range(1, n - r + 1):
-            if cur[r + cand - 1] >= cand + 1:
-                m = cand
-                break
-        f = cur[r - 1: r - 1 + m]
-        rest = tuple(v - m if v > 0 else 0 for v in cur[r - 1 + m:])
-        parts.append(f)
-        cur = cur[: r - 1] + rest
-    parts.append(cur)
-    parts.reverse()
-    return parts
 
 
 # -------------------------------------------------------------- generation

@@ -7,7 +7,7 @@ Statistics matched to F-paths:
 
     block - 1   plus-indecomposable blocks, minus 1        = height
     asc         adjacent ascents pi(i) < pi(i+1)           = north
-    crit        "critical" indexes (see :func:`crit`),     = aone + asc + 1
+    crit        critical indexes (see :func:`perm_stats`)  = aone + asc + 1
                 so aone = crit - asc - 1
 
 The bijection reads an avoider as the record of how ψ built it from
@@ -202,50 +202,39 @@ def _later_minima(p) -> list:
     return later
 
 
-def block_count(p) -> int:
-    """Blocks of p, or of any sequence of distinct values (those of its
-    reduction): the cut points, positions whose prefix maximum is below
-    every later entry (the last position always cuts).  O(len(p))."""
-    count = 0
-    top = -inf
-    for v, low in zip(p, _later_minima(p)):
-        if v > top:
-            top = v
-        if top < low:
-            count += 1
-    return count
-
-
 def asc(p: Permutation) -> int:
     return sum(1 for i in range(len(p) - 1) if p[i] < p[i + 1])
 
 
-def crit(p: Permutation) -> int:
-    """Indexes i where every pair j < i < k with pi(j), pi(k) < pi(i)
-    appears in increasing order (pi(j) < pi(k)).
+def perm_stats(p: Permutation) -> StatTriple:
+    """(block - 1, asc, crit - asc - 1) for a nonempty avoider.
 
-    With L(i) the largest value left of i below pi(i), the index i is
-    critical iff no later entry is below L(i) (vacuously when there is
-    no such value).  Suffix minima and a sorted list of the values seen
-    so far give O(n log n) comparisons.
+    Blocks end at the cut points, positions whose prefix maximum is
+    below every later entry (the last position always cuts).  An index
+    i is critical when every pair j < i < k with pi(j), pi(k) < pi(i)
+    appears in increasing order.  With L(i) the largest value left of i
+    below pi(i), that holds iff no later entry is below L(i) (vacuously
+    when there is no such value).  One pass over the suffix minima,
+    with a sorted list of the values seen so far, counts both in
+    O(n log n) comparisons.
 
-    >>> crit((2, 4, 1, 3))
-    3
+    >>> perm_stats((2, 4, 1, 3))
+    StatTriple(h=0, l=2, a1=0)
     """
+    blocks = crit = 0
+    top = -inf
     seen: list[int] = []
-    count = 0
     for v, low in zip(p, _later_minima(p)):
+        if v > top:
+            top = v
+        if top < low:
+            blocks += 1
         at = bisect_left(seen, v)
         if at == 0 or seen[at - 1] < low:
-            count += 1
+            crit += 1
         seen.insert(at, v)
-    return count
-
-
-def perm_stats(p: Permutation) -> StatTriple:
-    """(block - 1, asc, crit - asc - 1) for a nonempty avoider."""
     a = asc(p)
-    return StatTriple(block_count(p) - 1, a, crit(p) - a - 1)
+    return StatTriple(blocks - 1, a, crit - a - 1)
 
 
 def perm_direct_sum(p1: Permutation, p2: Permutation) -> Permutation:

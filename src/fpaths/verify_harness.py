@@ -13,8 +13,10 @@ a path -> object table that :func:`run_all` keeps for sizes <= n.  The
 four groups read this :class:`SizeData` and call neither ``phi`` nor
 ``psi``: a round trip is a lookup of the stored psi of a stored image,
 ``stats_core`` runs once per object and ``fpath_stats`` once per path,
-and the direct-sum check looks every component up in the table.
-Only the pinned constants go through the validating ``from_fpath``.
+and the direct-sum check looks every component up in the table.  The
+exception is the two ``decompose`` records: the family's ``decompose``
+runs ``phi`` and ``psi`` again, on one member per path.  Only the
+pinned constants go through the validating ``from_fpath``.
 
     verify_equinumerous(n, data)   |family_n| == a_total(n) for all
                                    families
@@ -35,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 
-from . import inversion_seqs
 from .counting import a_joint, a_total
 from .families import FAMILIES, TAGS, _index
 from .fpath_core import (
@@ -327,15 +328,16 @@ def verify_direct_sums(n: int, data: SizeData) -> list[CheckRecord]:
                 break
         out.append(_record(f"direct-sum[{tag}] psi is a homomorphism", n,
                            bad, render_path))
-    for tag, decompose in (("inv-i", "decompose_I"), ("inv-j", "decompose_J")):
-        psi_of = data.preimages[tag]
-        func = getattr(inversion_seqs, decompose)
+    # The record names are pinned output; they name the connectedness
+    # peelers that the tests keep as these two families' oracles.
+    for tag, peeler in (("inv-i", "decompose_I"), ("inv-j", "decompose_J")):
+        decompose, psi_of = FAMILIES[tag].decompose, data.preimages[tag]
         bad = next(
             (q for q, comps in decomps
-             if func(psi_of[q]) != [psi_of.get(c) for c in comps]),
+             if decompose(psi_of[q]) != [psi_of.get(c) for c in comps]),
             None,
         )
-        out.append(_record(f"direct-sum[{tag}] {decompose} inverts the fold",
+        out.append(_record(f"direct-sum[{tag}] {peeler} inverts the fold",
                            n, bad, render_path))
     return out
 

@@ -3,9 +3,12 @@ the tests.
 
 The library decides membership with linear or quadratic scans
 (``pattern_perms.validate_avoider``, ``inversion_seqs.validate_invseq``)
-and counts critical indexes in O(n log n) (``pattern_perms.crit``);
-these oracles try every subsequence or triple instead, so the tests can
-check the fast code against a definition that shares no code with it.
+and counts blocks and critical indexes in one pass
+(``pattern_perms.perm_stats``); these oracles try every subsequence or
+triple instead, so the tests can check the fast code against a
+definition that shares no code with it.  :func:`block_count` and
+:func:`crit` count the two separately, and :func:`block_count` also
+reads unreduced sequences, as :func:`shape_phi_S` needs.
 Likewise ``schroder_paths.phi_P`` and ``inversion_seqs.phi_I`` read the
 construction record in one pass, while :func:`peel_phi_P` and
 :func:`delete_max_phi_I` take the object apart one step at a time, as
@@ -14,17 +17,23 @@ and write the insertion record of the maximum; :func:`shape_phi_S` and
 :func:`shape_psi_S` rebuild the permutation at every step by the four
 shape-case surgeries of :func:`shape_analysis`, and :func:`value_record`
 reads the record off a list of values rather than of ids.
+Every family's ``decompose`` maps the F-path's components back with ψ;
+:func:`decompose_I` and :func:`decompose_J` peel the summands off the
+sequence itself, by the paper's connectedness tests (maxid = max + 1,
+first = 1).
 :func:`joint_dp` counts F-paths by their statistics with a transfer over
 the steps, for the closed forms ``counting.a_joint`` and
 ``counting.a_marginal``, and :func:`step_class_dp` by their step
 classes, for ``counting.f_refined``.
 """
+from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
+from math import inf
 from typing import Iterator, NamedTuple
 
-from fpaths.inversion_seqs import max_and_maxid
-from fpaths.pattern_perms import block_count
+from fpaths.inversion_seqs import InvSeq, _leading_zeros, max_and_maxid
+from fpaths.pattern_perms import _later_minima
 
 
 def perm_contains(p, pattern) -> bool:
@@ -87,6 +96,42 @@ def brute_crit(p) -> int:
         not any(p[k] < p[j] < p[i] for j in range(i) for k in range(i + 1, n))
         for i in range(n)
     )
+
+
+def block_count(p) -> int:
+    """Blocks of p, or of any sequence of distinct values (those of its
+    reduction): the cut points, positions whose prefix maximum is below
+    every later entry (the last position always cuts).  O(len(p))."""
+    count = 0
+    top = -inf
+    for v, low in zip(p, _later_minima(p)):
+        if v > top:
+            top = v
+        if top < low:
+            count += 1
+    return count
+
+
+def crit(p) -> int:
+    """Indexes i where every pair j < i < k with pi(j), pi(k) < pi(i)
+    appears in increasing order (pi(j) < pi(k)).
+
+    With L(i) the largest value left of i below pi(i), the index i is
+    critical iff no later entry is below L(i) (vacuously when there is
+    no such value).  Suffix minima and a sorted list of the values seen
+    so far give O(n log n) comparisons.
+
+    >>> crit((2, 4, 1, 3))
+    3
+    """
+    seen: list[int] = []
+    count = 0
+    for v, low in zip(p, _later_minima(p)):
+        at = bisect_left(seen, v)
+        if at == 0 or seen[at - 1] < low:
+            count += 1
+        seen.insert(at, v)
+    return count
 
 
 # ------------------------------------------------------------ paper's maps
@@ -191,6 +236,59 @@ def delete_max_phi_I(e) -> tuple:
         e = nxt
     steps.reverse()
     return tuple(steps)
+
+
+def decompose_I(g: InvSeq) -> list[InvSeq]:
+    """Peel connected right summands; inverse of folding :func:`dsum_I`.
+
+    A sequence is connected (a single summand) iff maxid = max + 1.
+    Otherwise the last summand starts right after the unique position k
+    realizing the height deficit and runs while entries stay >= g_{k+1}.
+    """
+    parts: list[InvSeq] = []
+    cur = g
+    while True:
+        m, mi = max_and_maxid(cur)
+        if mi - m == 1:
+            break
+        deficit = mi - m - 1
+        k = max(i for i in range(1, len(cur) + 1) if i - cur[i - 1] == deficit)
+        base = cur[k]
+        j = k + 1
+        while j < len(cur) and cur[j] >= base:
+            j += 1
+        f = tuple(v - base for v in cur[k: j])
+        parts.append(f)
+        cur = cur[:k] + cur[j:]
+    parts.append(cur)
+    parts.reverse()
+    return parts
+
+
+def decompose_J(g: InvSeq) -> list[InvSeq]:
+    """Peel right summands; inverse of folding :func:`dsum_J`.
+
+    Connected means first = 1.  Otherwise the last summand occupies
+    positions r..r+m-1 where r = first and m is the smallest positive
+    integer with g_{r+m} >= m+1 (no such m: the summand runs to the end).
+    """
+    parts: list[InvSeq] = []
+    cur = g
+    while _leading_zeros(cur) > 1:
+        r = _leading_zeros(cur)
+        n = len(cur)
+        m = n - r + 1
+        for cand in range(1, n - r + 1):
+            if cur[r + cand - 1] >= cand + 1:
+                m = cand
+                break
+        f = cur[r - 1: r - 1 + m]
+        rest = tuple(v - m if v > 0 else 0 for v in cur[r - 1 + m:])
+        parts.append(f)
+        cur = cur[: r - 1] + rest
+    parts.append(cur)
+    parts.reverse()
+    return parts
 
 
 # ------------------------------------------------- avoiders by shape case

@@ -18,7 +18,7 @@ from fpaths.fpath_core import (
     gen_fpaths,
     involution_phi_F,
 )
-from fpaths.inversion_seqs import decompose_I, decompose_J, dsum_I, dsum_J
+from fpaths.inversion_seqs import dsum_I, dsum_J
 from fpaths.verify_harness import PINNED_IMAGES, PINNED_Q, SEQUENCE
 
 GEN: dict[tuple[str, int], tuple] = {}
@@ -229,10 +229,10 @@ def test_criterion_8_direct_sums():
     pin_i = tuple(int(v) for v in PINNED_IMAGES["inv-i"].split(","))
     pin_j = tuple(int(v) for v in PINNED_IMAGES["inv-j"].split(","))
     if functools.reduce(dsum_I, chain_i) != pin_i or \
-            decompose_I(pin_i) != list(chain_i):
+            FAMILIES["inv-i"].decompose(pin_i) != list(chain_i):
         ok, detail = False, "pinned chain I"
     if functools.reduce(dsum_J, chain_j) != pin_j or \
-            decompose_J(pin_j) != list(chain_j):
+            FAMILIES["inv-j"].decompose(pin_j) != list(chain_j):
         ok, detail = False, "pinned chain J"
     _report(8, "direct sums transport along every bijection n<=5", ok,
             detail)

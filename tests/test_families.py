@@ -4,11 +4,11 @@ import hashlib
 import importlib
 import pkgutil
 import random
+from functools import reduce
 
 import pytest
 
 import fpaths
-from fpaths import inversion_seqs
 from fpaths.errors import (
     FormViolation,
     GuardExceeded,
@@ -111,10 +111,6 @@ def test_family_map_is_pinned(tag):
 
 
 MAPPED = ("schroder", "bicolored", "perm", "inv-i", "inv-j", "tree")
-DECOMPOSE = {
-    "inv-i": inversion_seqs.decompose_I,
-    "inv-j": inversion_seqs.decompose_J,
-}
 
 
 @pytest.mark.parametrize(
@@ -123,8 +119,7 @@ DECOMPOSE = {
 )
 def test_large_objects_cross_the_boundary(random_fpath, tag, n):
     """Seeded random paths: the checked round trip through text,
-    statistics, direct sums and, for the inversion sequences, the
-    decomposition into connected summands."""
+    statistics, direct sums and the decomposition into summands."""
     fam = FAMILIES[tag]
     rng = random.Random(n)
     q, q1, q2 = (random_fpath(rng, n) for _ in range(3))
@@ -133,9 +128,21 @@ def test_large_objects_cross_the_boundary(random_fpath, tag, n):
     assert fam.stats(obj) == fpath_stats(q)[0]
     joined = q1 + (NORTH,) + q2
     assert fam.direct_sum(fam.psi(q1), fam.psi(q2)) == fam.psi(joined)
-    if tag in DECOMPOSE:
-        assert (DECOMPOSE[tag](fam.psi(joined))
-                == [fam.psi(r) for r in fpath_decompose(joined)])
+    assert (fam.decompose(fam.psi(joined))
+            == [fam.psi(r) for r in fpath_decompose(joined)])
+
+
+def test_decompose_undoes_the_fold():
+    """Every object of every family with n <= 7 unfolds into height + 1
+    summands of height 0 that fold back to it."""
+    for tag in TAGS:
+        fam = FAMILIES[tag]
+        for n in range(8):
+            for obj in fam.generate(n):
+                parts = fam.decompose(obj)
+                assert reduce(fam.direct_sum, parts) == obj, (tag, obj)
+                assert len(parts) == fam.stats_core(obj).h + 1, (tag, obj)
+                assert all(fam.stats_core(r).h == 0 for r in parts), (tag, obj)
 
 
 def test_empty_conventions():

@@ -4,7 +4,9 @@ The avoidance oracle spells out each pattern as explicit triple
 comparisons - no shared code with the reduction matcher
 ``invseq_contains``, which in turn is the oracle for the linear scan
 behind ``validate_invseq``.  The paper's max deletion,
-``oracles.delete_max_phi_I``, is the oracle for the one-pass phi_I.
+``oracles.delete_max_phi_I``, is the oracle for the one-pass phi_I, and
+the connectedness peelers ``oracles.decompose_I``/``decompose_J`` for
+the families' decompose through the F-path components.
 """
 import itertools
 import random
@@ -18,8 +20,6 @@ from fpaths.inversion_seqs import (
     _PATTERNS,
     FAMILY_I,
     FAMILY_J,
-    decompose_I,
-    decompose_J,
     dsum_I,
     dsum_J,
     gen_invseq,
@@ -32,7 +32,13 @@ from fpaths.inversion_seqs import (
     stats_J,
     validate_invseq,
 )
-from oracles import delete_max_phi_I, invseq_contains, word_reduction
+from oracles import (
+    decompose_I,
+    decompose_J,
+    delete_max_phi_I,
+    invseq_contains,
+    word_reduction,
+)
 
 SIX_FPATHS = (
     ((0, 1), (1, 0)),
@@ -323,6 +329,8 @@ def test_pinned_chains():
     want_j = tuple(int(v) for v in PINNED_IMAGES["inv-j"].split(","))
     assert functools.reduce(dsum_I, CHAIN_I) == want_i
     assert functools.reduce(dsum_J, CHAIN_J) == want_j
+    assert FAMILIES["inv-i"].decompose(want_i) == list(CHAIN_I)
+    assert FAMILIES["inv-j"].decompose(want_j) == list(CHAIN_J)
     assert decompose_I(want_i) == list(CHAIN_I)
     assert decompose_J(want_j) == list(CHAIN_J)
 
@@ -333,20 +341,20 @@ def test_decompose_j_fallback_summand_reaches_the_end():
     g = dsum_J((0, 0), (0, 1, 1, 1, 0, 0))
     assert g == (0, 0, 0, 1, 1, 1, 0, 0)
     assert decompose_J(g) == [(0,), (0,), (0, 1, 1, 1, 0, 0)]
+    assert FAMILIES["inv-j"].decompose(g) == [(0,), (0,), (0, 1, 1, 1, 0, 0)]
 
 
 def test_decompose_matches_fpath_components():
-    """decompose agrees with the transported F-path decomposition."""
+    """The peelers, which read connectedness off the sequence, agree with
+    the families' decompose through the F-path components on every
+    avoider with n <= 8, and fold back to it."""
     import functools
 
-    from fpaths.fpath_core import fpath_decompose
-
-    for n in range(6):
-        for e in gen_invseq(n + 1, FAMILY_I):
-            parts = decompose_I(e)
-            assert functools.reduce(dsum_I, parts) == e
-            assert parts == [psi_I(r) for r in fpath_decompose(phi_I(e))]
-        for e in gen_invseq(n + 1, FAMILY_J):
-            parts = decompose_J(e)
-            assert functools.reduce(dsum_J, parts) == e
-            assert parts == [psi_J(r) for r in fpath_decompose(phi_J(e))]
+    for family, tag, peel, dsum in ((FAMILY_I, "inv-i", decompose_I, dsum_I),
+                                    (FAMILY_J, "inv-j", decompose_J, dsum_J)):
+        decompose = FAMILIES[tag].decompose
+        for n in range(9):
+            for e in gen_invseq(n + 1, family):
+                parts = peel(e)
+                assert functools.reduce(dsum, parts) == e
+                assert decompose(e) == parts, (tag, e)

@@ -6,16 +6,17 @@ public entry points: small edits of rendered objects go through
 ``parse``, raw step tuples through ``from_fpath``, and raw entry tuples
 (permutations with two entries swapped, tree codes with one pair
 edited) through ``to_fpath`` and ``stats``.  Only ``FpathsError`` may escape, and
-every accepted input must round-trip and keep its statistics.  Its
-checks use ``if``/``raise``, since ``-O`` also strips pytest's assertion
-rewriting.  The tests run the sweep, and ``fpaths verify``, in a
-``python -O`` subprocess.  Run by hand: ``python -O tests/test_optimised.py
+every accepted input must round-trip, keep its statistics and fold back
+from its ``decompose``.  Its checks use ``if``/``raise``, since ``-O``
+also strips pytest's assertion rewriting.  The tests run the sweep, and
+``fpaths verify``, in a ``python -O`` subprocess.  Run by hand: ``python -O tests/test_optimised.py
 [SEED]``.
 """
 import os
 import random
 import subprocess
 import sys
+from functools import reduce
 
 import fpaths
 from fpaths.errors import FpathsError
@@ -83,13 +84,19 @@ ENTRY_EDITS = {"perm": _swap_edit, "inv-i": _entry_edit,
                "inv-j": _entry_edit, "tree": _pair_edit}
 
 
+def _check_fold(fam, obj):
+    if reduce(fam.direct_sum, fam.decompose(obj)) != obj:
+        raise SweepFailure(f"{fam.tag}: {obj!r} does not fold back")
+
+
 def _check_object(fam, obj, q):
-    """``obj`` was accepted with image ``q``: it must come back from q
-    and carry q's statistics."""
+    """``obj`` was accepted with image ``q``: it must come back from q,
+    carry q's statistics and fold back from its summands."""
     if fam.from_fpath(q) != obj:
         raise SweepFailure(f"{fam.tag}: {obj!r} does not round-trip")
     if fam.stats(obj) != fpath_stats(q)[0]:
         raise SweepFailure(f"{fam.tag}: stats of {obj!r} differ from phi's")
+    _check_fold(fam, obj)
 
 
 def _check_text(fam, text):
@@ -109,6 +116,7 @@ def _check_steps(fam, steps):
         return
     if fam.to_fpath(obj) != tuple(tuple(s) for s in steps):
         raise SweepFailure(f"{fam.tag}: steps {steps!r} do not round-trip")
+    _check_fold(fam, obj)
 
 
 def _check_entries(fam, entries):

@@ -26,8 +26,6 @@ from fpaths.pattern_perms import (
     _first_forbidden,
     _insertion_record,
     asc,
-    block_count,
-    crit,
     gen_avoiders,
     is_avoider,
     perm_direct_sum,
@@ -41,8 +39,10 @@ from oracles import (
     Z_EQ_LT,
     Z_LT_GT,
     Z_LT_LT,
+    block_count,
     block_decompose,
     brute_crit,
+    crit,
     perm_contains,
     shape_analysis,
     shape_phi_S,
@@ -263,13 +263,17 @@ def test_crit_pinned():
 
 
 def test_crit_matches_brute_force():
-    """The O(n log n) crit against trying every triple, on every avoider
-    with n <= 8 and on every permutation of length 7."""
-    for n in range(9):
-        for p in gen_avoiders(n + 1):
-            assert crit(p) == brute_crit(p)
-    for p in itertools.permutations(range(1, 8)):
-        assert crit(p) == brute_crit(p)
+    """The O(n log n) crit, and perm_stats' one pass that counts blocks
+    and critical indexes together, against trying every triple and
+    splitting every block, on every avoider with n <= 8 and on every
+    permutation of length 7."""
+    perms = itertools.chain(
+        (p for n in range(9) for p in gen_avoiders(n + 1)),
+        itertools.permutations(range(1, 8)))
+    for p in perms:
+        c, a = brute_crit(p), asc(p)
+        assert crit(p) == c
+        assert perm_stats(p) == (len(block_decompose(p)) - 1, a, c - a - 1), p
 
 
 def test_perm_stats_six():

@@ -75,6 +75,8 @@ def _count_cores(monkeypatch):
 
 def test_run_all_runs_phi_once_per_object_and_psi_once_per_path(
         monkeypatch):
+    """The direct-sum records' ``decompose`` closes over the unwrapped
+    cores, so its phi and psi calls are not counted."""
     calls = _count_cores(monkeypatch)
     assert run_all(max_n=4).ok
     want = Counter()
