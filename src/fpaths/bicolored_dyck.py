@@ -25,15 +25,11 @@ from __future__ import annotations
 
 from .errors import (
     BelowAxis,
-    FormViolation,
-    GuardExceeded,
     NotClosed,
     ParseError,
     RunFormViolation,
 )
-from .fpath_core import (
-    DEFAULT_GUARD, FPath, StatTriple, fpath_height, require_str,
-)
+from .fpath_core import FPath, StatTriple, fpath_height, require_str
 
 BicoloredWord = str
 
@@ -124,14 +120,10 @@ def psi_B(q: FPath) -> BicoloredWord:
     return "".join(parts)
 
 
-def gen_bicolored(
-    n_plus_1: int, guard: int = DEFAULT_GUARD
-) -> tuple[BicoloredWord, ...]:
-    """All valid words with n_plus_1 up steps, in plain string order (b<r<u)."""
-    if n_plus_1 < 1:
-        raise FormViolation("need at least one up step")
-    if n_plus_1 - 1 > guard:
-        raise GuardExceeded(n_plus_1 - 1, guard)
+def gen_bicolored(n_plus_1: int) -> tuple[BicoloredWord, ...]:
+    """All valid words with n_plus_1 up steps, in plain string order (b<r<u).
+    A trusted core: n_plus_1 must be an integer >= 1, checked by
+    ``FAMILIES["bicolored"].generate``."""
     total = 2 * n_plus_1
     out: list[str] = []
 

@@ -49,17 +49,19 @@ def comb0(n: int, k: int) -> BigCount:
 def series_coeff(t: int, s: int) -> BigCount:
     """Coefficient of x^t in (1 - x)^(-s), as an exact integer.
 
-    This is C(t+s-1, s-1) for t, s >= 0, with the conventions
-    series_coeff(t, 0) = [t == 0] and 0 for t < 0.
+    This is C(t+s-1, s-1) for s >= 1, (-1)^t C(-s, t) for s <= 0 (a
+    polynomial, so series_coeff(t, 0) = [t == 0]) and 0 for t < 0.
 
     >>> [series_coeff(t, 3) for t in range(5)]
     [1, 3, 6, 10, 15]
+    >>> [series_coeff(t, -2) for t in range(4)]
+    [1, -2, 1, 0]
     """
     t, s = _int(t), _int(s)
     if t < 0:
         return 0
-    if s == 0:
-        return 1 if t == 0 else 0
+    if s <= 0:
+        return (-1) ** t * comb(-s, t)
     return comb(t + s - 1, s - 1)
 
 

@@ -37,15 +37,12 @@ class PrefixViolation(FpathsError):
 
 
 class GuardExceeded(FpathsError):
-    """An enumeration size guard was exceeded; pass a larger guard to override."""
+    """A common index n above the enumeration ceiling ``guard``."""
 
     def __init__(self, requested, guard):
         self.requested = requested
         self.guard = guard
-        super().__init__(
-            f"requested size {requested} exceeds guard {guard}; "
-            f"pass guard={requested} to force"
-        )
+        super().__init__(f"n must be <= {guard}, got {requested}")
 
 
 # ------------------------------------------------- lattice-path families

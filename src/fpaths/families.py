@@ -17,21 +17,22 @@ canonical order; objects of common index n biject with F-paths of
 length n.
 
 Validation happens here, once: ``parse`` checks text and object,
-``generate`` the common index, and ``to_fpath`` / ``stats`` check an
-object and ``from_fpath`` an F-path, then run the trusted core ``phi`` /
-``stats_core`` / ``psi``, which assumes a valid argument.  These checking
-fields raise an ``FpathsError`` for any argument, of any type, that they
-refuse.  ``render``, ``direct_sum`` and ``decompose`` trust their
-arguments like the cores.  ``decompose`` undoes the ``direct_sum`` fold
-through the hub: ``psi`` is a homomorphism, so the summands of an object
-are ``psi`` of the height-0 components of its F-path.  Callers holding
-values already checked (parsed or generated objects, phi's F-paths)
-call the cores directly.
+``generate`` checks n with :func:`fpath_core.common_index` and then runs
+the family's trusted generator (``gen_schroder``, ``gen_bicolored``,
+``gen_avoiders``, ``gen_invseq``, ``gen_wtrees``), and ``to_fpath`` /
+``stats`` check an object and ``from_fpath`` an F-path, then run the
+trusted core ``phi`` / ``stats_core`` / ``psi``, which assumes a valid
+argument.  These checking fields raise an ``FpathsError`` for any
+argument, of any type, that they refuse.  ``render``, ``direct_sum`` and
+``decompose`` trust their arguments like the cores.  ``decompose``
+undoes the ``direct_sum`` fold through the hub: ``psi`` is a
+homomorphism, so the summands of an object are ``psi`` of the height-0
+components of its F-path.  Callers holding values already checked
+(parsed or generated objects, phi's F-paths) call the cores directly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 from typing import Callable
 
 from . import (
@@ -42,7 +43,7 @@ from . import (
     schroder_paths,
     weighted_trees,
 )
-from .errors import FormViolation, ParseError
+from .errors import ParseError
 from .fpath_core import FPath, StatTriple, require_str
 from .weighted_trees import WTree
 
@@ -212,13 +213,13 @@ class FamilyInfo:
 
 def _family(tag, parse, render, generate, validate, phi, psi, stats,
             direct_sum) -> FamilyInfo:
-    """An entry whose generate checks the common index, to_fpath / stats
-    check with ``validate`` and from_fpath with ``validate_fpath``, then
-    run ``generate`` / the trusted ``phi`` / ``stats`` / ``psi``, and
+    """An entry whose generate checks n with ``common_index``, to_fpath /
+    stats check with ``validate`` and from_fpath with ``validate_fpath``,
+    then run the trusted ``generate`` / ``phi`` / ``stats`` / ``psi``, and
     whose decompose maps the F-path's components back with ``psi``."""
     return FamilyInfo(
         tag, parse, render,
-        lambda n, **kw: generate(_index(n), **kw),
+        lambda n: generate(fpath_core.common_index(n)),
         lambda obj: phi(validate(obj)),
         lambda q: psi(fpath_core.validate_fpath(q)),
         lambda obj: stats(validate(obj)),
@@ -226,17 +227,6 @@ def _family(tag, parse, render, generate, validate, phi, psi, stats,
         lambda obj: [psi(c) for c in fpath_core.fpath_decompose(phi(obj))],
         phi, psi, stats,
     )
-
-
-def _index(n) -> int:
-    """The common index n, which must be an integer >= 0."""
-    try:
-        n = index(n)
-    except TypeError:
-        raise FormViolation(f"n must be an integer, got {n!r}") from None
-    if n < 0:
-        raise FormViolation(f"n must be >= 0, got {n}")
-    return n
 
 
 def _identity(q: FPath) -> FPath:
@@ -266,7 +256,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         "bicolored",
         lambda t: _parse_word(t, bicolored_dyck.validate_bicolored),
         render_word,
-        lambda n, **kw: bicolored_dyck.gen_bicolored(n + 1, **kw),
+        lambda n: bicolored_dyck.gen_bicolored(n + 1),
         bicolored_dyck.validate_bicolored,
         bicolored_dyck.phi_B, bicolored_dyck.psi_B,
         bicolored_dyck.bicolored_stats, bicolored_dyck.bicolored_direct_sum,
@@ -275,7 +265,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         "perm",
         lambda t: pattern_perms.validate_avoider(parse_perm(t)),
         render_perm,
-        lambda n, **kw: pattern_perms.gen_avoiders(n + 1, **kw),
+        lambda n: pattern_perms.gen_avoiders(n + 1),
         pattern_perms.validate_avoider,
         pattern_perms.phi_S, pattern_perms.psi_S,
         pattern_perms.perm_stats, pattern_perms.perm_direct_sum,
@@ -284,8 +274,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         "inv-i",
         lambda t: _parse_invseq(t, inversion_seqs.FAMILY_I),
         render_invseq,
-        lambda n, **kw: inversion_seqs.gen_invseq(
-            n + 1, inversion_seqs.FAMILY_I, **kw),
+        lambda n: inversion_seqs.gen_invseq(n + 1, inversion_seqs.FAMILY_I),
         lambda e: inversion_seqs.validate_invseq(e, inversion_seqs.FAMILY_I),
         inversion_seqs.phi_I, inversion_seqs.psi_I,
         inversion_seqs.stats_I, inversion_seqs.dsum_I,
@@ -294,8 +283,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         "inv-j",
         lambda t: _parse_invseq(t, inversion_seqs.FAMILY_J),
         render_invseq,
-        lambda n, **kw: inversion_seqs.gen_invseq(
-            n + 1, inversion_seqs.FAMILY_J, **kw),
+        lambda n: inversion_seqs.gen_invseq(n + 1, inversion_seqs.FAMILY_J),
         lambda e: inversion_seqs.validate_invseq(e, inversion_seqs.FAMILY_J),
         inversion_seqs.phi_J, inversion_seqs.psi_J,
         inversion_seqs.stats_J, inversion_seqs.dsum_J,
@@ -304,7 +292,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         "tree",
         parse_wtree,
         render_wtree,
-        lambda n, **kw: weighted_trees.gen_wtrees(n + 1, **kw),
+        lambda n: weighted_trees.gen_wtrees(n + 1),
         weighted_trees.validate_wtree,
         weighted_trees.phi_T, weighted_trees.psi_T,
         weighted_trees.wtree_stats, weighted_trees.wtree_direct_sum,

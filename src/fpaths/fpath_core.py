@@ -33,11 +33,11 @@ FPath = tuple[FStep, ...]
 
 NORTH: FStep = (0, 1)
 
-#: Default ceiling on the common index n (the F-path length) accepted by
-#: :func:`gen_fpaths` and by every family's generator.  Counts grow
-#: roughly 4.4x per unit of n, so 10 (~half a million paths) is the
-#: largest size that is comfortable to materialize by accident.
-DEFAULT_GUARD = 10
+#: Largest common index n (the F-path length) that :func:`common_index`
+#: accepts.  Counts grow roughly 4.4x per unit of n, so 10 (~half a
+#: million paths) is the largest size that is comfortable to materialize
+#: by accident.
+MAX_N = 10
 
 
 class StatTriple(NamedTuple):
@@ -169,8 +169,28 @@ def _gen(n: int, height: int) -> Iterator[FPath]:
             yield (step,) + rest
 
 
-def gen_fpaths(n: int, guard: int = DEFAULT_GUARD) -> tuple[FPath, ...]:
-    """All F-paths of length ``n`` in canonical order.
+def common_index(n) -> int:
+    """The common index n of every family, checked once for all of them.
+
+    A non-integer or negative n raises :class:`FormViolation` and one
+    above :data:`MAX_N` raises :class:`GuardExceeded`.  The family
+    generators behind ``FAMILIES[tag].generate`` are trusted cores that
+    take their size only from here.
+    """
+    try:
+        n = index(n)
+    except TypeError:
+        raise FormViolation(f"n must be an integer, got {n!r}") from None
+    if n < 0:
+        raise FormViolation(f"n must be >= 0, got {n}")
+    if n > MAX_N:
+        raise GuardExceeded(n, MAX_N)
+    return n
+
+
+def gen_fpaths(n: int) -> tuple[FPath, ...]:
+    """All F-paths of length ``n`` in canonical order; ``n`` is checked
+    by :func:`common_index`.
 
     The order is lexicographic by step sequence, where steps sort with
     (0,1) first, then by a ascending and b descending — so the six paths
@@ -185,11 +205,7 @@ def gen_fpaths(n: int, guard: int = DEFAULT_GUARD) -> tuple[FPath, ...]:
     ((1, 1), (0, 1))
     ((1, 1), (1, 1))
     """
-    if n < 0:
-        raise FormViolation(f"n must be >= 0, got {n}")
-    if n > guard:
-        raise GuardExceeded(n, guard)
-    return tuple(_gen(n, 0))
+    return tuple(_gen(common_index(n), 0))
 
 
 # ------------------------------------------------------------ direct sums

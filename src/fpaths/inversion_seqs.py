@@ -29,14 +29,8 @@ from bisect import bisect_right
 from itertools import pairwise
 from math import inf
 
-from .errors import FormViolation, GuardExceeded, NotAvoider
-from .fpath_core import (
-    DEFAULT_GUARD,
-    FPath,
-    StatTriple,
-    fpath_height,
-    int_entries,
-)
+from .errors import FormViolation, NotAvoider
+from .fpath_core import FPath, StatTriple, fpath_height, int_entries
 
 InvSeq = tuple[int, ...]
 
@@ -96,7 +90,7 @@ class _Scan:
         return new
 
 
-def validate_invseq(entries, family: str | None = None) -> InvSeq:
+def validate_invseq(entries, family: str) -> InvSeq:
     """Check integer entries, length >= 1, the inversion bound and
     ``family`` avoidance.
 
@@ -109,17 +103,16 @@ def validate_invseq(entries, family: str | None = None) -> InvSeq:
     for i, v in enumerate(e, 1):
         if not 0 <= v <= i - 1:
             raise FormViolation(f"entry {v} at position {i} outside 0..{i - 1}")
-    if family is not None:
-        scan = _Scan()
-        found = None
-        for x in e:
-            pat = scan.completes(x, family)
-            if pat == P101:
-                raise NotAvoider(pat)
-            found = found or pat
-            scan.push(x)
-        if found:
-            raise NotAvoider(found)
+    scan = _Scan()
+    found = None
+    for x in e:
+        pat = scan.completes(x, family)
+        if pat == P101:
+            raise NotAvoider(pat)
+        found = found or pat
+        scan.push(x)
+    if found:
+        raise NotAvoider(found)
     return e
 
 
@@ -271,18 +264,13 @@ def dsum_J(e: InvSeq, f: InvSeq) -> InvSeq:
 # -------------------------------------------------------------- generation
 
 
-def gen_invseq(
-    n: int, family: str | None, guard: int = DEFAULT_GUARD
-) -> tuple[InvSeq, ...]:
+def gen_invseq(n: int, family: str) -> tuple[InvSeq, ...]:
     """All avoiders of length n for the family, lexicographic order.
 
     Depth-first over prefixes, carrying each prefix's :class:`_Scan`
-    state; ``family=None`` gives every inversion sequence.
+    state.  A trusted core: n must be an integer >= 1, checked by
+    ``FAMILIES["inv-i"/"inv-j"].generate``.
     """
-    if n < 1:
-        raise FormViolation(f"length must be >= 1, got {n}")
-    if n - 1 > guard:
-        raise GuardExceeded(n - 1, guard)
     out: list[InvSeq] = []
 
     def rec(prefix: list[int], scan: _Scan) -> None:
@@ -290,7 +278,7 @@ def gen_invseq(
             out.append(tuple(prefix))
             return
         for v in range(0, len(prefix) + 1):
-            if family is not None and scan.completes(v, family):
+            if scan.completes(v, family):
                 continue
             child = scan.copy()
             child.push(v)

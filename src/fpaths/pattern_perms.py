@@ -30,8 +30,8 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from math import inf
 
-from .errors import FormViolation, FpathsError, GuardExceeded, NotAvoider
-from .fpath_core import DEFAULT_GUARD, FPath, StatTriple, int_entries
+from .errors import FormViolation, FpathsError, NotAvoider
+from .fpath_core import FPath, StatTriple, int_entries
 
 Permutation = tuple[int, ...]
 
@@ -148,7 +148,7 @@ def is_avoider(p) -> bool:
     return True
 
 
-def gen_avoiders(n: int, guard: int = DEFAULT_GUARD) -> tuple[Permutation, ...]:
+def gen_avoiders(n: int) -> tuple[Permutation, ...]:
     """All avoiders of length n in lexicographic order.
 
     Depth-first over prefixes, values in increasing order.  Containment
@@ -156,12 +156,9 @@ def gen_avoiders(n: int, guard: int = DEFAULT_GUARD) -> tuple[Permutation, ...]:
     entry completes a pattern.  The entries that can follow a prefix are
     the unused values from some threshold up (a smaller entry sees more
     entries above it), so once one value passes, the larger ones do too.
-    ``guard`` bounds the common index n - 1, as in every family.
+    A trusted core: n must be an integer >= 1, checked by
+    ``FAMILIES["perm"].generate``.
     """
-    if n < 1:
-        raise FormViolation(f"length must be >= 1, got {n}")
-    if n - 1 > guard:
-        raise GuardExceeded(n - 1, guard)
     out: list[Permutation] = []
     prefix: list[int] = []
     used = [False] * (n + 1)

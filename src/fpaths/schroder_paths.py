@@ -23,13 +23,11 @@ import re
 
 from .errors import (
     BelowAxis,
-    FormViolation,
-    GuardExceeded,
     NotClosed,
     ParseError,
     TripleDescent,
 )
-from .fpath_core import DEFAULT_GUARD, FPath, StatTriple, require_str
+from .fpath_core import FPath, StatTriple, require_str
 
 SchroderWord = str
 
@@ -148,12 +146,10 @@ def psi_P(q: FPath) -> SchroderWord:
 # ------------------------------------------------------------ enumeration
 
 
-def gen_schroder(n: int, guard: int = DEFAULT_GUARD) -> tuple[SchroderWord, ...]:
-    """All valid words of semilength n, lexicographic with u < d < h."""
-    if n < 0:
-        raise FormViolation(f"n must be >= 0, got {n}")
-    if n > guard:
-        raise GuardExceeded(n, guard)
+def gen_schroder(n: int) -> tuple[SchroderWord, ...]:
+    """All valid words of semilength n, lexicographic with u < d < h.
+    A trusted core: n must be an integer >= 0, checked by
+    ``FAMILIES["schroder"].generate``."""
     out: list[str] = []
 
     def rec(prefix: list[str], width: int, height: int, dd: int) -> None:

@@ -38,9 +38,10 @@ from functools import reduce
 from itertools import product
 
 from .counting import a_joint, a_total
-from .families import FAMILIES, TAGS, _index
+from .families import FAMILIES, TAGS
 from .fpath_core import (
     StatTriple,
+    common_index,
     fpath_decompose,
     fpath_direct_sum,
     fpath_stats,
@@ -387,9 +388,10 @@ def run_all(max_n: int = 6) -> VerifyReport:
 
     Each size's :class:`SizeData` is built once and read by all four
     groups; the psi table it extends lives until this call returns.
-    A ``max_n`` that is not an integer >= 0 raises FormViolation.
+    ``max_n`` is checked by :func:`common_index` before any size is
+    built.
     """
-    max_n = _index(max_n)
+    max_n = common_index(max_n)
     report = VerifyReport(verify_pinned_examples())
     preimages = {tag: {} for tag in _MAPPED_TAGS}
     for n in range(max_n + 1):

@@ -32,8 +32,8 @@ from __future__ import annotations
 from itertools import product
 from operator import index
 
-from .errors import FormViolation, GuardExceeded, WeightOnLeafOrRoot, WeightOutOfRange
-from .fpath_core import DEFAULT_GUARD, NORTH, FPath, StatTriple, fpath_height
+from .errors import FormViolation, WeightOnLeafOrRoot, WeightOutOfRange
+from .fpath_core import NORTH, FPath, StatTriple, fpath_height
 
 #: A tree: its preorder code of ``(weight, outdegree)`` pairs, root first.
 WTree = tuple[tuple[int | None, int], ...]
@@ -133,18 +133,15 @@ def _forests(edges: int) -> list[tuple[int, ...]]:
             for rest in _forests(edges - 1 - first_edges)]
 
 
-def gen_wtrees(n_plus_1: int, guard: int = DEFAULT_GUARD) -> tuple[WTree, ...]:
+def gen_wtrees(n_plus_1: int) -> tuple[WTree, ...]:
     """All weighted trees on n_plus_1 edges, by shape then weights.
 
     Shapes are in :func:`_forests` order; within a shape the preorder
     weight vector runs lexicographically.  Every vertex of outdegree d
     takes its pair from one list per d built once, so the trees share
-    their pairs.
+    their pairs.  A trusted core: n_plus_1 must be an integer >= 1,
+    checked by ``FAMILIES["tree"].generate``.
     """
-    if n_plus_1 < 1:
-        raise FormViolation("need at least one edge")
-    if n_plus_1 - 1 > guard:
-        raise GuardExceeded(n_plus_1 - 1, guard)
     pairs = [[LEAF]] + [[(w, d) for w in range(1, d + 1)]
                         for d in range(1, n_plus_1 + 1)]
     return tuple(tree for kids in _forests(n_plus_1)

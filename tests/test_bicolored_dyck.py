@@ -17,7 +17,7 @@ from fpaths.bicolored_dyck import (
     psi_B,
     validate_bicolored,
 )
-from fpaths.errors import BelowAxis, GuardExceeded, NotClosed, RunFormViolation
+from fpaths.errors import BelowAxis, NotClosed, RunFormViolation
 from fpaths.fpath_core import fpath_stats, gen_fpaths
 
 RUN_FORM = re.compile(r"(u+r*b+)*u+r+")
@@ -166,11 +166,6 @@ def test_canonical_order_is_string_order():
     got = gen_bicolored(3)
     assert got == ("ububur", "ubuurr", "uubbur", "uuburr", "uurbur", "uuurrr")
     assert list(got) == sorted(got)
-
-
-def test_guard():
-    with pytest.raises(GuardExceeded):
-        gen_bicolored(5, guard=3)
 
 
 # ------------------------------------------------------------- direct sums

@@ -284,6 +284,18 @@ def test_verify_negative_max_n_is_usage_error():
     assert err == "fpaths verify: n must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--max-n", "11"),
+    ("enumerate", "--family", "perm", "--n", "11"),
+])
+def test_index_above_max_n_is_refused_before_building(argv):
+    """Refused by the common index check, before any size is built."""
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"fpaths {argv[0]}: n must be <= 10, got 11\n"
+
+
 # ------------------------------------------------------------ bad usage
 
 
@@ -421,11 +433,20 @@ def test_console_script_is_installed():
 
 def test_membership_checks_survive_optimised_mode():
     """With asserts stripped (python -O) every public ``to_fpath`` still
-    rejects a non-avoider with NotAvoider, and every public
-    ``from_fpath`` rejects the non-F-path ((2, 1),) with a typed error."""
+    rejects a non-avoider with NotAvoider, every public ``from_fpath``
+    rejects the non-F-path ((2, 1),) with a typed error, and every
+    ``generate`` refuses n = 11 and n = -1."""
     script = (
-        "from fpaths.errors import NotAvoider, PrefixViolation, StepNotInF\n"
+        "from fpaths.errors import (FormViolation, GuardExceeded,\n"
+        "    NotAvoider, PrefixViolation, StepNotInF)\n"
         "from fpaths.families import FAMILIES, TAGS\n"
+        "for tag in TAGS:\n"
+        "    for n, error in ((11, GuardExceeded), (-1, FormViolation)):\n"
+        "        try:\n"
+        "            FAMILIES[tag].generate(n)\n"
+        "        except error:\n"
+        "            continue\n"
+        "        raise SystemExit(f'{tag} generate accepted {n}')\n"
         "for tag, obj in (('perm', (2, 3, 4, 1)), ('inv-i', (0, 1, 0, 1)),\n"
         "                 ('inv-j', (0, 0, 1, 3, 2))):\n"
         "    try:\n"

@@ -117,14 +117,15 @@ def test_comb0_boundaries():
 
 
 def test_series_coeff_against_convolution():
-    # expand 1/(1-x)^s by repeated polynomial multiplication
-    for s in range(0, 6):
+    # expand (1-x)^(-s) by repeated polynomial multiplication: by
+    # 1/(1-x) = 1 + x + x^2 + ... for s > 0, by 1 - x for s < 0
+    for s in range(-5, 6):
         coeffs = [1] + [0] * 10
-        geom = [1] * 11
-        for _ in range(s):
+        factor = [1] * 11 if s > 0 else [1, -1]
+        for _ in range(abs(s)):
             new = [0] * 11
             for i, c in enumerate(coeffs):
-                for j, g in enumerate(geom):
+                for j, g in enumerate(factor):
                     if i + j <= 10:
                         new[i + j] += c * g
             coeffs = new

@@ -18,8 +18,9 @@ from fpaths.errors import (
 )
 from fpaths.families import FAMILIES, TAGS, parse_object
 from fpaths.fpath_core import (
-    DEFAULT_GUARD,
+    MAX_N,
     NORTH,
+    common_index,
     fpath_decompose,
     fpath_stats,
     gen_fpaths,
@@ -39,12 +40,21 @@ def test_all_families_share_the_size_index():
             assert len(FAMILIES[tag].generate(n)) == want, (tag, n)
 
 
-def test_every_generator_guards_the_common_index():
-    for tag in TAGS:
-        with pytest.raises(GuardExceeded) as info:
-            FAMILIES[tag].generate(DEFAULT_GUARD + 1)
-        assert info.value.requested == DEFAULT_GUARD + 1, tag
-        assert info.value.guard == DEFAULT_GUARD, tag
+@pytest.mark.parametrize("tag", TAGS)
+def test_every_generator_guards_the_common_index(tag):
+    """Every ``generate`` refuses a size above MAX_N, a negative one and a
+    non-integer one before it builds anything."""
+    with pytest.raises(GuardExceeded) as info:
+        FAMILIES[tag].generate(MAX_N + 1)
+    assert (info.value.requested, info.value.guard) == (MAX_N + 1, MAX_N)
+    assert str(info.value) == f"n must be <= {MAX_N}, got {MAX_N + 1}"
+    for n in (-1, 2.5, "2"):
+        with pytest.raises(FormViolation):
+            FAMILIES[tag].generate(n)
+    assert common_index(MAX_N) == MAX_N
+    for n in ("2", 2.0):
+        with pytest.raises(FormViolation):
+            gen_fpaths(n)
 
 
 def test_parse_render_round_trip():

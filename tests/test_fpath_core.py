@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from fpaths.errors import GuardExceeded, PrefixViolation, StepNotInF
+from fpaths.errors import PrefixViolation, StepNotInF
 from fpaths.fpath_core import (
     StatTriple,
     fpath_decompose,
@@ -162,11 +162,6 @@ class TestGenerate:
     def test_all_validate(self):
         for q in gen_fpaths(4):
             assert validate_fpath(q) == q
-
-    def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            gen_fpaths(5, guard=4)
-        assert len(gen_fpaths(5, guard=5)) == COUNTS[5]
 
 
 class TestDirectSum:

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from fpaths.errors import FormViolation, GuardExceeded, NotAvoider
+from fpaths.errors import FormViolation, NotAvoider
 from fpaths.families import FAMILIES
 from fpaths.fpath_core import fpath_stats, gen_fpaths
 from fpaths.inversion_seqs import (
@@ -114,13 +114,14 @@ def test_contains_against_oracle():
 
 
 def test_validate():
-    assert validate_invseq((0, 1, 0)) == (0, 1, 0)
+    assert validate_invseq((0, 1, 0), FAMILY_I) == (0, 1, 0)
     with pytest.raises(FormViolation, match="entry 0.5 at position 2"):
-        validate_invseq((0, 0.5))  # a float is refused, not truncated
+        # a float is refused, not truncated
+        validate_invseq((0, 0.5), FAMILY_I)
     with pytest.raises(FormViolation):
-        validate_invseq((0, 2, 0))  # entry 2 needs position >= 3
+        validate_invseq((0, 2, 0), FAMILY_I)  # entry 2 needs position >= 3
     with pytest.raises(FormViolation):
-        validate_invseq((1,))
+        validate_invseq((1,), FAMILY_I)
     with pytest.raises(NotAvoider):
         validate_invseq((0, 1, 0, 1), FAMILY_I)
     with pytest.raises(NotAvoider):
@@ -158,8 +159,6 @@ def test_membership_and_generation_match_oracle_exhaustively():
     for family in (FAMILY_I, FAMILY_J):
         with pytest.raises(FormViolation):
             validate_invseq((), family)
-        with pytest.raises(FormViolation):
-            gen_invseq(0, family)
     for length in range(1, 8):
         ranges = [range(i) for i in range(1, length + 1)]
         avoiders = {FAMILY_I: [], FAMILY_J: []}
@@ -218,18 +217,6 @@ def test_gen_counts_and_oracle():
     assert gen_invseq(3, FAMILY_I) == tuple(sorted(SIX_I))
     assert gen_invseq(3, FAMILY_J) == tuple(sorted(SIX_J))
     assert len(gen_invseq(9, FAMILY_I)) == len(gen_invseq(9, FAMILY_J)) == 25512
-
-
-def test_gen_untagged_is_all_inversion_sequences():
-    import math
-
-    for length in range(1, 6):
-        assert len(gen_invseq(length, None)) == math.factorial(length)
-
-
-def test_guard():
-    with pytest.raises(GuardExceeded):
-        gen_invseq(6, FAMILY_I, guard=4)
 
 
 # ------------------------------------------------------------- statistics

@@ -18,7 +18,7 @@ import pytest
 from collections import Counter
 
 from fpaths import pattern_perms
-from fpaths.errors import FormViolation, GuardExceeded, NotAvoider
+from fpaths.errors import FormViolation, NotAvoider
 from fpaths.families import FAMILIES
 from fpaths.fpath_core import NORTH, fpath_stats, gen_fpaths, validate_fpath
 from fpaths.pattern_perms import (
@@ -123,8 +123,6 @@ def named_pattern(p):
 def test_membership_and_generation_match_oracle_exhaustively():
     with pytest.raises(FormViolation):
         validate_avoider(())
-    with pytest.raises(FormViolation):
-        gen_avoiders(0)
     for n in range(1, 8):
         avoiders = []
         for p in itertools.permutations(range(1, n + 1)):
@@ -201,8 +199,6 @@ def test_membership_matches_oracle_on_long_inputs(random_fpath):
 
 
 def test_gen_counts():
-    with pytest.raises(FormViolation):
-        gen_avoiders(0)
     expected = (1, 2, 6, 21, 80, 322, 1347, 5798, 25512)
     for n, want in enumerate(expected, 1):
         assert len(gen_avoiders(n)) == want
@@ -217,12 +213,6 @@ def test_gen_is_filtered_lex():
     ]
     assert list(got) == brute
     assert sorted(got) == list(got)
-
-
-def test_guard():
-    with pytest.raises(GuardExceeded):
-        gen_avoiders(6, guard=4)
-    assert len(gen_avoiders(5, guard=4)) == 80
 
 
 # ------------------------------------------------------- blocks, statistics

@@ -11,7 +11,6 @@ import pytest
 
 from fpaths.errors import (
     BelowAxis,
-    GuardExceeded,
     NotClosed,
     ParseError,
     TripleDescent,
@@ -181,11 +180,6 @@ def test_counts_and_oracle():
 
 def test_canonical_order_n2():
     assert gen_schroder(2) == ("uudd", "udud", "udh", "uhd", "hud", "hh")
-
-
-def test_guard():
-    with pytest.raises(GuardExceeded):
-        gen_schroder(4, guard=3)
 
 
 # ------------------------------------------------------------- direct sums

@@ -14,7 +14,6 @@ import pytest
 from fpaths.counting import a_total
 from fpaths.errors import (
     FormViolation,
-    GuardExceeded,
     WeightOnLeafOrRoot,
     WeightOutOfRange,
 )
@@ -146,12 +145,6 @@ def test_generated_trees_share_their_pairs():
     it: a fresh pair per vertex would cost memory at every n."""
     pairs = [v for t in gen_wtrees(7) for v in t[1:]]
     assert len({id(v) for v in pairs}) == len(set(pairs))
-
-
-def test_guard():
-    with pytest.raises(GuardExceeded):
-        gen_wtrees(12)
-    assert len(gen_wtrees(4, guard=3)) == 21
 
 
 # ------------------------------------------------------------- statistics
