@@ -9,10 +9,27 @@ ratio p/q of small integers, not one ``comb`` per term: every factor of
 p and q is linear in the step number, so the factors are built once per
 call as ``range`` objects, those common to p and q cancel, and each
 step's p and q are multiplied at C level, with every division checked.
-:func:`a_joint` returns its zero cells before any binomial.  No result
-is cached between calls.  Every public function reads every argument
-with ``operator.index``, so a non-integer raises :class:`FormViolation`;
-an integer out of range counts 0.
+:func:`a_joint` returns its zero cells before any binomial.
+
+Along a single-axis row r(v) = ``a_marginal(n, h=v)`` (or ``l=v``, or
+``m=v``) with n fixed, the cells obey a linear recurrence with
+polynomial coefficients, sum over k = 0..order of c_k(n, v)·r(v + k) = 0
+(creative telescoping; Petkovsek-Wilf-Zeilberger, *A = B*, 1996): of
+order 3 along the h- and m-rows and of order 1 along the l-row.
+:func:`a_marginal` keeps, per axis, one immutable tuple (n, v, the last
+``order`` cells up to r(v)), replaced whole on every in-range call.
+When it is asked for r(v + 1) of the same n right after r(v), and holds
+``order`` cells, it takes one recurrence step, dividing by the leading
+coefficient with a checked division; any other call, and the m-row's
+cell r(n), where that coefficient vanishes, evaluates the closed form.
+So tabulating a row in order costs O(n) big-integer steps instead of
+O(n^2).  A call never returns a stored value: asking for the same cell
+twice evaluates it twice.  Each call reads the state once and writes it
+once, so threads tabulating rows at once only take more closed forms.
+:func:`sequence` steps the totals by their recurrence in n the same
+way.  Every public function reads every argument with
+``operator.index``, so a non-integer raises :class:`FormViolation`; an
+integer out of range counts 0.
 
 Step classes used by :func:`f_refined` (a path of length n with l north
 steps and statistics as in :mod:`.fpath_core`):
@@ -272,6 +289,52 @@ def _a_m(n, m):
     return _exact_div((m + 1) * acc, n + 1)
 
 
+# -------------------------------------------------- stepped marginal rows
+#
+# Each function below gives (c_0, ..., c_order) with
+# sum over k of c_k·r(v + k) = 0 along one single-axis row of length n.
+
+
+def _h_recurrence(n, h):
+    return ((h - n) * (h - 2 * n - 3) * (h - n - 1),
+            -(h + 1) * (2 * h * h - 4 * h * n + n * n - 5 * n - 6),
+            -4 * (h + 1) * (h + 2) * (h - 2 * n - 2),
+            8 * (h + 1) * (h + 2) * (h + 3))
+
+
+def _l_recurrence(n, l):
+    return (-2 * (l - n) ** 2 * (2 * l - 2 * n - 1),
+            (l + 1) * (l + 2) * (l - 2 * n - 1))
+
+
+def _m_recurrence(n, m):
+    # c_3 vanishes at m = n - 3: the cell r(n) takes the closed form.
+    return (-(m + 2) * (m + 3) * (m + 4) * (m - n),
+            (m + 1) * (m + 3) * (m + 4) * (2 * m - 3 * n + 1),
+            -(m + 1) * (m + 2) * (m + 4) * (2 * m - n + 5),
+            (m + 1) * (m + 2) * (m + 3) * (m - n + 3))
+
+
+#: Per axis, (n, v, the last cells up to r(v)) of the last in-range call.
+_last_cells = dict.fromkeys("hlm", (-1, -1, ()))
+
+
+def _row_cell(axis, order, n, v, closed, recurrence):
+    """r(v) = closed(n, v), stepped by ``recurrence`` when the axis's last
+    call was r(v - 1) of this n and holds ``order`` cells."""
+    last = _last_cells[axis]
+    cells = last[2] if last[:2] == (n, v - 1) else ()
+    lead = 0
+    if len(cells) == order:
+        *coeffs, lead = recurrence(n, v - order)
+    if lead:
+        r = _exact_div(-sum(map(mul, coeffs, cells)), lead)
+    else:
+        r = closed(n, v)
+    _last_cells[axis] = (n, v, (*cells, r)[-order:])
+    return r
+
+
 def a_total(n: int) -> BigCount:
     """Total number of F-paths of length n: 1, 2, 6, 21, 80, 322, ...
 
@@ -292,6 +355,12 @@ def a_marginal(n: int, h: int | None = None, l: int | None = None,
     """Count F-paths of length n with any subset of (aone=h, north=l,
     height=m) fixed; a ``None`` argument is summed over ("starred").
     A fixed value outside 0..n, or n < 0, gives 0.
+
+    With one value fixed, a call for the cell right after the one the
+    same axis was last asked for, at the same n, takes one recurrence
+    step from the cells kept for that axis (see the module docstring);
+    every other call evaluates the closed form.  Either way the value is
+    computed, never returned from a store.
 
     >>> a_marginal(5, h=2)
     110
@@ -315,15 +384,34 @@ def a_marginal(n: int, h: int | None = None, l: int | None = None,
         case (False, True, True):
             return _a_lm(n, l, m)
         case (True, False, False):
-            return _a_h(n, h)
+            return _row_cell("h", 3, n, h, _a_h, _h_recurrence)
         case (False, True, False):
-            return _a_l(n, l)
+            return _row_cell("l", 1, n, l, _a_l, _l_recurrence)
         case (False, False, True):
-            return _a_m(n, m)
+            return _row_cell("m", 3, n, m, _a_m, _m_recurrence)
         case _:
             return a_total(n)
 
 
+def _total_recurrence(n):
+    """(c_0, ..., c_3) with sum over k of c_k·a_total(n + k) = 0."""
+    return (-3 * (n + 1) * (n + 2) * (19 * n + 72),
+            -2 * (n + 2) * (38 * n * n + 239 * n + 369),
+            -4 * (95 * n ** 3 + 930 * n * n + 3004 * n + 3198),
+            2 * (n + 4) * (2 * n + 9) * (19 * n + 53))
+
+
 def sequence(max_n: int) -> list[BigCount]:
-    """The sequence a_total(0..max_n) as a list."""
-    return [a_total(n) for n in range(_int(max_n) + 1)]
+    """The sequence a_total(0..max_n) as a list: 1, 2, 6, then each value
+    one step of the order-3 recurrence in n from the three before it,
+    every division checked exact.
+
+    >>> sequence(6)
+    [1, 2, 6, 21, 80, 322, 1347]
+    """
+    max_n = _int(max_n)
+    seq = [1, 2, 6][:max_n + 1]
+    for n in range(max_n - 2):
+        *coeffs, lead = _total_recurrence(n)
+        seq.append(_exact_div(-sum(map(mul, coeffs, seq[n:])), lead))
+    return seq

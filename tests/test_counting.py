@@ -2,6 +2,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -440,11 +442,183 @@ def test_stepped_sum_guard_is_live(monkeypatch):
         (c, e), *rest = den
         return num, [(c + 1, e), *rest]
 
+    # Whatever cell an earlier call left in the m-row's state, a repeated
+    # call evaluates the closed form, so the one below reaches the sum.
+    a_marginal(40, m=3)
     monkeypatch.setattr(counting, "_ratio_factors", off_by_one)
     with pytest.raises(InexactDivision) as caught:
         a_marginal(40, m=3)
     # Raised by the step, not by the final division by n + 1.
     assert caught.traceback[-1].name == "_stepped_sum"
+
+
+# ------------------------------------------- recurrences: rows and totals
+
+
+#: The closed forms, taken at import: the oracle of every stepped row.
+CLOSED = {"h": counting._a_h, "l": counting._a_l, "m": counting._a_m}
+#: The order of each row's recurrence.
+ORDER = {"h": 3, "l": 1, "m": 3}
+
+
+def _closed(n, axis, v):
+    return CLOSED[axis](n, v) if 0 <= v <= n else 0
+
+
+def _row(n, axis, values=None):
+    values = range(n + 1) if values is None else values
+    return [a_marginal(n, **{axis: v}) for v in values]
+
+
+def test_sequence_recurrence_matches_a_total():
+    assert sequence(300) == [a_total(n) for n in range(301)]
+    seq = sequence(2999)
+    assert len(seq) == 3000
+    assert seq[1000] == a_total(1000)
+    assert seq[2999] == a_total(2999)
+    assert sequence(-1) == [] and sequence(0) == [1]
+    assert sequence(1) == [1, 2] and sequence(2) == [1, 2, 6]
+
+
+def test_sequence_guard_is_live(monkeypatch):
+    real = counting._total_recurrence
+
+    def off_by_one(n):
+        c0, *rest = real(n)
+        return c0 + 1, *rest
+
+    monkeypatch.setattr(counting, "_total_recurrence", off_by_one)
+    with pytest.raises(InexactDivision):
+        sequence(20)
+
+
+def test_stepped_rows_match_closed_forms():
+    for n in [*range(151), 316, 1000]:
+        for axis in "hlm":
+            want = [CLOSED[axis](n, v) for v in range(n + 1)]
+            assert _row(n, axis) == want, (n, axis)
+
+
+def _reverse(n):
+    return [(n, "h", v) for v in range(n, -1, -1)]
+
+
+def _two_axes(n):
+    return [(n, axis, v) for v in range(n + 1) for axis in "hm"]
+
+
+def _two_ns(n):
+    return [(k, "m", v) for v in range(n + 1) for k in (n, n + 1)]
+
+
+def _axis_switch(n):
+    half = n // 2
+    return [*((n, "h", v) for v in range(half + 1)),
+            *((n, "m", v) for v in range(half + 1, n + 1)),
+            *((n, "l", v) for v in range(half + 1)),
+            *((n, "h", v) for v in range(half + 1, n + 1))]
+
+
+def _out_of_range_inside(n):
+    calls = [(n, axis, v) for axis in "hlm" for v in range(n + 1)]
+    calls.insert(n // 2, (n, "h", -1))
+    calls.insert(n + 2 + n // 2, (n, "l", n + 1))
+    calls.insert(2 * n + 4 + n // 2, (n, "m", n + 1))
+    return calls
+
+
+@pytest.mark.parametrize("pattern", [_reverse, _two_axes, _axis_switch,
+                                     _two_ns, _out_of_range_inside])
+@pytest.mark.parametrize("n", [3, 4, 40, 151])
+def test_stepped_rows_any_access_pattern(pattern, n):
+    for k, axis, v in pattern(n):
+        assert a_marginal(k, **{axis: v}) == _closed(k, axis, v), (k, axis, v)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts closed-form row evaluations per axis."""
+    counts = Counter()
+    for axis, closed in CLOSED.items():
+        def counted(n, v, axis=axis, closed=closed):
+            counts[axis] += 1
+            return closed(n, v)
+        monkeypatch.setattr(counting, f"_a_{axis}", counted)
+    return counts
+
+
+@pytest.mark.parametrize("n", [0, 2, 3, 5, 60])
+@pytest.mark.parametrize("axis", "hlm")
+def test_stepped_row_is_no_cache(evaluations, axis, n):
+    closed_cells = min(n + 1, ORDER[axis]) + (axis == "m" and n >= 3)
+    want = [CLOSED[axis](n, v) for v in range(n + 1)]
+    assert _row(n, axis) == want
+    assert evaluations[axis] == closed_cells
+    # A repeated batch gets no help from the one before it.
+    assert _row(n, axis) == want
+    assert evaluations[axis] == 2 * closed_cells
+    # Neither does a repeated cell, nor one out of order.
+    for v in (n, n, n // 2):
+        before = evaluations[axis]
+        assert a_marginal(n, **{axis: v}) == want[v]
+        assert evaluations[axis] == before + 1
+    # A cell out of range neither reads nor breaks the row's state.
+    evaluations.clear()
+    assert [*_row(n, axis, range(n // 2)), a_marginal(n, **{axis: -1}),
+            a_marginal(n, **{axis: n + 1}),
+            *_row(n, axis, range(n // 2, n + 1))] == [
+        *want[:n // 2], 0, 0, *want[n // 2:]]
+    assert evaluations[axis] == closed_cells
+
+
+@pytest.mark.parametrize("axis", "hlm")
+@pytest.mark.parametrize("k", [0, -1])
+def test_step_guard_is_live(monkeypatch, axis, k):
+    # One recurrence coefficient off by one: the step's division leaves
+    # a remainder, and its check must catch it.
+    real = getattr(counting, f"_{axis}_recurrence")
+
+    def off_by_one(n, v):
+        coeffs = list(real(n, v))
+        coeffs[k] += 1
+        return tuple(coeffs)
+
+    monkeypatch.setattr(counting, f"_{axis}_recurrence", off_by_one)
+    with pytest.raises(InexactDivision) as caught:
+        _row(60, axis)
+    # Raised by the step, not by a closed form.
+    assert [e.name for e in caught.traceback[-2:]] == ["_row_cell",
+                                                       "_exact_div"]
+
+
+def test_stepped_rows_in_two_threads():
+    # Two threads share the per-axis state; with a tiny switch interval
+    # their h-rows at n = 200 and 201 interleave cell by cell.
+    jobs = [(200, "h"), (201, "h"), (200, "m"), (201, "l")]
+    got = {}
+    start = threading.Barrier(2)
+
+    def tabulate(mine):
+        start.wait()
+        for _ in range(3):
+            for n, axis in mine:
+                got.setdefault((n, axis), []).append(_row(n, axis))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=tabulate, args=(jobs[i::2],))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(switch)
+    for (n, axis), rows in got.items():
+        want = [CLOSED[axis](n, v) for v in range(n + 1)]
+        assert rows == [want] * 3, (n, axis)
+    assert len(got) == len(jobs)
 
 
 # ------------------------------------------------------- argument types

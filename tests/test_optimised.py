@@ -8,9 +8,12 @@ public entry points: small edits of rendered objects go through
 edited) through ``to_fpath`` and ``stats``.  Only ``FpathsError`` may escape, and
 every accepted input must round-trip, keep its statistics and fold back
 from its ``decompose``.  Its checks use ``if``/``raise``, since ``-O``
-also strips pytest's assertion rewriting.  The tests run the sweep, and
-``fpaths verify``, in a ``python -O`` subprocess.  Run by hand: ``python -O tests/test_optimised.py
-[SEED]``.
+also strips pytest's assertion rewriting.  :func:`check_rows` tabulates
+the stepped marginal rows against their closed forms, and checks that a
+corrupted recurrence coefficient still raises ``InexactDivision``.  The
+tests run the sweep, the rows and ``fpaths verify`` in a ``python -O``
+subprocess.  Run by hand: ``python -O tests/test_optimised.py [SEED]``
+or ``python -O tests/test_optimised.py rows``.
 """
 import os
 import random
@@ -19,7 +22,8 @@ import sys
 from functools import reduce
 
 import fpaths
-from fpaths.errors import FpathsError
+from fpaths import counting
+from fpaths.errors import FpathsError, InexactDivision
 from fpaths.families import FAMILIES, TAGS
 from fpaths.fpath_core import fpath_stats
 
@@ -163,6 +167,31 @@ def sweep(seed: int, per_family: int = 300) -> int:
     return checked
 
 
+def check_rows(n: int = 60) -> int:
+    """Tabulate the h-, l- and m-rows at n in order against the closed
+    forms, then again with the first recurrence coefficient off by one,
+    which must raise ``InexactDivision``; return the cells checked."""
+    for axis in "hlm":
+        closed = getattr(counting, f"_a_{axis}")
+        name = f"_{axis}_recurrence"
+        real = getattr(counting, name)
+        row = [counting.a_marginal(n, **{axis: v}) for v in range(n + 1)]
+        if row != [closed(n, v) for v in range(n + 1)]:
+            raise SweepFailure(f"the {axis}-row at n = {n} is wrong")
+        setattr(counting, name,
+                lambda n, v: (real(n, v)[0] + 1, *real(n, v)[1:]))
+        try:
+            for v in range(n + 1):
+                counting.a_marginal(n, **{axis: v})
+        except InexactDivision:
+            pass
+        else:
+            raise SweepFailure(f"the {axis}-row step is unchecked")
+        finally:
+            setattr(counting, name, real)
+    return 3 * (n + 1)
+
+
 def _run_optimised(*argv):
     src = os.path.dirname(os.path.dirname(fpaths.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -182,5 +211,15 @@ def test_verify_passes_in_optimised_mode():
     assert proc.stdout.splitlines()[-1] == "345 passed, 0 failed, 345 total"
 
 
+def test_stepped_rows_in_optimised_mode():
+    proc = _run_optimised(__file__, "rows")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rows 183\n", proc.stdout
+
+
 if __name__ == "__main__":
-    print(f"checked {sweep(int(sys.argv[1]) if len(sys.argv) > 1 else 0)}")
+    arg = sys.argv[1] if len(sys.argv) > 1 else "0"
+    if arg == "rows":
+        print(f"rows {check_rows()}")
+    else:
+        print(f"checked {sweep(int(arg))}")
