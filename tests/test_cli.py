@@ -111,6 +111,31 @@ def test_map_names_the_rejected_line():
     )
 
 
+@pytest.mark.parametrize(
+    "src, dst, stdin, out, err",
+    [
+        ("fpath", "tree", "0,1 1,1\n2,1 x\n", "[(1 L) L]\n",
+         "line 2: parse error at offset 4: expected 'a,b', got 'x'"),
+        ("fpath", "inv-i", "0,1 1,2\n", "",
+         "line 1: step (1, 2) at position 1 is not in F"),
+        ("inv-i", "perm", "0\n0,1,0,1,9\n", "1\n",
+         "line 2: entry 9 at position 5 outside 0..4"),
+        ("inv-j", "fpath", "0,1\n\n0,0,2,1,0,2\n", "1,1\n",
+         "line 3: contains pattern (1, 0, 1)"),
+        ("perm", "schroder", "2 1\n3 2 5 4 1\n", "ud\n",
+         "line 2: contains pattern (2, 4, 3, 1)"),
+        ("tree", "inv-j", "[L L]\n[(1-2 L)]\n", "0,0\n",
+         "line 2: parse error at offset 2: bad weight '1-2'"),
+        ("tree", "fpath", "[(3 L L)]\n", "",
+         "line 1: vertex 1 has weight 3, expected 1..2"),
+    ],
+)
+def test_map_rejection_lines_are_pinned(src, dst, stdin, out, err):
+    code, got_out, got_err = run_cli("map", "--from", src, "--to", dst,
+                                     stdin=stdin)
+    assert (code, got_out, got_err) == (2, out, f"fpaths map: {err}\n")
+
+
 def test_stats_names_the_rejected_line():
     # Blank lines are skipped but still counted.
     code, out, err = run_cli(
