@@ -109,7 +109,7 @@ def _cmd_map(args) -> int:
     dst = FAMILIES[args.dst]
 
     def mapped(line):
-        return dst.render(dst.from_fpath(src.phi(src.parse(line))))
+        return dst.render(dst.psi(src.phi(src.parse(line))))
 
     return _each_line("map", mapped)
 

@@ -16,23 +16,26 @@ direct_sum / decompose / phi / psi / stats_core.  ``generate`` yields
 canonical order; objects of common index n biject with F-paths of
 length n.
 
-Validation happens here, once: ``parse`` checks text and object,
-``generate`` checks n with :func:`fpath_core.common_index` and then runs
-the family's trusted generator (``gen_schroder``, ``gen_bicolored``,
-``gen_avoiders``, ``gen_invseq``, ``gen_wtrees``), and ``to_fpath`` /
-``stats`` check an object and ``from_fpath`` an F-path, then run the
-trusted core ``phi`` / ``stats_core`` / ``psi``, which assumes a valid
-argument.  These checking fields raise an ``FpathsError`` for any
-argument, of any type, that they refuse.  ``render``, ``direct_sum`` and
-``decompose`` trust their arguments like the cores.  ``decompose``
-undoes the ``direct_sum`` fold through the hub: ``psi`` is a
-homomorphism, so the summands of an object are ``psi`` of the height-0
-components of its F-path.  Callers holding values already checked
-(parsed or generated objects, phi's F-paths) call the cores directly.
+Validation happens here, once: ``parse`` checks text and object in one
+pass per family, ``generate`` checks n with
+:func:`fpath_core.common_index` and then runs the family's trusted
+generator, and ``to_fpath`` / ``stats`` check an object and
+``from_fpath`` an F-path, then run the trusted core ``phi`` /
+``stats_core`` / ``psi``.  These checking fields raise an
+``FpathsError`` for any argument, of any type, that they refuse.
+``render``, ``direct_sum`` and ``decompose`` trust their arguments like
+the cores.  ``decompose`` undoes the ``direct_sum`` fold through the
+hub: ``psi`` is a homomorphism, so the summands of an object are
+``psi`` of the height-0 components of its F-path.  Callers holding
+values already checked call the cores directly: ``fpaths map`` checks
+each line once, at ``parse``, and then runs only ``phi``, ``psi`` and
+``render``.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 from . import (
@@ -43,8 +46,8 @@ from . import (
     schroder_paths,
     weighted_trees,
 )
-from .errors import ParseError
-from .fpath_core import FPath, StatTriple, require_str
+from .errors import FormViolation, ParseError, WeightOutOfRange
+from .fpath_core import FPath, FStep, StatTriple, require_str
 from .weighted_trees import WTree
 
 TAGS = ("fpath", "schroder", "bicolored", "perm", "inv-i", "inv-j", "tree")
@@ -63,8 +66,18 @@ def parse_fpath(text: str) -> FPath:
     text = require_str(text).strip()
     if text == "-":
         return ()
+    tokens = text.split()
+    try:
+        steps = [(int(a), int(b)) for t in tokens for a, b in (t.split(","),)]
+    except ValueError:
+        steps = _read_steps(text, tokens)
+    return fpath_core.validate_fpath(steps)
+
+
+def _read_steps(text: str, tokens: list[str]) -> list[FStep]:
+    """The tokens as int pairs, one at a time, to name the first bad one."""
     steps = []
-    for at, token in enumerate(text.split()):
+    for at, token in enumerate(tokens):
         parts = token.split(",")
         try:
             a, b = parts
@@ -75,7 +88,7 @@ def parse_fpath(text: str) -> FPath:
             # splitting ``at`` times leaves the text from token ``at`` on
             pos = len(text) - len(text.split(None, at)[-1])
             raise ParseError(pos, f"{why} {token!r}") from None
-    return fpath_core.validate_fpath(steps)
+    return steps
 
 
 def _parse_word(text: str, validate) -> str:
@@ -103,7 +116,7 @@ def parse_perm(text: str) -> tuple[int, ...]:
         raise ParseError(0, "empty permutation; the smallest has length 1")
     if sorted(vals) != list(range(1, len(vals) + 1)):
         raise ParseError(0, f"not a permutation of 1..{len(vals)}: {text!r}")
-    return vals
+    return pattern_perms._check_avoider(vals)
 
 
 def render_invseq(e) -> str:
@@ -116,7 +129,7 @@ def _parse_invseq(text: str, family):
         vals = tuple(map(int, text.split(",")))
     except ValueError:
         raise ParseError(0, f"non-integer entry in {text!r}") from None
-    return inversion_seqs.validate_invseq(vals, family)
+    return inversion_seqs._check_invseq(vals, family)
 
 
 def render_wtree(t: WTree) -> str:
@@ -137,59 +150,67 @@ def render_wtree(t: WTree) -> str:
     return "[" + "".join(out)[1:]
 
 
+#: One token of a tree's text, after the spaces before it: a '(' with the
+#: spaces and the ASCII weight text after it, or any one character.
+_TREE_TOKEN = re.compile(r" *(\( *[-0-9]*|.)", re.DOTALL)
+
+
 def parse_wtree(text: str) -> WTree:
     """Parse ``[ subtree* ]`` with subtree = ``L`` | ``( weight subtree+ )``
-    into the preorder code.  The vertices still open, the root first, are
-    a stack of indexes into the code, so depth is unbounded.
-    """
+    into the preorder code, checking the weights in the same pass; the
+    first weight outside 1..outdegree in preorder is named once the text
+    has parsed.  Depth is unbounded, and an error's offset is found by
+    matching the tokens again."""
     s = require_str(text).strip()
-    if not s or s[0] != "[":
+    if s[:1] != "[":
         raise ParseError(0, "expected '['")
-    pos = 1
+    tokens = _TREE_TOKEN.findall(s, 1)
+
+    def at(k):
+        return next(islice(_TREE_TOKEN.finditer(s, 1), k, None)).start(1)
+
     weights: list[int | None] = [None]
     degrees = [0]
-    open_ = [0]
-    while True:
-        while pos < len(s) and s[pos] == " ":
-            pos += 1
-        close = "]" if len(open_) == 1 else ")"
-        if pos >= len(s):
-            raise ParseError(pos, f"missing {close!r}")
-        if s[pos] == close:
-            pos += 1
-            if len(open_) == 1:
-                break
-            if not degrees[open_.pop()]:
-                raise ParseError(pos, "weighted vertex needs children")
-            continue
-        if s[pos] == "L":
-            pos += 1
+    parents = []
+    cur = 0                     # the vertex whose children come next
+    bad = None
+    for k, tok in enumerate(tokens):
+        if tok == "L":
             weight = None
-        elif s[pos] != "(":
-            raise ParseError(pos, f"expected 'L' or '(', got {s[pos]!r}")
-        else:
-            pos += 1
-            while pos < len(s) and s[pos] == " ":
-                pos += 1
-            start = pos
-            while pos < len(s) and s[pos] in "-0123456789":
-                pos += 1
-            if start == pos:
-                raise ParseError(pos, "expected a weight")
+        elif tok == ")" and parents:
+            d = degrees[cur]
+            if not d:
+                raise ParseError(at(k) + 1, "weighted vertex needs children")
+            if not 1 <= weights[cur] <= d and (bad is None or cur < bad):
+                bad = cur
+            cur = parents.pop()
+            continue
+        elif tok[0] == "(":
             try:
-                weight = int(s[start:pos])
+                weight = int(tok[1:])
             except ValueError:
-                raise ParseError(start, f"bad weight {s[start:pos]!r}") from None
-        degrees[open_[-1]] += 1
-        if weight is not None:
-            open_.append(len(weights))
+                digits = tok[1:].lstrip(" ")
+                why = f"bad weight {digits!r}" if digits else "expected a weight"
+                raise ParseError(at(k) + len(tok) - len(digits), why) from None
+        elif tok == "]" and not parents:
+            if k + 1 < len(tokens):
+                raise ParseError(at(k + 1), "trailing characters")
+            break
+        else:
+            raise ParseError(at(k), f"expected 'L' or '(', got {tok!r}")
+        degrees[cur] += 1
         weights.append(weight)
         degrees.append(0)
-    while pos < len(s) and s[pos] == " ":
-        pos += 1
-    if pos != len(s):
-        raise ParseError(pos, "trailing characters")
-    return weighted_trees.validate_wtree(tuple(zip(weights, degrees)))
+        if weight is not None:
+            parents.append(cur)
+            cur = len(degrees) - 1
+    else:  # the text ran out before the root closed
+        raise ParseError(len(s), f"missing {')' if parents else ']'!r}")
+    if not degrees[0]:
+        raise FormViolation("tree must have at least one edge")
+    if bad is not None:
+        raise WeightOutOfRange(bad, weights[bad], degrees[bad])
+    return tuple(zip(weights, degrees))
 
 
 # --------------------------------------------------------------- registry
@@ -217,15 +238,18 @@ def _family(tag, parse, render, generate, validate, phi, psi, stats,
     stats check with ``validate`` and from_fpath with ``validate_fpath``,
     then run the trusted ``generate`` / ``phi`` / ``stats`` / ``psi``, and
     whose decompose maps the F-path's components back with ``psi``."""
+
+    def decompose(obj):  # an object of height 0 is its one summand
+        parts = fpath_core.fpath_decompose(phi(obj))
+        return [obj] if len(parts) == 1 else [psi(c) for c in parts]
+
     return FamilyInfo(
         tag, parse, render,
         lambda n: generate(fpath_core.common_index(n)),
         lambda obj: phi(validate(obj)),
         lambda q: psi(fpath_core.validate_fpath(q)),
         lambda obj: stats(validate(obj)),
-        direct_sum,
-        lambda obj: [psi(c) for c in fpath_core.fpath_decompose(phi(obj))],
-        phi, psi, stats,
+        direct_sum, decompose, phi, psi, stats,
     )
 
 
@@ -263,7 +287,7 @@ FAMILIES: dict[str, FamilyInfo] = {
     ),
     "perm": _family(
         "perm",
-        lambda t: pattern_perms.validate_avoider(parse_perm(t)),
+        parse_perm,
         render_perm,
         lambda n: pattern_perms.gen_avoiders(n + 1),
         pattern_perms.validate_avoider,

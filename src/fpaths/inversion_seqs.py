@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import pairwise
-from math import inf
 
 from .errors import FormViolation, NotAvoider
 from .fpath_core import FPath, StatTriple, fpath_height, int_entries
@@ -41,79 +40,56 @@ P101, P102, P021 = (1, 0, 1), (1, 0, 2), (0, 2, 1)
 _PATTERNS = {FAMILY_I: (P101, P102), FAMILY_J: (P101, P021)}
 
 
-class _Scan:
-    """Left-to-right scan state of an inversion-sequence prefix.
+def _scan(e, family: str, at: int = 0, opened: int = 0, closed: int = 0,
+          top: int = 0):
+    """Read the entries e after a prefix of length ``at``, checking the
+    inversion bound (a FormViolation at once) and the patterns in one loop.
 
-    A value is *open* while no strictly smaller entry has come after it,
-    and *closed* from then on.  The open values form a strictly increasing
-    stack.  For a next entry x (the prefix starts with e_1 = 0):
-
-        101  iff  x is closed
-        102  iff  x > the smallest closed value
-        021  iff  0 < x < the running maximum
-
-    Each entry costs O(1) amortised.
+    A value is *open* until a strictly smaller entry comes after it, then
+    *closed*.  ``opened`` and ``closed`` are the prefix's bit sets of open
+    and closed values, and ``top`` its largest entry.  A next entry x
+    completes 101 iff x is closed, 102 iff x > some closed value, and 021
+    iff 0 < x < top.  Returns ``(pattern, opened, closed, top)`` after e:
+    pattern is P101 if some entry completes it, else the family's other
+    pattern if some entry completes that, else None.
     """
-
-    __slots__ = ("open", "closed", "min_closed", "top")
-
-    def __init__(self):
-        self.open: list[int] = []
-        self.closed: set[int] = set()
-        self.min_closed = inf
-        self.top = 0
-
-    def completes(self, x: int, family: str):
-        """The first pattern of the family that x completes, or None."""
-        if x in self.closed:
-            return P101
-        if family == FAMILY_I:
-            return P102 if x > self.min_closed else None
-        return P021 if 0 < x < self.top else None
-
-    def push(self, x: int) -> None:
-        stack = self.open
-        while stack and stack[-1] > x:
-            v = stack.pop()
-            self.closed.add(v)
-            self.min_closed = min(self.min_closed, v)
-        if not stack or stack[-1] != x:
-            stack.append(x)
-        self.top = max(self.top, x)
-
-    def copy(self) -> "_Scan":
-        new = _Scan()
-        new.open = self.open.copy()
-        new.closed = self.closed.copy()
-        new.min_closed = self.min_closed
-        new.top = self.top
-        return new
+    is_i = family == FAMILY_I
+    other = _PATTERNS[family][1]
+    found = None
+    for i, x in enumerate(e, at):
+        if not 0 <= x <= i:
+            raise FormViolation(f"entry {x} at position {i + 1} outside 0..{i}")
+        bit = 1 << x
+        if closed & bit:
+            found = P101
+        elif not found and (closed & (bit - 1) if is_i else 0 < x < top):
+            found = other
+        if opened >> x > 1:  # open values above x close
+            above = opened & -(bit << 1)
+            closed |= above
+            opened ^= above
+        opened |= bit
+        if x > top:
+            top = x
+    return found, opened, closed, top
 
 
-def validate_invseq(entries, family: str) -> InvSeq:
-    """Check integer entries, length >= 1, the inversion bound and
-    ``family`` avoidance.
-
-    NotAvoider names the first pattern of the family that e contains.
-    One linear scan.
-    """
-    e = int_entries(entries)
+def _check_invseq(e: InvSeq, family: str) -> InvSeq:
+    """:func:`validate_invseq` for a tuple of ints, as parsed text is."""
     if not e:
         raise FormViolation("empty sequence; the shortest has length 1")
-    for i, v in enumerate(e, 1):
-        if not 0 <= v <= i - 1:
-            raise FormViolation(f"entry {v} at position {i} outside 0..{i - 1}")
-    scan = _Scan()
-    found = None
-    for x in e:
-        pat = scan.completes(x, family)
-        if pat == P101:
-            raise NotAvoider(pat)
-        found = found or pat
-        scan.push(x)
+    found = _scan(e, family)[0]
     if found:
         raise NotAvoider(found)
     return e
+
+
+def validate_invseq(entries, family: str) -> InvSeq:
+    """Check integer entries (:func:`int_entries`), then in one scan,
+    :func:`_scan`, length >= 1, the inversion bound and ``family``
+    avoidance.  A bound violation anywhere beats any pattern, and
+    NotAvoider names the first pattern of the family that e contains."""
+    return _check_invseq(int_entries(entries), family)
 
 
 def max_and_maxid(e: InvSeq) -> tuple[int, int]:
@@ -267,24 +243,25 @@ def dsum_J(e: InvSeq, f: InvSeq) -> InvSeq:
 def gen_invseq(n: int, family: str) -> tuple[InvSeq, ...]:
     """All avoiders of length n for the family, lexicographic order.
 
-    Depth-first over prefixes, carrying each prefix's :class:`_Scan`
-    state.  A trusted core: n must be an integer >= 1, checked by
+    Depth-first over prefixes, carrying each prefix's :func:`_scan`
+    state; a next value is kept when its scan completes no pattern.  A
+    trusted core: n must be an integer >= 1, checked by
     ``FAMILIES["inv-i"/"inv-j"].generate``.
     """
     out: list[InvSeq] = []
+    prefix: list[int] = []
 
-    def rec(prefix: list[int], scan: _Scan) -> None:
-        if len(prefix) == n:
+    def rec(opened: int, closed: int, top: int) -> None:
+        at = len(prefix)
+        if at == n:
             out.append(tuple(prefix))
             return
-        for v in range(0, len(prefix) + 1):
-            if scan.completes(v, family):
-                continue
-            child = scan.copy()
-            child.push(v)
-            prefix.append(v)
-            rec(prefix, child)
-            prefix.pop()
+        for v in range(at + 1):
+            found, o, c, t = _scan((v,), family, at, opened, closed, top)
+            if not found:
+                prefix.append(v)
+                rec(o, c, t)
+                prefix.pop()
 
-    rec([], _Scan())
+    rec(0, 0, 0)
     return tuple(out)

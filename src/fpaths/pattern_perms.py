@@ -126,14 +126,19 @@ def _contains_forbidden(p: Permutation) -> bool:
 def validate_avoider(p: Permutation) -> Permutation:
     """Return p as a tuple, or raise: FormViolation when p is empty, has
     an entry that is not an integer or is not a permutation of 1..len(p),
-    NotAvoider naming the first pattern of FORBIDDEN that p contains.
-    :func:`_contains_forbidden` decides, and :func:`_first_forbidden`
-    runs only on a rejection, to name the pattern."""
+    then NotAvoider as :func:`_check_avoider` does."""
     p = int_entries(p)
     if not p:
         raise FormViolation("empty permutation; the shortest has length 1")
     if sorted(p) != list(range(1, len(p) + 1)):
         raise FormViolation(f"not a permutation of 1..{len(p)}: {p!r}")
+    return _check_avoider(p)
+
+
+def _check_avoider(p: Permutation) -> Permutation:
+    """The tuple permutation p, as parsed text is, if it avoids FORBIDDEN:
+    :func:`_contains_forbidden` decides, and :func:`_first_forbidden`
+    runs only on a rejection, to name the pattern in NotAvoider."""
     if _contains_forbidden(p):
         raise NotAvoider(_first_forbidden(p))
     return p

@@ -15,7 +15,8 @@ four groups read this :class:`SizeData` and call neither ``phi`` nor
 ``stats_core`` runs once per object and ``fpath_stats`` once per path,
 and the direct-sum check looks every component up in the table.  The
 exception is the two ``decompose`` records: the family's ``decompose``
-runs ``phi`` and ``psi`` again, on one member per path.  Only the
+runs ``phi`` again, and ``psi`` on the components of a path of positive
+height, on one member per path.  Only the
 pinned constants go through the validating ``from_fpath``.
 
     verify_equinumerous(n, data)   |family_n| == a_total(n) for all
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from itertools import product
 
@@ -96,15 +97,7 @@ class VerifyReport:
                 "ok": self.ok,
                 "passed": self.passed,
                 "failed": self.failed,
-                "records": [
-                    {
-                        "name": r.name,
-                        "n": r.n,
-                        "ok": r.ok,
-                        "detail": r.detail,
-                    }
-                    for r in self.records
-                ],
+                "records": [asdict(r) for r in self.records],
             },
             indent=2,
         )

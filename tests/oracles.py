@@ -25,6 +25,9 @@ first = 1).
 the steps, for the closed forms ``counting.a_joint`` and
 ``counting.a_marginal``, and :func:`step_class_dp` by their step
 classes, for ``counting.f_refined``.
+:data:`READERS` hold the text readers that walk a line one token or
+character at a time, the oracle of the one-pass ``parse`` of the
+fpath, perm, inv-i, inv-j and tree families.
 """
 from bisect import bisect_left
 from collections import Counter
@@ -32,8 +35,16 @@ from itertools import combinations
 from math import inf
 from typing import Iterator, NamedTuple
 
+from fpaths.errors import (
+    FormViolation,
+    NotAvoider,
+    ParseError,
+    PrefixViolation,
+    StepNotInF,
+)
 from fpaths.inversion_seqs import InvSeq, _leading_zeros, max_and_maxid
-from fpaths.pattern_perms import _later_minima
+from fpaths.pattern_perms import _first_forbidden, _later_minima
+from fpaths.weighted_trees import validate_wtree
 
 
 def perm_contains(p, pattern) -> bool:
@@ -507,3 +518,167 @@ def step_class_dp(max_n: int) -> Iterator[Counter]:
                     nxt[g, i, j, k, l] += (h - g - 1) * c
         layer = nxt
         yield layer
+
+
+# ------------------------------------------------------------ text readers
+#
+# The readers ``FAMILIES[tag].parse`` replaced, kept as the oracle of the
+# differential fuzz: each walks the text one token or character at a
+# time and then checks the object on its own, the F-path with a copy of
+# the one-loop step check and an inversion sequence with a copy of the
+# prefix-scan class.
+
+
+def _read_step_check(steps) -> tuple:
+    path = []
+    height = 0
+    for pos, (a, b) in enumerate(steps):
+        if b > 1 or a < 1 and (a, b) != (0, 1):
+            raise StepNotInF((a, b), pos)
+        height += b - a
+        if height < 0:
+            raise PrefixViolation(pos + 1)
+        path.append((a, b))
+    return tuple(path)
+
+
+def read_fpath(text: str) -> tuple:
+    text = text.strip()
+    if text == "-":
+        return ()
+    steps = []
+    for at, token in enumerate(text.split()):
+        parts = token.split(",")
+        try:
+            a, b = parts
+            steps.append((int(a), int(b)))
+        except ValueError:
+            why = ("non-integer step" if len(parts) == 2
+                   else "expected 'a,b', got")
+            pos = len(text) - len(text.split(None, at)[-1])
+            raise ParseError(pos, f"{why} {token!r}") from None
+    return _read_step_check(steps)
+
+
+def read_perm(text: str) -> tuple:
+    text = text.strip()
+    try:
+        vals = tuple(map(int, text.split()))
+    except ValueError:
+        raise ParseError(0, f"non-integer entry in {text!r}") from None
+    if not vals:
+        raise ParseError(0, "empty permutation; the smallest has length 1")
+    if sorted(vals) != list(range(1, len(vals) + 1)):
+        raise ParseError(0, f"not a permutation of 1..{len(vals)}: {text!r}")
+    pattern = _first_forbidden(vals)
+    if pattern:
+        raise NotAvoider(pattern)
+    return vals
+
+
+class _PrefixScan:
+    """Open values form a strictly increasing stack; a value is closed
+    once a smaller entry follows it.  101 iff x is closed, 102 iff x is
+    above the least closed value, 021 iff 0 < x < the maximum so far."""
+
+    def __init__(self):
+        self.open, self.closed, self.min_closed, self.top = [], set(), inf, 0
+
+    def completes(self, x, family):
+        if x in self.closed:
+            return (1, 0, 1)
+        if family == "I":
+            return (1, 0, 2) if x > self.min_closed else None
+        return (0, 2, 1) if 0 < x < self.top else None
+
+    def push(self, x):
+        while self.open and self.open[-1] > x:
+            v = self.open.pop()
+            self.closed.add(v)
+            self.min_closed = min(self.min_closed, v)
+        if not self.open or self.open[-1] != x:
+            self.open.append(x)
+        self.top = max(self.top, x)
+
+
+def read_invseq(text: str, family: str) -> tuple:
+    text = text.strip()
+    try:
+        e = tuple(map(int, text.split(",")))
+    except ValueError:
+        raise ParseError(0, f"non-integer entry in {text!r}") from None
+    for i, v in enumerate(e, 1):
+        if not 0 <= v <= i - 1:
+            raise FormViolation(f"entry {v} at position {i} outside 0..{i - 1}")
+    scan = _PrefixScan()
+    found = None
+    for x in e:
+        pattern = scan.completes(x, family)
+        if pattern == (1, 0, 1):
+            raise NotAvoider(pattern)
+        found = found or pattern
+        scan.push(x)
+    if found:
+        raise NotAvoider(found)
+    return e
+
+
+def read_wtree(text: str) -> tuple:
+    s = text.strip()
+    if not s or s[0] != "[":
+        raise ParseError(0, "expected '['")
+    pos = 1
+    weights = [None]
+    degrees = [0]
+    open_ = [0]
+    while True:
+        while pos < len(s) and s[pos] == " ":
+            pos += 1
+        close = "]" if len(open_) == 1 else ")"
+        if pos >= len(s):
+            raise ParseError(pos, f"missing {close!r}")
+        if s[pos] == close:
+            pos += 1
+            if len(open_) == 1:
+                break
+            if not degrees[open_.pop()]:
+                raise ParseError(pos, "weighted vertex needs children")
+            continue
+        if s[pos] == "L":
+            pos += 1
+            weight = None
+        elif s[pos] != "(":
+            raise ParseError(pos, f"expected 'L' or '(', got {s[pos]!r}")
+        else:
+            pos += 1
+            while pos < len(s) and s[pos] == " ":
+                pos += 1
+            start = pos
+            while pos < len(s) and s[pos] in "-0123456789":
+                pos += 1
+            if start == pos:
+                raise ParseError(pos, "expected a weight")
+            try:
+                weight = int(s[start:pos])
+            except ValueError:
+                raise ParseError(start, f"bad weight {s[start:pos]!r}") from None
+        degrees[open_[-1]] += 1
+        if weight is not None:
+            open_.append(len(weights))
+        weights.append(weight)
+        degrees.append(0)
+    while pos < len(s) and s[pos] == " ":
+        pos += 1
+    if pos != len(s):
+        raise ParseError(pos, "trailing characters")
+    return validate_wtree(tuple(zip(weights, degrees)))
+
+
+#: The oracle reader of each family whose ``parse`` reads in one pass.
+READERS = {
+    "fpath": read_fpath,
+    "perm": read_perm,
+    "inv-i": lambda text: read_invseq(text, "I"),
+    "inv-j": lambda text: read_invseq(text, "J"),
+    "tree": read_wtree,
+}

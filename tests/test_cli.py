@@ -4,6 +4,7 @@ stdout/stderr go through redirect_* because the suite runs with -s;
 stdin is swapped by hand for the same reason.  A few tests run real
 subprocesses instead, to check what cmd_dispatch alone cannot reach.
 """
+import collections
 import contextlib
 import hashlib
 import io
@@ -18,6 +19,7 @@ import sys
 import pytest
 
 import fpaths
+from fpaths import fpath_core
 from fpaths.cli import cmd_dispatch
 from fpaths.errors import FormViolation
 from fpaths.families import FAMILIES, TAGS
@@ -134,6 +136,34 @@ def test_map_rejection_lines_are_pinned(src, dst, stdin, out, err):
     code, got_out, got_err = run_cli("map", "--from", src, "--to", dst,
                                      stdin=stdin)
     assert (code, got_out, got_err) == (2, out, f"fpaths map: {err}\n")
+
+
+def test_map_checks_each_line_once(monkeypatch):
+    """``map`` checks a line where ``parse`` reads it and nowhere else:
+    no F-path check after φ and no second read of the entries."""
+    calls = collections.Counter()
+    for name in ("validate_fpath", "int_entries"):
+        real = getattr(fpath_core, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("fpaths")
+                    and getattr(mod, name, None) is real):
+                monkeypatch.setattr(mod, name, spy)
+    code, out, _ = run_cli("map", "--from", "perm", "--to", "tree",
+                           stdin="2 3 1\n\n1 2 3\n3 1 2 4\n")
+    assert (code, out) == (0, "[(2 L L)]\n[L L L]\n[L (1 L L)]\n")
+    assert calls == {}
+    code, out, _ = run_cli("map", "--from", "fpath", "--to", "inv-i",
+                           stdin="0,1 2,1\n0,1\n1,1 0,1 1,0\n")
+    assert (code, out) == (0, "0,0,2\n0,0\n0,1,2,1\n")
+    assert calls == {"validate_fpath": 3}
+    FAMILIES["perm"].to_fpath((2, 3, 1))  # the public entry still checks
+    FAMILIES["tree"].from_fpath(((0, 1),))
+    assert calls == {"validate_fpath": 4, "int_entries": 1}
 
 
 def test_stats_names_the_rejected_line():
@@ -382,6 +412,7 @@ REUSE_CALLS = (
 
 _FIRST_CALL = """\
 import contextlib, io, json, sys
+from fpaths import fpath_core
 from fpaths.cli import cmd_dispatch
 argv, stdin = json.loads(sys.argv[1])
 sys.stdin = io.StringIO(stdin or "")

@@ -9,7 +9,7 @@ from functools import reduce
 import pytest
 
 import fpaths
-from fpaths import errors
+from fpaths import errors, families
 from fpaths.errors import (
     FormViolation,
     GuardExceeded,
@@ -154,6 +154,28 @@ def test_decompose_undoes_the_fold():
                 assert reduce(fam.direct_sum, parts) == obj, (tag, obj)
                 assert len(parts) == fam.stats_core(obj).h + 1, (tag, obj)
                 assert all(fam.stats_core(r).h == 0 for r in parts), (tag, obj)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_decompose_keeps_a_height_zero_object(random_fpath, tag):
+    """An object of height 0 is its own single summand: ``decompose``
+    returns it without a ψ call.  One of height h costs h + 1 calls."""
+    fam = FAMILIES[tag]
+    calls = []
+
+    def psi(q):
+        calls.append(q)
+        return fam.psi(q)
+
+    decompose = families._family(tag, None, None, None, None, fam.phi, psi,
+                                 fam.stats_core, fam.direct_sum).decompose
+    walk = random_fpath(random.Random(2999), 2999)
+    height = fpath_stats(walk)[0].h
+    obj = fam.psi(walk + ((height + 1, 1),))
+    assert decompose(obj) == [obj] and not calls
+    joined = fam.psi(walk)
+    assert decompose(joined) == fam.decompose(joined)
+    assert len(calls) == height + 1 > 1
 
 
 def test_empty_conventions():
@@ -323,6 +345,10 @@ REJECTED = [
      "vertex 1 has weight 3, expected 1..2", None),
     ("tree", "[(1 (2 L) L)]", "WeightOutOfRange",
      "vertex 2 has weight 2, expected 1..1", None),
+    ("tree", "[(2 L) (3 L L)]", "WeightOutOfRange",
+     "vertex 1 has weight 2, expected 1..1", None),
+    ("tree", "[(3 (2 L) L)]", "WeightOutOfRange",
+     "vertex 1 has weight 3, expected 1..2", None),
     ("tree", "[(12345678901234567890 L)]", "WeightOutOfRange",
      "vertex 1 has weight 12345678901234567890, expected 1..1", None),
 ]

@@ -7,6 +7,9 @@ points of every family, and short raw codes to the tree family's.  Only
 round-trip.  Inputs stay short, so trees stay shallow.  The runs are
 derandomized, so the suite is repeatable.
 Arguments of the wrong type go to every checking field of every family.
+The one-pass readers are checked against the readers they replaced,
+``oracles.READERS``, on renders of ψ(q) for n <= 30 with one character
+inserted, deleted or replaced.
 """
 import pytest
 
@@ -17,6 +20,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from fpaths.errors import FormViolation, FpathsError  # noqa: E402
 from fpaths.families import FAMILIES, TAGS  # noqa: E402
 from fpaths.fpath_core import fpath_stats  # noqa: E402
+import oracles  # noqa: E402
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True,
                 database=None)
@@ -147,3 +151,49 @@ def test_wrong_type_arguments_raise_form_violation(tag, field):
     for arg in (None, 1.5, object(), "5" if field == "generate" else 5):
         with pytest.raises(FormViolation):
             entry(arg)
+
+
+@st.composite
+def f_paths(draw, max_n=30):
+    """An F-path of length <= max_n: from height h, a north step or a
+    step (a, b) with 1 <= a <= min(h + 1, 4) and a - h <= b <= 1, b >= -3."""
+    q, h = [], 0
+    for _ in range(draw(st.integers(0, max_n))):
+        a = draw(st.integers(0, min(h + 1, 4)))
+        b = draw(st.integers(max(a - h, -3), 1)) if a else 1
+        q.append((a, b))
+        h += b - a
+    return tuple(q)
+
+
+#: Characters a one-character edit puts in: every family's letters, some
+#: other ASCII, a tab, and a superscript and an Arabic-Indic digit
+#: (int() reads the second but not the first).
+EDIT_CHARS = "0123456789,- LL()[]x+_\t\u00b2\u0663"
+
+
+def outcome(read, text):
+    """What ``read`` makes of ``text``: the value, or the exception's
+    class, text and offset."""
+    try:
+        return read(text)
+    except FpathsError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+@pytest.mark.parametrize("tag", sorted(oracles.READERS))
+def test_one_pass_readers_match_the_token_walkers(tag):
+    fam = FAMILIES[tag]
+    read = oracles.READERS[tag]
+
+    @FUZZ
+    @given(f_paths(), st.integers(0, 200), st.sampled_from("idr"),
+           st.sampled_from(EDIT_CHARS))
+    def check(q, at, op, char):
+        text = fam.render(fam.psi(q))
+        at %= len(text) + (op == "i")
+        cut = op != "i"
+        text = text[:at] + ("" if op == "d" else char) + text[at + cut:]
+        assert outcome(fam.parse, text) == outcome(read, text)
+
+    check()
