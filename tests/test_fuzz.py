@@ -166,10 +166,10 @@ def f_paths(draw, max_n=30):
     return tuple(q)
 
 
-#: Characters a one-character edit puts in: every family's letters, some
-#: other ASCII, a tab, and a superscript and an Arabic-Indic digit
-#: (int() reads the second but not the first).
-EDIT_CHARS = "0123456789,- LL()[]x+_\t\u00b2\u0663"
+#: Characters a one-character edit puts in: the letters of these five
+#: text forms, some other ASCII, a tab, and a superscript and an
+#: Arabic-Indic digit (int() reads the second but not the first).
+EDIT_CHARS = "0123456789,- L()[]x+_\t\u00b2\u0663"
 
 
 def outcome(read, text):
