@@ -17,11 +17,13 @@ or parse errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .counting import a_marginal, f_refined, sequence
 from .errors import FpathsError
 from .families import FAMILIES, TAGS
+from .fpath_core import common_index
 from .verify_harness import run_all
 
 
@@ -167,10 +169,20 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_all(args.max_n)
-    print(report.to_text())
+    json_file = contextlib.nullcontext()
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
+        # A bad --max-n is refused, and an unwritable path named, before
+        # the file is opened and before any check runs.
+        common_index(args.max_n)
+        try:
+            json_file = open(args.json_path, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"fpaths verify: {exc}", file=sys.stderr)
+            return 2
+    with json_file as fh:
+        report = run_all(args.max_n)
+        print(report.to_text())
+        if fh:
             fh.write(report.to_json() + "\n")
     return 0 if report.ok else 1
 

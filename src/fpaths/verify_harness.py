@@ -19,6 +19,17 @@ runs ``phi`` again, and ``psi`` on the components of a path of positive
 height, on one member per path.  Only the
 pinned constants go through the validating ``from_fpath``.
 
+Each record but the pinned ones belongs to one tag: the family it
+checks, or ``"fpath"`` for the records about F-paths alone.  A
+:class:`SizeData` covers some tags, and a group leaves None in the place
+of each record of a tag it does not cover.  :func:`run_all` generates
+the F-paths of every size first.  From ``max_n`` = :data:`_SPLIT_FROM_N`
+on, in a process of one thread where ``os.fork`` exists, it then forks
+once: the child runs the checks of :data:`_CHILD_TAGS` and sends their
+records back over a pipe, while the parent runs the pinned examples and
+the checks of every other tag, and puts the child's records into its own
+Nones in order.
+
     verify_equinumerous(n, data)   |family_n| == a_total(n) for all
                                    families
     verify_round_trips(n, data)    psi(phi(o)) == o, and psi(q) is a
@@ -33,6 +44,8 @@ pinned constants go through the validating ``from_fpath``.
 from __future__ import annotations
 
 import json
+import marshal
+import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import reduce
@@ -51,6 +64,18 @@ from .fpath_core import (
 
 #: Every tag but the hub's: the families that map to and from F-paths.
 _MAPPED_TAGS = tuple(tag for tag in TAGS if tag != "fpath")
+
+#: The families whose checks a forked child runs; the parent runs the
+#: other tags', ``"fpath"``'s included.  The two halves take about the
+#: same time.
+_CHILD_TAGS = ("bicolored", "inv-i", "inv-j")
+
+#: The least ``max_n`` at which :func:`run_all` forks.  Measured
+#: in-process, median of 3 x 41 runs, the split costs time at max_n 3
+#: (6.6 -> 7.9 ms), saves a sixth at 4 (21 -> 17 ms) and a third at 5
+#: (79 -> 51 ms).  Runs up to 4 stay in one process, so that a caller
+#: who wraps the cores, as the tests do, sees every call.
+_SPLIT_FROM_N = 5
 
 
 @dataclass
@@ -164,31 +189,40 @@ SEQUENCE = (1, 2, 6, 21, 80, 322, 1347, 5798, 25512)
 class SizeData:
     """What the four groups read at one size n.
 
-    ``objects[tag]`` is ``FAMILIES[tag].generate(n)`` for every tag.  For
-    every mapped tag, ``images[tag]`` holds phi of each of
-    ``objects[tag]``, index-aligned, and ``preimages[tag]`` maps each
-    generated path of the sizes built so far, n included, to its psi.
+    The groups make the records of the tags in ``tags`` only.
+    ``objects[tag]`` is ``FAMILIES[tag].generate(n)`` for ``"fpath"``
+    and every tag in ``tags``.  For every mapped tag in ``tags``,
+    ``images[tag]`` holds phi of each of ``objects[tag]``, index-aligned,
+    and ``preimages[tag]`` maps each generated path of the sizes built so
+    far, n included, to its psi.
     """
 
+    tags: tuple
     objects: dict
     images: dict
     preimages: dict
 
 
-def size_data(n: int, preimages: dict) -> SizeData:
-    """Generate every family at size n, run phi once per object and psi
-    once per path, and add the size-n paths to ``preimages``, a dict per
-    mapped tag that the caller keeps across sizes.
+def size_data(n: int, preimages: dict, tags: tuple = TAGS,
+              paths: tuple | None = None) -> SizeData:
+    """Generate every family of ``tags`` at size n, run phi once per
+    object and psi once per path, and add the size-n paths to
+    ``preimages``, a dict per mapped tag of ``tags`` that the caller
+    keeps across sizes.  ``paths`` is the F-paths of size n when the
+    caller has generated them.
 
     An image that equals a generated path is stored as that path, and a
     psi value that equals a member as that member, so the stored values
     take no memory of their own.
     """
-    objects = {tag: FAMILIES[tag].generate(n) for tag in TAGS}
-    paths = objects["fpath"]
+    if paths is None:
+        paths = FAMILIES["fpath"].generate(n)
+    mapped = [tag for tag in _MAPPED_TAGS if tag in tags]
+    objects = {"fpath": paths}
+    objects.update((tag, FAMILIES[tag].generate(n)) for tag in mapped)
     same_path = {q: q for q in paths}
     images = {}
-    for tag in _MAPPED_TAGS:
+    for tag in mapped:
         fam = FAMILIES[tag]
         same_member = {o: o for o in objects[tag]}
         images[tag] = tuple(
@@ -196,7 +230,7 @@ def size_data(n: int, preimages: dict) -> SizeData:
         preimages[tag].update(
             (q, same_member.get(o, o))
             for q, o in zip(paths, map(fam.psi, paths)))
-    return SizeData(objects, images, preimages)
+    return SizeData(tuple(tags), objects, images, preimages)
 
 
 def _record(name: str, n: int, bad, render) -> CheckRecord:
@@ -205,10 +239,21 @@ def _record(name: str, n: int, bad, render) -> CheckRecord:
                        "" if bad is None else render(bad))
 
 
+def _covered(data: SizeData, tags, out: list, per_tag: int = 1):
+    """Yield each of ``tags`` that ``data`` covers, in order.  For each
+    other tag, append ``per_tag`` Nones to ``out`` in the place of its
+    records, which the process covering that tag makes."""
+    for tag in tags:
+        if tag in data.tags:
+            yield tag
+        else:
+            out += [None] * per_tag
+
+
 def verify_equinumerous(n: int, data: SizeData) -> list[CheckRecord]:
     expected = a_total(n)
     out = []
-    for tag in TAGS:
+    for tag in _covered(data, TAGS, out):
         got = len(data.objects[tag])
         out.append(
             CheckRecord(
@@ -225,7 +270,7 @@ def verify_round_trips(n: int, data: SizeData) -> list[CheckRecord]:
     out = []
     paths = data.objects["fpath"]
     render_path = FAMILIES["fpath"].render
-    for tag in _MAPPED_TAGS:
+    for tag in _covered(data, _MAPPED_TAGS, out, 2):
         objects, images = data.objects[tag], data.images[tag]
         psi_of = data.preimages[tag]
         # psi(phi(o)) is the stored psi of o's image, a generated path.
@@ -249,7 +294,7 @@ def verify_statistics(n: int, data: SizeData) -> list[CheckRecord]:
     fstats = {q: same.setdefault(st, st)
               for q, st in zip(paths, map(fpath_stats, paths))}
     fdist = Counter(st for st, _ in fstats.values())
-    for tag in _MAPPED_TAGS:
+    for tag in _covered(data, _MAPPED_TAGS, out, 2):
         fam = FAMILIES[tag]
         dist = Counter()
         bad = None
@@ -268,6 +313,8 @@ def verify_statistics(n: int, data: SizeData) -> list[CheckRecord]:
                 "" if dist == fdist else f"first diff {_dist_diff(dist, fdist)}",
             )
         )
+    if "fpath" not in data.tags:
+        return out + [None, None]
     diff = next(
         (
             f"(h,l,a1)=({h},{l},{a1}): {got} != {want}"
@@ -302,17 +349,21 @@ def _dist_diff(d1: Counter, d2: Counter) -> str:
     return "?"
 
 
+#: The two families with a ``decompose`` record, and the peeler it names.
+_PEELERS = {"inv-i": "decompose_I", "inv-j": "decompose_J"}
+
+
 def verify_direct_sums(n: int, data: SizeData) -> list[CheckRecord]:
     render_path = FAMILIES["fpath"].render
     decomps = [(q, fpath_decompose(q)) for q in data.objects["fpath"]]
-    bad = next(
-        (q for q, comps in decomps if reduce(fpath_direct_sum, comps) != q),
-        None,
-    )
-    out = [_record("direct-sum[fpath] recompose", n, bad, render_path)]
+    out = [None]
+    if "fpath" in data.tags:
+        bad = next((q for q, comps in decomps
+                    if reduce(fpath_direct_sum, comps) != q), None)
+        out[0] = _record("direct-sum[fpath] recompose", n, bad, render_path)
     # Each component is a generated path of size <= n, so its psi is
     # stored; a missing one fails the record.
-    for tag in _MAPPED_TAGS:
+    for tag in _covered(data, _MAPPED_TAGS, out):
         dsum, psi_of = FAMILIES[tag].direct_sum, data.preimages[tag]
         bad = None
         for q, comps in decomps:
@@ -324,7 +375,8 @@ def verify_direct_sums(n: int, data: SizeData) -> list[CheckRecord]:
                            bad, render_path))
     # The record names are pinned output; they name the connectedness
     # peelers that the tests keep as these two families' oracles.
-    for tag, peeler in (("inv-i", "decompose_I"), ("inv-j", "decompose_J")):
+    for tag in _covered(data, _PEELERS, out):
+        peeler = _PEELERS[tag]
         decompose, psi_of = FAMILIES[tag].decompose, data.preimages[tag]
         bad = next(
             (q for q, comps in decomps
@@ -382,16 +434,118 @@ def run_all(max_n: int = 6) -> VerifyReport:
     Each size's :class:`SizeData` is built once and read by all four
     groups; the psi table it extends lives until this call returns.
     ``max_n`` is checked by :func:`common_index` before any size is
-    built.
+    built.  From ``max_n`` = :data:`_SPLIT_FROM_N` on, in a process of
+    one thread where ``os.fork`` exists, a forked child runs half the
+    families' checks (:func:`_split`); the report is the same either way.
     """
     max_n = common_index(max_n)
-    report = VerifyReport(verify_pinned_examples())
-    preimages = {tag: {} for tag in _MAPPED_TAGS}
-    for n in range(max_n + 1):
-        data = size_data(n, preimages)
+    paths = [FAMILIES["fpath"].generate(n) for n in range(max_n + 1)]
+    if _forks(max_n):
+        return VerifyReport(_split(paths))
+    return VerifyReport(verify_pinned_examples() + _size_checks(TAGS, paths))
+
+
+def _forks(max_n: int) -> bool:
+    """Whether :func:`run_all` splits: from ``max_n`` =
+    :data:`_SPLIT_FROM_N` on, where ``os.fork`` exists, in a process of
+    one thread.  A forked child has only the calling thread, and a lock
+    that another thread held at the fork would stay held in it."""
+    if max_n < _SPLIT_FROM_N or not hasattr(os, "fork"):
+        return False
+    import threading  # here, so that ``import fpaths`` does not load it
+
+    return threading.active_count() == 1
+
+
+def _size_checks(tags: tuple, paths: list) -> list:
+    """The records of the sizes n < ``len(paths)`` in order: made for
+    the checks of ``tags``, None in the place of every other check's.
+    ``paths[n]`` is the F-paths of size n."""
+    preimages = {tag: {} for tag in _MAPPED_TAGS if tag in tags}
+    out = []
+    for n, paths_n in enumerate(paths):
+        data = size_data(n, preimages, tags, paths_n)
         for group in (verify_equinumerous, verify_round_trips,
                       verify_statistics, verify_direct_sums):
-            report.records.extend(group(n, data))
+            out += group(n, data)
         # Free this size's objects before the next, larger size is built.
         del data
-    return report
+    return out
+
+
+def _split(paths: list) -> list[CheckRecord]:
+    """Every record of :func:`run_all`, the checks of :data:`_CHILD_TAGS`
+    run in a forked child.
+
+    The parent always reaps the child: when its own half raises, it
+    kills the child first.  An exception in the child is raised here
+    again, with its type, message and attributes.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        os.close(read_fd)
+        _child(write_fd, paths)
+    os.close(write_fd)
+    mine = tuple(tag for tag in TAGS if tag not in _CHILD_TAGS)
+    try:
+        with open(read_fd, "rb") as pipe:
+            records = verify_pinned_examples()
+            placed = _size_checks(mine, paths)
+            sent = pipe.read()
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    if not sent:
+        raise RuntimeError("the verify child ended without sending records")
+    ok, payload = marshal.loads(sent)
+    if not ok:
+        import pickle
+
+        raise pickle.loads(payload)
+    theirs = iter(payload)
+    return records + [CheckRecord(*next(theirs)) if r is None else r
+                      for r in placed]
+
+
+def _child(write_fd: int, paths: list):
+    """The forked child of :func:`_split`: run the checks of
+    :data:`_CHILD_TAGS` and write ``(True, records)`` as plain tuples,
+    or ``(False, pickled exception)``, with ``marshal`` to ``write_fd``.
+
+    It never returns: it leaves through ``os._exit``, so it runs no
+    cleanup of the parent's and flushes no inherited stdio.
+    """
+    try:
+        try:
+            result = (True, [(r.name, r.n, r.ok, r.detail)
+                             for r in _size_checks(_CHILD_TAGS, paths)
+                             if r is not None])
+        except BaseException as exc:
+            result = (False, _pickled(exc))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(marshal.dumps(result))
+    finally:
+        os._exit(0)
+
+
+def _pickled(exc: BaseException) -> bytes:
+    """``exc`` pickled; one that does not come back from ``pickle`` is
+    sent as a RuntimeError naming it."""
+    import pickle
+
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+    except Exception:
+        data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+    return data

@@ -330,6 +330,28 @@ def test_verify_passes(tmp_path):
     assert data["failed"] == 0
 
 
+def test_verify_unwritable_json_path_is_refused_before_any_check(
+        tmp_path, monkeypatch):
+    def no_run(max_n):
+        raise AssertionError("run_all ran before the path was refused")
+
+    monkeypatch.setattr("fpaths.cli.run_all", no_run)
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli("verify", "--max-n", "5", "--json", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"fpaths verify: [Errno 2] No such file or directory: " \
+        f"{str(target)!r}\n"
+
+
+def test_verify_bad_max_n_leaves_the_json_file_untouched(tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("kept\n")
+    code, out, err = run_cli("verify", "--max-n", "-1", "--json", str(target))
+    assert (code, out) == (2, "")
+    assert err == "fpaths verify: n must be >= 0, got -1\n"
+    assert target.read_text() == "kept\n"
+
+
 def test_verify_negative_max_n_is_usage_error():
     with pytest.raises(FormViolation):
         run_all(-1)

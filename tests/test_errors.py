@@ -1,0 +1,40 @@
+"""The error classes: every one survives a pickle round trip."""
+import pickle
+
+import pytest
+
+from fpaths import errors
+
+#: One instance of every class, built the way the package raises it.
+INSTANCES = [
+    errors.FpathsError("base message"),
+    errors.StepNotInF((0, 2), 3),
+    errors.PrefixViolation(4),
+    errors.GuardExceeded(11, 10),
+    errors.BelowAxis(3),
+    errors.NotClosed(2),
+    errors.TripleDescent(5),
+    errors.RunFormViolation(6, "red after black"),
+    errors.RunFormViolation(1),
+    errors.NotAvoider([2, 3, 4, 1]),
+    errors.FormViolation("n must be >= 0, got -1"),
+    errors.WeightOutOfRange(2, 5, 3),
+    errors.WeightOnLeafOrRoot(0, 1),
+    errors.InexactDivision(7, 2),
+    errors.ParseError(3, "non-integer step '1,x'"),
+]
+
+
+def test_every_class_is_covered():
+    classes = {obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, errors.FpathsError)}
+    assert classes == {type(exc) for exc in INSTANCES}
+
+
+@pytest.mark.parametrize("exc", INSTANCES, ids=lambda e: type(e).__name__)
+def test_pickle_round_trip_keeps_type_message_and_attributes(exc):
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert back.args == exc.args
+    assert vars(back) == vars(exc)

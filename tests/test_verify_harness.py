@@ -1,9 +1,18 @@
 """The harness itself: reporting shapes, one generation per size and
-one phi per object, one psi per path."""
+one phi per object, one psi per path, and the split of the checks
+between the process and one forked child."""
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import threading
 from collections import Counter
 
+import pytest
+
+from fpaths import verify_harness
+from fpaths.errors import FormViolation, WeightOutOfRange
 from fpaths.families import FAMILIES, TAGS
 from fpaths.verify_harness import (
     CheckRecord,
@@ -152,3 +161,138 @@ def test_report_aggregates_failures():
     text = report.to_text()
     assert "FAIL" in text and "boom" in text
     assert text.endswith("1 passed, 1 failed, 2 total")
+
+
+# ------------------------------------------------------------------ split
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _psi_tags(calls):
+    """The tags whose psi ran in this process, from ``_count_cores``."""
+    return {tag for kind, tag, _ in calls if kind == "psi"}
+
+
+@pytest.mark.parametrize("max_n", [5, 6])
+def test_split_records_equal_the_one_process_records(monkeypatch, max_n):
+    calls = _count_cores(monkeypatch)
+    split = run_all(max_n).records
+    _no_child_left()
+    # The child's families ran psi in the child only.
+    assert _psi_tags(calls) == set(MAPPED) - set(verify_harness._CHILD_TAGS)
+    calls.clear()
+    monkeypatch.delattr(os, "fork")
+    one = run_all(max_n).records
+    assert _psi_tags(calls) == set(MAPPED)
+    assert [dataclasses.astuple(r) for r in split] == \
+        [dataclasses.astuple(r) for r in one]
+
+
+def test_split_is_not_taken_below_the_threshold(monkeypatch):
+    calls = _count_cores(monkeypatch)
+    assert run_all(verify_harness._SPLIT_FROM_N - 1).ok
+    assert _psi_tags(calls) == set(MAPPED)
+
+
+def test_split_is_not_taken_while_another_thread_runs(monkeypatch):
+    calls = _count_cores(monkeypatch)
+    done = threading.Event()
+    other = threading.Thread(target=done.wait, args=(10,))
+    other.start()
+    try:
+        assert run_all(5).ok
+    finally:
+        done.set()
+        other.join(10)
+    assert not other.is_alive()
+    assert _psi_tags(calls) == set(MAPPED)
+
+
+def test_swapped_psi_pair_fails_alike_when_inv_i_runs_in_the_child(
+        monkeypatch):
+    assert "inv-i" in verify_harness._CHILD_TAGS
+    monkeypatch.setattr(verify_harness, "_SPLIT_FROM_N", 3)
+    test_swapped_psi_pair_gives_the_known_fail_lines(monkeypatch)
+    _no_child_left()
+
+
+def _raise_in_psi(monkeypatch, tag, exc):
+    def psi(q):
+        raise exc(os.getpid())
+
+    monkeypatch.setitem(FAMILIES, tag,
+                        dataclasses.replace(FAMILIES[tag], psi=psi))
+
+
+def test_an_error_in_the_child_is_raised_again(monkeypatch):
+    _raise_in_psi(monkeypatch, "inv-j",
+                  lambda pid: FormViolation(f"psi failed in process {pid}"))
+    with pytest.raises(FormViolation) as caught:
+        run_all(5)
+    _no_child_left()
+    assert type(caught.value) is FormViolation
+    message = str(caught.value)
+    assert message.startswith("psi failed in process ")
+    assert message != f"psi failed in process {os.getpid()}"
+
+
+def test_an_error_with_attributes_keeps_them_across_the_pipe(monkeypatch):
+    _raise_in_psi(monkeypatch, "bicolored",
+                  lambda pid: WeightOutOfRange(pid, 7, 2))
+    with pytest.raises(WeightOutOfRange) as caught:
+        run_all(5)
+    _no_child_left()
+    exc = caught.value
+    assert exc.vertex != os.getpid()
+    assert (exc.weight, exc.outdeg) == (7, 2)
+    assert str(exc) == f"vertex {exc.vertex} has weight 7, expected 1..2"
+
+
+def test_an_unpicklable_error_in_the_child_comes_back_named(monkeypatch):
+    class Local(Exception):
+        pass
+
+    _raise_in_psi(monkeypatch, "inv-i", lambda pid: Local("boom"))
+    with pytest.raises(RuntimeError, match="^Local: boom$"):
+        run_all(5)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("exc", [FormViolation, KeyboardInterrupt])
+def test_an_error_in_the_parent_kills_and_reaps_the_child(monkeypatch, exc):
+    assert "perm" not in verify_harness._CHILD_TAGS
+    _raise_in_psi(monkeypatch, "perm", lambda pid: exc("parent half"))
+    with pytest.raises(exc, match="^parent half$"):
+        run_all(6)
+    _no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+def test_a_failed_fork_leaves_no_pipe_open(monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    open_fds = set(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(BlockingIOError):
+        run_all(5)
+    assert set(os.listdir("/proc/self/fd")) == open_fds
+
+
+def test_the_split_writes_nothing_and_imports_no_new_module():
+    """The child leaves without flushing the stdout buffer it inherits,
+    and records cross the pipe with marshal: pickle and signal are
+    imported only on the error paths."""
+    code = ("import sys, fpaths; before = set(sys.modules); "
+            "sys.stdout.write('unflushed '); "
+            "assert fpaths.run_all(5).ok; "
+            "print(sorted(set(sys.modules) - before))")
+    buffered = {k: v for k, v in os.environ.items()
+                if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=buffered)
+    assert (proc.stdout, proc.stderr) == ("unflushed []\n", "")
