@@ -1,45 +1,44 @@
 """Cross-verification harness: every claim the package makes, checked.
 
-Checks are grouped into five entry points, each returning a list of
-:class:`CheckRecord`; :func:`run_all` bundles them into a
-:class:`VerifyReport`.  All checks are exhaustive over the stated sizes
-(no sampling) and deterministic; the first failing object is reported in
-its text form.
+:func:`run_all` runs every check and bundles the records, each a
+:class:`CheckRecord`, into a :class:`VerifyReport`.  All checks are
+exhaustive over the stated sizes (no sampling) and deterministic; the
+first failing object is reported in its text form.
 
-For each size n, :func:`size_data` computes every value once: it
-generates each family, runs the trusted core ``phi`` once per generated
-object and ``psi`` once per generated path, and adds the psi values to
-a path -> object table that :func:`run_all` keeps for sizes <= n.  The
-four groups read this :class:`SizeData` and call neither ``phi`` nor
-``psi``: a round trip is a lookup of the stored psi of a stored image,
-``stats_core`` runs once per object and ``fpath_stats`` once per path,
-and the direct-sum check looks every component up in the table.  The
-exception is the two ``decompose`` records: the family's ``decompose``
-runs ``phi`` again, and ``psi`` on the components of a path of positive
-height, on one member per path.  Only the
-pinned constants go through the validating ``from_fpath``.
+The unit of work is one tag: a family, or ``"fpath"`` for the records
+about F-paths alone.  :func:`tag_records` makes a tag's records for
+every size n.  It generates a mapped family once per n, runs the trusted
+core ``phi`` once per member and ``psi`` once per path, and keeps the
+psi of each path in a table of its own, since the direct-sum components
+of a path are paths of smaller sizes.  The groups below read these
+values and call neither ``phi`` nor ``psi``, except the two
+``decompose`` records: the family's ``decompose`` runs ``phi`` again,
+and ``psi`` on the components of a path of positive height, on one
+member per path.  What every tag reads at size n, the F-paths, their
+statistics and decompositions, is a :class:`SizeData` that each process
+builds once per size.  Only the pinned constants go through the
+validating ``from_fpath``.
 
-Each record but the pinned ones belongs to one tag: the family it
-checks, or ``"fpath"`` for the records about F-paths alone.  A
-:class:`SizeData` covers some tags, and a group leaves None in the place
-of each record of a tag it does not cover.  :func:`run_all` generates
-the F-paths of every size first.  From ``max_n`` = :data:`_SPLIT_FROM_N`
-on, in a process of one thread where ``os.fork`` exists, it then forks
-once: the child runs the checks of :data:`_CHILD_TAGS` and sends their
-records back over a pipe, while the parent runs the pinned examples and
-the checks of every other tag, and puts the child's records into its own
-Nones in order.
+Each group returns one tag's records at one n as (slot, record) pairs.
+A record is keyed (n, slot, TAGS index), and the report is the pinned
+examples followed by every tag's records sorted by key.  Within
+one n the slots are: 0 ``equinumerous`` of every tag, 1 the round
+trips, 2 the statistics of the mapped tags, 3 the F-path ``a_joint``
+and involution records, 4 the F-path recompose record, 5 the
+homomorphism records and 6 the ``decompose`` records.  From ``max_n`` =
+:data:`_SPLIT_FROM_N` on, in a process of one thread where ``os.fork``
+exists, the tags are split between two processes: a forked child runs
+:data:`_CHILD_TAGS` and sends its records back over a pipe as plain
+tuples, while the parent runs the pinned examples and the other tags.
 
-    verify_equinumerous(n, data)   |family_n| == a_total(n) for all
-                                   families
-    verify_round_trips(n, data)    psi(phi(o)) == o, and psi(q) is a
-                                   generated object with phi(psi(q)) == q
-    verify_statistics(n, data)     stats(o) == stats(phi(o)); the joint
-                                   distribution matches a_joint; the
-                                   step involution behaves as stated
-    verify_direct_sums(n, data)    psi respects the direct-sum
-                                   decomposition
-    verify_pinned_examples()       frozen worked examples, bit for bit
+    verify_equinumerous    |family_n| == a_total(n) for all families
+    verify_round_trips     psi(phi(o)) == o, and psi(q) is a generated
+                           object with phi(psi(q)) == q
+    verify_statistics      stats(o) == stats(phi(o)); the joint
+                           distribution matches a_joint; the step
+                           involution behaves as stated
+    verify_direct_sums     psi respects the direct-sum decomposition
+    verify_pinned_examples frozen worked examples, bit for bit
 """
 from __future__ import annotations
 
@@ -65,7 +64,7 @@ from .fpath_core import (
 #: Every tag but the hub's: the families that map to and from F-paths.
 _MAPPED_TAGS = tuple(tag for tag in TAGS if tag != "fpath")
 
-#: The families whose checks a forked child runs; the parent runs the
+#: The tags whose records a forked child makes; the parent makes the
 #: other tags', ``"fpath"``'s included.  The two halves take about the
 #: same time.
 _CHILD_TAGS = ("bicolored", "inv-i", "inv-j")
@@ -187,50 +186,33 @@ SEQUENCE = (1, 2, 6, 21, 80, 322, 1347, 5798, 25512)
 
 @dataclass(frozen=True)
 class SizeData:
-    """What the four groups read at one size n.
+    """What the checks of every tag read at one size n.
 
-    The groups make the records of the tags in ``tags`` only.
-    ``objects[tag]`` is ``FAMILIES[tag].generate(n)`` for ``"fpath"``
-    and every tag in ``tags``.  For every mapped tag in ``tags``,
-    ``images[tag]`` holds phi of each of ``objects[tag]``, index-aligned,
-    and ``preimages[tag]`` maps each generated path of the sizes built so
-    far, n included, to its psi.
+    ``paths`` is the F-paths of size n and ``same_path`` maps each to
+    itself, so that an equal value can be stored as the generated path.
+    ``fstats`` maps each path to its ``fpath_stats``, each distinct value
+    stored once, and ``fdist`` counts the paths of each triple.
+    ``decomps`` holds each path's ``fpath_decompose``, index-aligned.
     """
 
-    tags: tuple
-    objects: dict
-    images: dict
-    preimages: dict
+    paths: tuple
+    same_path: dict
+    fstats: dict
+    fdist: Counter
+    decomps: tuple
 
 
-def size_data(n: int, preimages: dict, tags: tuple = TAGS,
-              paths: tuple | None = None) -> SizeData:
-    """Generate every family of ``tags`` at size n, run phi once per
-    object and psi once per path, and add the size-n paths to
-    ``preimages``, a dict per mapped tag of ``tags`` that the caller
-    keeps across sizes.  ``paths`` is the F-paths of size n when the
-    caller has generated them.
-
-    An image that equals a generated path is stored as that path, and a
-    psi value that equals a member as that member, so the stored values
-    take no memory of their own.
-    """
-    if paths is None:
-        paths = FAMILIES["fpath"].generate(n)
-    mapped = [tag for tag in _MAPPED_TAGS if tag in tags]
-    objects = {"fpath": paths}
-    objects.update((tag, FAMILIES[tag].generate(n)) for tag in mapped)
-    same_path = {q: q for q in paths}
-    images = {}
-    for tag in mapped:
-        fam = FAMILIES[tag]
-        same_member = {o: o for o in objects[tag]}
-        images[tag] = tuple(
-            same_path.get(q, q) for q in map(fam.phi, objects[tag]))
-        preimages[tag].update(
-            (q, same_member.get(o, o))
-            for q, o in zip(paths, map(fam.psi, paths)))
-    return SizeData(tuple(tags), objects, images, preimages)
+def size_data(n: int) -> SizeData:
+    """Generate the F-paths of size n and compute, once per path, the
+    values that every tag's checks read."""
+    paths = FAMILIES["fpath"].generate(n)
+    # Paths share few distinct statistics; store each once.
+    same = {}
+    fstats = {q: same.setdefault(st, st)
+              for q, st in zip(paths, map(fpath_stats, paths))}
+    return SizeData(paths, {q: q for q in paths}, fstats,
+                    Counter(st for st, _ in fstats.values()),
+                    tuple(map(fpath_decompose, paths)))
 
 
 def _record(name: str, n: int, bad, render) -> CheckRecord:
@@ -239,82 +221,44 @@ def _record(name: str, n: int, bad, render) -> CheckRecord:
                        "" if bad is None else render(bad))
 
 
-def _covered(data: SizeData, tags, out: list, per_tag: int = 1):
-    """Yield each of ``tags`` that ``data`` covers, in order.  For each
-    other tag, append ``per_tag`` Nones to ``out`` in the place of its
-    records, which the process covering that tag makes."""
-    for tag in tags:
-        if tag in data.tags:
-            yield tag
-        else:
-            out += [None] * per_tag
+def verify_equinumerous(n: int, tag: str, members) -> list:
+    expected, got = a_total(n), len(members)
+    diff = None if got == expected else f"{got} != {expected}"
+    return [(0, _record(f"equinumerous[{tag}]", n, diff, str))]
 
 
-def verify_equinumerous(n: int, data: SizeData) -> list[CheckRecord]:
-    expected = a_total(n)
-    out = []
-    for tag in _covered(data, TAGS, out):
-        got = len(data.objects[tag])
-        out.append(
-            CheckRecord(
-                f"equinumerous[{tag}]",
-                n,
-                got == expected,
-                "" if got == expected else f"{got} != {expected}",
-            )
-        )
+def verify_round_trips(n: int, tag: str, data: SizeData, members, images,
+                       psi_of: dict) -> list:
+    # psi(phi(o)) is the stored psi of o's image, a generated path.
+    bad = next((o for o, q in zip(members, images) if psi_of.get(q) != o),
+               None)
+    out = [(1, _record(f"round-trip[{tag}] psi(phi(o)) == o", n, bad,
+                       FAMILIES[tag].render))]
+    # psi(q) must be a member whose stored image is q.
+    phi_of = dict(zip(members, images))
+    bad = next((q for q in data.paths if phi_of.get(psi_of[q]) != q), None)
+    out.append((1, _record(f"round-trip[{tag}] phi(psi(q)) == q", n, bad,
+                           FAMILIES["fpath"].render)))
     return out
 
 
-def verify_round_trips(n: int, data: SizeData) -> list[CheckRecord]:
-    out = []
-    paths = data.objects["fpath"]
-    render_path = FAMILIES["fpath"].render
-    for tag in _covered(data, _MAPPED_TAGS, out, 2):
-        objects, images = data.objects[tag], data.images[tag]
-        psi_of = data.preimages[tag]
-        # psi(phi(o)) is the stored psi of o's image, a generated path.
-        bad = next((o for o, q in zip(objects, images) if psi_of.get(q) != o),
-                   None)
-        out.append(_record(f"round-trip[{tag}] psi(phi(o)) == o", n, bad,
-                           FAMILIES[tag].render))
-        # psi(q) must be a member whose stored image is q.
-        phi_of = dict(zip(objects, images))
-        bad = next((q for q in paths if phi_of.get(psi_of[q]) != q), None)
-        out.append(_record(f"round-trip[{tag}] phi(psi(q)) == q", n, bad,
-                           render_path))
-    return out
-
-
-def verify_statistics(n: int, data: SizeData) -> list[CheckRecord]:
-    out = []
-    paths = data.objects["fpath"]
-    # Paths share few distinct statistics; store each once.
-    same = {}
-    fstats = {q: same.setdefault(st, st)
-              for q, st in zip(paths, map(fpath_stats, paths))}
-    fdist = Counter(st for st, _ in fstats.values())
-    for tag in _covered(data, _MAPPED_TAGS, out, 2):
+def verify_statistics(n: int, tag: str, data: SizeData, members=(),
+                      images=()) -> list:
+    fstats, fdist = data.fstats, data.fdist
+    if tag != "fpath":
         fam = FAMILIES[tag]
         dist = Counter()
         bad = None
-        for o, q in zip(data.objects[tag], data.images[tag]):
+        for o, q in zip(members, images):
             st = fam.stats_core(o)
             dist[st] += 1
             if bad is None and (q not in fstats or fstats[q][0] != st):
                 bad = o
-        out.append(_record(f"statistics[{tag}] stats(o) == stats(phi(o))",
-                           n, bad, fam.render))
-        out.append(
-            CheckRecord(
-                f"statistics[{tag}] joint distribution",
-                n,
-                dist == fdist,
-                "" if dist == fdist else f"first diff {_dist_diff(dist, fdist)}",
-            )
-        )
-    if "fpath" not in data.tags:
-        return out + [None, None]
+        diff = None if dist == fdist else _dist_diff(dist, fdist)
+        return [(2, _record(f"statistics[{tag}] stats(o) == stats(phi(o))",
+                            n, bad, fam.render)),
+                (2, _record(f"statistics[{tag}] joint distribution", n, diff,
+                            "first diff {}".format))]
     diff = next(
         (
             f"(h,l,a1)=({h},{l},{a1}): {got} != {want}"
@@ -324,7 +268,6 @@ def verify_statistics(n: int, data: SizeData) -> list[CheckRecord]:
         ),
         None,
     )
-    out.append(_record("statistics a_joint closed form", n, diff, str))
 
     def involution_holds(q):
         r = involution_phi_F(q)
@@ -335,57 +278,90 @@ def verify_statistics(n: int, data: SizeData) -> list[CheckRecord]:
         return ((h2, l2) == (h1, l1) and a2 == bone1 - l1
                 and bone2 == a1 + l1 and h1 <= l1 <= bone1)
 
-    bad = next((q for q in paths if not involution_holds(q)), None)
-    out.append(_record("involution relations", n, bad,
-                       FAMILIES["fpath"].render))
-    return out
+    bad = next((q for q in data.paths if not involution_holds(q)), None)
+    return [(3, _record("statistics a_joint closed form", n, diff, str)),
+            (3, _record("involution relations", n, bad,
+                        FAMILIES["fpath"].render))]
 
 
 def _dist_diff(d1: Counter, d2: Counter) -> str:
-    keys = sorted(set(d1) | set(d2))
-    for key in keys:
-        if d1.get(key, 0) != d2.get(key, 0):
-            return f"{tuple(key)}: {d1.get(key, 0)} != {d2.get(key, 0)}"
-    return "?"
+    """The least triple whose counts differ, with both counts."""
+    key = next((k for k in sorted(set(d1) | set(d2)) if d1[k] != d2[k]), None)
+    return "?" if key is None else f"{tuple(key)}: {d1[key]} != {d2[key]}"
 
 
 #: The two families with a ``decompose`` record, and the peeler it names.
 _PEELERS = {"inv-i": "decompose_I", "inv-j": "decompose_J"}
 
 
-def verify_direct_sums(n: int, data: SizeData) -> list[CheckRecord]:
+def verify_direct_sums(n: int, tag: str, data: SizeData,
+                       psi_of=None) -> list:
     render_path = FAMILIES["fpath"].render
-    decomps = [(q, fpath_decompose(q)) for q in data.objects["fpath"]]
-    out = [None]
-    if "fpath" in data.tags:
-        bad = next((q for q, comps in decomps
+    if tag == "fpath":
+        bad = next((q for q, comps in zip(data.paths, data.decomps)
                     if reduce(fpath_direct_sum, comps) != q), None)
-        out[0] = _record("direct-sum[fpath] recompose", n, bad, render_path)
+        return [(4, _record("direct-sum[fpath] recompose", n, bad,
+                            render_path))]
     # Each component is a generated path of size <= n, so its psi is
     # stored; a missing one fails the record.
-    for tag in _covered(data, _MAPPED_TAGS, out):
-        dsum, psi_of = FAMILIES[tag].direct_sum, data.preimages[tag]
-        bad = None
-        for q, comps in decomps:
-            parts = [psi_of.get(c) for c in comps]
-            if None in parts or reduce(dsum, parts) != psi_of[q]:
-                bad = q
-                break
-        out.append(_record(f"direct-sum[{tag}] psi is a homomorphism", n,
-                           bad, render_path))
+    dsum = FAMILIES[tag].direct_sum
+    bad = next((q for q, comps in zip(data.paths, data.decomps)
+                if None in (parts := [psi_of.get(c) for c in comps])
+                or reduce(dsum, parts) != psi_of[q]), None)
+    out = [(5, _record(f"direct-sum[{tag}] psi is a homomorphism", n, bad,
+                       render_path))]
     # The record names are pinned output; they name the connectedness
     # peelers that the tests keep as these two families' oracles.
-    for tag in _covered(data, _PEELERS, out):
-        peeler = _PEELERS[tag]
-        decompose, psi_of = FAMILIES[tag].decompose, data.preimages[tag]
+    if tag in _PEELERS:
+        decompose = FAMILIES[tag].decompose
         bad = next(
-            (q for q, comps in decomps
+            (q for q, comps in zip(data.paths, data.decomps)
              if decompose(psi_of[q]) != [psi_of.get(c) for c in comps]),
             None,
         )
-        out.append(_record(f"direct-sum[{tag}] {peeler} inverts the fold",
-                           n, bad, render_path))
+        out.append((6, _record(
+            f"direct-sum[{tag}] {_PEELERS[tag]} inverts the fold", n, bad,
+            render_path)))
     return out
+
+
+def tag_records(tag: str, sizes: list) -> list[tuple]:
+    """Every record of ``tag`` at the sizes n < ``len(sizes)``, as flat
+    tuples ``(n, slot, TAGS index, name, ok, detail)``; ``sizes[n]`` is
+    the :class:`SizeData` of size n.
+
+    A mapped family is generated once per n; ``phi`` runs once per
+    member and ``psi`` once per path.  The psi of every path built so far
+    stays in a table local to this call: the direct-sum components of a
+    path are paths of smaller sizes, and their psi is looked up there.
+    """
+    t = TAGS.index(tag)
+    fam = FAMILIES[tag]
+    psi_of = {}
+    rows = []
+    for n, data in enumerate(sizes):
+        if tag == "fpath":
+            keyed = (verify_equinumerous(n, tag, data.paths)
+                     + verify_statistics(n, tag, data)
+                     + verify_direct_sums(n, tag, data))
+        else:
+            # An image that equals a generated path is stored as that
+            # path, and a psi value that equals a member as that member,
+            # so the stored values take no memory of their own.
+            members = fam.generate(n)
+            same_member = {o: o for o in members}
+            images = tuple(data.same_path.get(q, q)
+                           for q in map(fam.phi, members))
+            paths = data.paths
+            psi_of.update((q, same_member.get(o, o))
+                          for q, o in zip(paths, map(fam.psi, paths)))
+            keyed = (verify_equinumerous(n, tag, members)
+                     + verify_round_trips(n, tag, data, members, images,
+                                          psi_of)
+                     + verify_statistics(n, tag, data, members, images)
+                     + verify_direct_sums(n, tag, data, psi_of))
+        rows += [(n, slot, t, r.name, r.ok, r.detail) for slot, r in keyed]
+    return rows
 
 
 def verify_pinned_examples() -> list[CheckRecord]:
@@ -431,18 +407,24 @@ def verify_pinned_examples() -> list[CheckRecord]:
 def run_all(max_n: int = 6) -> VerifyReport:
     """Run every check for 0 <= n <= max_n (pinned examples once).
 
-    Each size's :class:`SizeData` is built once and read by all four
-    groups; the psi table it extends lives until this call returns.
     ``max_n`` is checked by :func:`common_index` before any size is
-    built.  From ``max_n`` = :data:`_SPLIT_FROM_N` on, in a process of
-    one thread where ``os.fork`` exists, a forked child runs half the
-    families' checks (:func:`_split`); the report is the same either way.
+    built.  Each tag's records come from one :func:`tag_records` call;
+    the report is the pinned examples, then every tag's records sorted
+    by their key (n, slot, TAGS index).  From ``max_n`` =
+    :data:`_SPLIT_FROM_N` on, in a process of one thread where
+    ``os.fork`` exists, a forked child makes the records of
+    :data:`_CHILD_TAGS` (:func:`_split`); the report is the same either
+    way.
     """
     max_n = common_index(max_n)
-    paths = [FAMILIES["fpath"].generate(n) for n in range(max_n + 1)]
     if _forks(max_n):
-        return VerifyReport(_split(paths))
-    return VerifyReport(verify_pinned_examples() + _size_checks(TAGS, paths))
+        pinned, rows = _split(max_n)
+    else:
+        pinned, rows = verify_pinned_examples(), _rows(TAGS, max_n)
+    # The sort is stable, and rows of one key come from one call in order.
+    rows.sort(key=lambda row: row[:3])
+    return VerifyReport(pinned + [CheckRecord(name, n, ok, detail)
+                                  for n, _, _, name, ok, detail in rows])
 
 
 def _forks(max_n: int) -> bool:
@@ -457,25 +439,16 @@ def _forks(max_n: int) -> bool:
     return threading.active_count() == 1
 
 
-def _size_checks(tags: tuple, paths: list) -> list:
-    """The records of the sizes n < ``len(paths)`` in order: made for
-    the checks of ``tags``, None in the place of every other check's.
-    ``paths[n]`` is the F-paths of size n."""
-    preimages = {tag: {} for tag in _MAPPED_TAGS if tag in tags}
-    out = []
-    for n, paths_n in enumerate(paths):
-        data = size_data(n, preimages, tags, paths_n)
-        for group in (verify_equinumerous, verify_round_trips,
-                      verify_statistics, verify_direct_sums):
-            out += group(n, data)
-        # Free this size's objects before the next, larger size is built.
-        del data
-    return out
+def _rows(tags: tuple, max_n: int) -> list[tuple]:
+    """The :func:`tag_records` rows of each of ``tags``, on one
+    :class:`SizeData` per size built in this process."""
+    sizes = [size_data(n) for n in range(max_n + 1)]
+    return [row for tag in tags for row in tag_records(tag, sizes)]
 
 
-def _split(paths: list) -> list[CheckRecord]:
-    """Every record of :func:`run_all`, the checks of :data:`_CHILD_TAGS`
-    run in a forked child.
+def _split(max_n: int) -> tuple[list[CheckRecord], list[tuple]]:
+    """The pinned records and every tag's rows, the rows of
+    :data:`_CHILD_TAGS` made in a forked child.
 
     The parent always reaps the child: when its own half raises, it
     kills the child first.  An exception in the child is raised here
@@ -490,13 +463,13 @@ def _split(paths: list) -> list[CheckRecord]:
         raise
     if pid == 0:
         os.close(read_fd)
-        _child(write_fd, paths)
+        _child(write_fd, max_n)
     os.close(write_fd)
     mine = tuple(tag for tag in TAGS if tag not in _CHILD_TAGS)
     try:
         with open(read_fd, "rb") as pipe:
-            records = verify_pinned_examples()
-            placed = _size_checks(mine, paths)
+            pinned = verify_pinned_examples()
+            rows = _rows(mine, max_n)
             sent = pipe.read()
     except BaseException:
         import signal
@@ -512,24 +485,20 @@ def _split(paths: list) -> list[CheckRecord]:
         import pickle
 
         raise pickle.loads(payload)
-    theirs = iter(payload)
-    return records + [CheckRecord(*next(theirs)) if r is None else r
-                      for r in placed]
+    return pinned, rows + payload
 
 
-def _child(write_fd: int, paths: list):
-    """The forked child of :func:`_split`: run the checks of
-    :data:`_CHILD_TAGS` and write ``(True, records)`` as plain tuples,
-    or ``(False, pickled exception)``, with ``marshal`` to ``write_fd``.
+def _child(write_fd: int, max_n: int):
+    """The forked child of :func:`_split`: make the rows of
+    :data:`_CHILD_TAGS` and write ``(True, rows)``, or ``(False, pickled
+    exception)``, with ``marshal`` to ``write_fd``.
 
     It never returns: it leaves through ``os._exit``, so it runs no
     cleanup of the parent's and flushes no inherited stdio.
     """
     try:
         try:
-            result = (True, [(r.name, r.n, r.ok, r.detail)
-                             for r in _size_checks(_CHILD_TAGS, paths)
-                             if r is not None])
+            result = (True, _rows(_CHILD_TAGS, max_n))
         except BaseException as exc:
             result = (False, _pickled(exc))
         with open(write_fd, "wb") as pipe:

@@ -2,6 +2,7 @@
 one phi per object, one psi per path, and the split of the checks
 between the process and one forked child."""
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from fpaths.verify_harness import (
     VerifyReport,
     run_all,
     size_data,
-    verify_round_trips,
+    tag_records,
 )
 
 MAPPED = tuple(tag for tag in TAGS if tag != "fpath")
@@ -55,11 +56,14 @@ def test_psi_image_outside_the_family_is_a_fail_record(monkeypatch):
     info = FAMILIES["perm"]
     monkeypatch.setitem(FAMILIES, "perm", dataclasses.replace(
         info, psi=lambda q: (2, 3, 4, 1)))  # contains 2341
-    data = size_data(3, {tag: {} for tag in MAPPED})
-    records = {r.name: r for r in verify_round_trips(3, data)}
-    bad = records["round-trip[perm] phi(psi(q)) == q"]
-    assert (bad.ok, bad.detail) == (False, "0,1 0,1 0,1")
-    assert records["round-trip[tree] phi(psi(q)) == q"].ok
+    sizes = [size_data(n) for n in range(4)]
+    records = {name: (ok, detail)
+               for tag in ("perm", "tree")
+               for n, _, _, name, ok, detail in tag_records(tag, sizes)
+               if n == 3}
+    assert records["round-trip[perm] phi(psi(q)) == q"] == \
+        (False, "0,1 0,1 0,1")
+    assert records["round-trip[tree] phi(psi(q)) == q"] == (True, "")
 
 
 def _count_cores(monkeypatch):
@@ -132,6 +136,67 @@ def test_swapped_psi_pair_gives_the_known_fail_lines(monkeypatch):
     ]
 
 
+def test_wrong_counts_and_stats_give_the_known_fail_lines(monkeypatch):
+    """A schroder generator that drops a member at n = 2, and a tree
+    ``stats_core`` that adds 1 to a1 at height 1, fail these records
+    with these details."""
+    tree, schroder = FAMILIES["tree"], FAMILIES["schroder"]
+
+    def stats_core(o):
+        st = tree.stats_core(o)
+        return st._replace(a1=st.a1 + 1) if st.h == 1 else st
+
+    def generate(n):
+        members = schroder.generate(n)
+        return members[:-1] if n == 2 else members
+
+    monkeypatch.setitem(FAMILIES, "tree", dataclasses.replace(
+        tree, stats_core=stats_core))
+    monkeypatch.setitem(FAMILIES, "schroder", dataclasses.replace(
+        schroder, generate=generate))
+    assert [r.line() for r in run_all(2).records if not r.ok] == [
+        "FAIL  n=1  statistics[tree] stats(o) == stats(phi(o))  [[L L]]",
+        "FAIL  n=1  statistics[tree] joint distribution  "
+        "[first diff (1, 1, 0): 0 != 1]",
+        "FAIL  n=2  equinumerous[schroder]  [5 != 6]",
+        "FAIL  n=2  round-trip[schroder] phi(psi(q)) == q  [0,1 0,1]",
+        "FAIL  n=2  statistics[schroder] joint distribution  "
+        "[first diff (2, 2, 0): 0 != 1]",
+        "FAIL  n=2  statistics[tree] stats(o) == stats(phi(o))  [[L (1 L)]]",
+        "FAIL  n=2  statistics[tree] joint distribution  "
+        "[first diff (1, 1, 1): 0 != 2]",
+    ]
+
+
+#: sha256 of ``run_all(k).to_text()`` and of ``.to_json()``, k = 0..6.
+#: The records sort by (n, slot, TAGS index), and these pin the order
+#: that the sort makes as well as every name and detail.
+REPORT_DIGESTS = [
+    ("b51fc4ee62886e119c8d867eb4b8f1274c2254ca5d7cb7f8c73b5a0f3c4cc203",
+     "6858d13784f7998dbcbf5bd30e9d7fe89ce33c9ffce9081d34c31dfe639af457"),
+    ("15ed7ed1b880bf97079a2cb1810aca3193af633f7dda37a530afa8769a3bfa2e",
+     "a30dc29242d40e384737e3648f7729f5c8f910bec9772d4f7c1b6576784b7e71"),
+    ("b7664eed387e9015d4e48c323463ad7f20e07b4a01746f0b5e3756b46acbef9e",
+     "6ca67468ad4bd049b4a1ac5fe5888d2fdb9ea895ce04d465d44477080c74f4cc"),
+    ("bfdf0f474bd180728fba340221f08f3a92cc70cdd4cee5a36d2d8ae39cf6cb69",
+     "c7df5b89cdcea899c577a800992f1403468634b0b98d8c864c52ad3a77035573"),
+    ("e70de5ce563b0cc1a658a6f7a99dec649847e95a9cd7adb7257279c8099ac1b4",
+     "813917c631bf062845b865e3b5a8069629ad8a60a279dab14692b9c011d30c59"),
+    ("27bcfa69830a145f010875f618dfdd49f4df449da16a69b6f255bcaf1a88da24",
+     "1bf8d849a04c6ba481b0fa022f5fea94f0702e576e501040e8f33909a7fc05bd"),
+    ("d42724bdb3d36a3d49f3c3611338557eba2d01fb29212b472f9757f3962fd050",
+     "37ef92dc2615624bc0b7d1e14c648b2cf1761fbef43915567cfd4fd6fc1e5db0"),
+]
+
+
+@pytest.mark.parametrize("max_n", range(len(REPORT_DIGESTS)))
+def test_report_text_and_json_are_pinned(max_n):
+    report = run_all(max_n)
+    got = tuple(hashlib.sha256(out.encode()).hexdigest()
+                for out in (report.to_text(), report.to_json()))
+    assert got == REPORT_DIGESTS[max_n]
+
+
 def test_json_round_trip():
     report = run_all(max_n=1)
     data = json.loads(report.to_json())
@@ -187,6 +252,21 @@ def test_split_records_equal_the_one_process_records(monkeypatch, max_n):
     monkeypatch.delattr(os, "fork")
     one = run_all(max_n).records
     assert _psi_tags(calls) == set(MAPPED)
+    assert [dataclasses.astuple(r) for r in split] == \
+        [dataclasses.astuple(r) for r in one]
+
+
+@pytest.mark.parametrize("child_tags", [("fpath",), ("perm", "tree"), MAPPED])
+def test_any_partition_of_the_tags_gives_the_one_process_records(
+        monkeypatch, child_tags):
+    monkeypatch.setattr(verify_harness, "_CHILD_TAGS", child_tags)
+    calls = _count_cores(monkeypatch)
+    split = run_all(5).records
+    _no_child_left()
+    assert _psi_tags(calls) == set(MAPPED) - set(child_tags)
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        one = run_all(5).records
     assert [dataclasses.astuple(r) for r in split] == \
         [dataclasses.astuple(r) for r in one]
 
