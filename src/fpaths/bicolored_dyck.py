@@ -89,27 +89,12 @@ def bicolored_stats(w: BicoloredWord) -> StatTriple:
     return StatTriple(h, dasc, bval)
 
 
-def _segments(w: BicoloredWord) -> list[str]:
-    """Split before each u; every segment is u r^p b^q."""
-    segs = []
-    for c in w:
-        if c == "u":
-            segs.append("u")
-        else:
-            segs[-1] += c
-    return segs
-
-
 def phi_B(b: BicoloredWord) -> FPath:
-    """Map a valid bicolored word to its F-path (one step per segment).
+    """Map a valid bicolored word to its F-path: each segment u r^p b^q
+    before the last gives the step (q, 1 - p).
     A trusted core: the word is not checked."""
-    segs = _segments(b)
-    steps = []
-    for seg in segs[:-1]:
-        p = seg.count("r")
-        q = seg.count("b")
-        steps.append((q, 1 - p))
-    return tuple(steps)
+    return tuple((s.count("b"), 1 - s.count("r"))
+                 for s in b.split("u")[1:-1])
 
 
 def psi_B(q: FPath) -> BicoloredWord:

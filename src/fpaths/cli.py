@@ -150,10 +150,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_table(args) -> int:
     for n in range(6):
-        if args.which == "h":
-            row = [a_marginal(n, h=h) for h in range(n + 1)]
-        else:
-            row = [a_marginal(n, l=l) for l in range(n + 1)]
+        row = [a_marginal(n, **{args.which: v}) for v in range(n + 1)]
         print(" ".join(str(v) for v in row))
     return 0
 

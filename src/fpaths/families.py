@@ -66,18 +66,14 @@ def parse_fpath(text: str) -> FPath:
     text = require_str(text).strip()
     if text == "-":
         return ()
-    tokens = text.split()
-    try:
-        steps = [(int(a), int(b)) for t in tokens for a, b in (t.split(","),)]
-    except ValueError:
-        steps = _read_steps(text, tokens)
-    return fpath_core.validate_fpath(steps)
+    return fpath_core.validate_fpath(_read_steps(text))
 
 
-def _read_steps(text: str, tokens: list[str]) -> list[FStep]:
-    """The tokens as int pairs, one at a time, to name the first bad one."""
+def _read_steps(text: str) -> list[FStep]:
+    """The tokens of ``text`` as int pairs; a ParseError names the first
+    bad one."""
     steps = []
-    for at, token in enumerate(tokens):
+    for at, token in enumerate(text.split()):
         parts = token.split(",")
         try:
             a, b = parts

@@ -30,6 +30,9 @@ homomorphism records and 6 the ``decompose`` records.  From ``max_n`` =
 exists, the tags are split between two processes: a forked child runs
 :data:`_CHILD_TAGS` and sends its records back over a pipe as plain
 tuples, while the parent runs the pinned examples and the other tags.
+The fork is only a speed-up: when the child does not hand its records
+back whole, the parent makes them itself, so every error is raised in
+the calling process, as it is without the fork.
 
     verify_equinumerous    |family_n| == a_total(n) for all families
     verify_round_trips     psi(phi(o)) == o, and psi(q) is a generated
@@ -448,11 +451,15 @@ def _rows(tags: tuple, max_n: int) -> list[tuple]:
 
 def _split(max_n: int) -> tuple[list[CheckRecord], list[tuple]]:
     """The pinned records and every tag's rows, the rows of
-    :data:`_CHILD_TAGS` made in a forked child.
+    :data:`_CHILD_TAGS` made in a forked child when it can.
 
+    The fork is only a speed-up.  The child's rows are taken when it
+    exits with status 0, which it does only after writing them whole;
+    otherwise, when ``os.fork`` fails, and when the status is lost
+    because the caller ignores SIGCHLD, this process makes them itself,
+    so an error in a check is raised here, where it happens.
     The parent always reaps the child: when its own half raises, it
-    kills the child first.  An exception in the child is raised here
-    again, with its type, message and attributes.
+    kills the child first.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -460,7 +467,7 @@ def _split(max_n: int) -> tuple[list[CheckRecord], list[tuple]]:
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        raise
+        return verify_pinned_examples(), _rows(TAGS, max_n)
     if pid == 0:
         os.close(read_fd)
         _child(write_fd, max_n)
@@ -474,47 +481,34 @@ def _split(max_n: int) -> tuple[list[CheckRecord], list[tuple]]:
     except BaseException:
         import signal
 
-        os.kill(pid, signal.SIGKILL)
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:  # reaped already: SIGCHLD is ignored
+            pass
         raise
     finally:
-        os.waitpid(pid, 0)
-    if not sent:
-        raise RuntimeError("the verify child ended without sending records")
-    ok, payload = marshal.loads(sent)
-    if not ok:
-        import pickle
-
-        raise pickle.loads(payload)
-    return pinned, rows + payload
+        try:
+            _, status = os.waitpid(pid, 0)
+        except ChildProcessError:  # reaped already: SIGCHLD is ignored
+            status = None
+    if status == 0:
+        return pinned, rows + marshal.loads(sent)
+    return pinned, rows + _rows(_CHILD_TAGS, max_n)
 
 
 def _child(write_fd: int, max_n: int):
-    """The forked child of :func:`_split`: make the rows of
-    :data:`_CHILD_TAGS` and write ``(True, rows)``, or ``(False, pickled
-    exception)``, with ``marshal`` to ``write_fd``.
+    """The forked child of :func:`_split`: write the rows of
+    :data:`_CHILD_TAGS` with ``marshal`` to ``write_fd``.
 
     It never returns: it leaves through ``os._exit``, so it runs no
-    cleanup of the parent's and flushes no inherited stdio.
+    cleanup of the parent's and flushes no inherited stdio; with status
+    0 once the rows are written whole, else with status 1.
     """
+    status = 1
     try:
-        try:
-            result = (True, _rows(_CHILD_TAGS, max_n))
-        except BaseException as exc:
-            result = (False, _pickled(exc))
+        sent = marshal.dumps(_rows(_CHILD_TAGS, max_n))
         with open(write_fd, "wb") as pipe:
-            pipe.write(marshal.dumps(result))
+            pipe.write(sent)
+        status = 0
     finally:
-        os._exit(0)
-
-
-def _pickled(exc: BaseException) -> bytes:
-    """``exc`` pickled; one that does not come back from ``pickle`` is
-    sent as a RuntimeError naming it."""
-    import pickle
-
-    try:
-        data = pickle.dumps(exc)
-        pickle.loads(data)
-    except Exception:
-        data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-    return data
+        os._exit(status)

@@ -5,9 +5,11 @@ import dataclasses
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -308,6 +310,8 @@ def _raise_in_psi(monkeypatch, tag, exc):
 
 
 def test_an_error_in_the_child_is_raised_again(monkeypatch):
+    """The child leaves without its rows, and the parent makes them
+    itself: the error is raised in the calling process."""
     _raise_in_psi(monkeypatch, "inv-j",
                   lambda pid: FormViolation(f"psi failed in process {pid}"))
     with pytest.raises(FormViolation) as caught:
@@ -316,7 +320,7 @@ def test_an_error_in_the_child_is_raised_again(monkeypatch):
     assert type(caught.value) is FormViolation
     message = str(caught.value)
     assert message.startswith("psi failed in process ")
-    assert message != f"psi failed in process {os.getpid()}"
+    assert message == f"psi failed in process {os.getpid()}"
 
 
 def test_an_error_with_attributes_keeps_them_across_the_pipe(monkeypatch):
@@ -326,7 +330,7 @@ def test_an_error_with_attributes_keeps_them_across_the_pipe(monkeypatch):
         run_all(5)
     _no_child_left()
     exc = caught.value
-    assert exc.vertex != os.getpid()
+    assert exc.vertex == os.getpid()
     assert (exc.weight, exc.outdeg) == (7, 2)
     assert str(exc) == f"vertex {exc.vertex} has weight 7, expected 1..2"
 
@@ -336,7 +340,75 @@ def test_an_unpicklable_error_in_the_child_comes_back_named(monkeypatch):
         pass
 
     _raise_in_psi(monkeypatch, "inv-i", lambda pid: Local("boom"))
-    with pytest.raises(RuntimeError, match="^Local: boom$"):
+    with pytest.raises(Local, match="^boom$") as caught:
+        run_all(5)
+    _no_child_left()
+    assert type(caught.value) is Local
+
+
+def test_a_dying_child_gives_the_one_process_records(monkeypatch):
+    """A child that leaves early hands back no rows; the parent makes
+    them itself, and the report is the one-process report."""
+    assert "bicolored" in verify_harness._CHILD_TAGS
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        one = run_all(5).records
+    test_pid = os.getpid()
+    fam = FAMILIES["bicolored"]
+
+    def psi(q):
+        if os.getpid() != test_pid:
+            os._exit(3)
+        return fam.psi(q)
+
+    monkeypatch.setitem(FAMILIES, "bicolored",
+                        dataclasses.replace(fam, psi=psi))
+    split = run_all(5).records
+    _no_child_left()
+    assert [dataclasses.astuple(r) for r in split] == \
+        [dataclasses.astuple(r) for r in one]
+
+
+@pytest.fixture
+def ignored_sigchld():
+    """SIGCHLD ignored for the test: a child is reaped unasked, and its
+    exit status is lost."""
+    if not hasattr(signal, "SIGCHLD"):
+        pytest.skip("needs SIGCHLD")
+    before = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    yield
+    signal.signal(signal.SIGCHLD, before)
+
+
+def test_an_ignored_sigchld_gives_the_one_process_records(monkeypatch,
+                                                          ignored_sigchld):
+    """The child's status is lost, so the parent makes its rows itself."""
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        one = run_all(5).records
+    calls = _count_cores(monkeypatch)
+    split = run_all(5).records
+    _no_child_left()
+    assert _psi_tags(calls) == set(MAPPED)
+    assert [dataclasses.astuple(r) for r in split] == \
+        [dataclasses.astuple(r) for r in one]
+
+
+def test_a_late_error_in_the_parent_is_raised_when_sigchld_is_ignored(
+        monkeypatch, ignored_sigchld):
+    """The child is gone before the parent's half raises; the parent's
+    error is raised, not the failed kill's."""
+    assert "tree" not in verify_harness._CHILD_TAGS
+    fam = FAMILIES["tree"]
+
+    def psi(q):
+        if len(q) == 5:
+            time.sleep(0.3)
+            raise FormViolation("late parent half")
+        return fam.psi(q)
+
+    monkeypatch.setitem(FAMILIES, "tree", dataclasses.replace(fam, psi=psi))
+    with pytest.raises(FormViolation, match="^late parent half$"):
         run_all(5)
     _no_child_left()
 
@@ -353,20 +425,25 @@ def test_an_error_in_the_parent_kills_and_reaps_the_child(monkeypatch, exc):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="needs /proc/self/fd")
 def test_a_failed_fork_leaves_no_pipe_open(monkeypatch):
+    """A failed fork runs every check in this process."""
     def no_fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        one = run_all(5).records
     open_fds = set(os.listdir("/proc/self/fd"))
     monkeypatch.setattr(os, "fork", no_fork)
-    with pytest.raises(BlockingIOError):
-        run_all(5)
+    records = run_all(5).records
     assert set(os.listdir("/proc/self/fd")) == open_fds
+    assert [dataclasses.astuple(r) for r in records] == \
+        [dataclasses.astuple(r) for r in one]
 
 
 def test_the_split_writes_nothing_and_imports_no_new_module():
     """The child leaves without flushing the stdout buffer it inherits,
-    and records cross the pipe with marshal: pickle and signal are
-    imported only on the error paths."""
+    and records cross the pipe with marshal: pickle is not imported at
+    all, and signal only when the parent's half raises."""
     code = ("import sys, fpaths; before = set(sys.modules); "
             "sys.stdout.write('unflushed '); "
             "assert fpaths.run_all(5).ok; "
