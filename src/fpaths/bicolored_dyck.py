@@ -118,10 +118,9 @@ def gen_bicolored(n_plus_1: int) -> tuple[BicoloredWord, ...]:
             if prefix[-1] == "r":
                 out.append("".join(prefix))
             return
-        downs = pos - ups
         prev = prefix[-1] if prefix else ""
         # letters tried in ASCII order so the output is sorted
-        if height > 0 and downs < n_plus_1:
+        if height > 0:
             prefix.append("b")  # black may follow u, r or b
             rec(prefix, ups, height - 1)
             prefix.pop()
@@ -129,8 +128,7 @@ def gen_bicolored(n_plus_1: int) -> tuple[BicoloredWord, ...]:
                 prefix.append("r")
                 rec(prefix, ups, height - 1)
                 prefix.pop()
-        # up may not follow red, and must leave room to come back down
-        if ups < n_plus_1 and prev != "r" and height + 1 <= n_plus_1 - downs:
+        if ups < n_plus_1 and prev != "r":  # up may not follow red
             prefix.append("u")
             rec(prefix, ups + 1, height + 1)
             prefix.pop()

@@ -185,35 +185,23 @@ def stats_J(e: InvSeq) -> StatTriple:
     return StatTriple(first - 1, _omi(e), single)
 
 
-def _parse_run_form(e: InvSeq) -> tuple[int, list[tuple[int, int, int]]]:
-    """Split a J-avoider e as 0^{i_0} k_1^{j_1} 0^{...} ... (its positive
-    run values increase); returns (i_0, [(value, j, zeros_after), ...])."""
-    i0 = _leading_zeros(e)
-    runs: list[tuple[int, int, int]] = []
-    pos = i0
-    while pos < len(e):
-        v = e[pos]
-        j = 0
-        while pos < len(e) and e[pos] == v:
-            j += 1
-            pos += 1
-        zeros = 0
-        while pos < len(e) and e[pos] == 0:
-            zeros += 1
-            pos += 1
-        runs.append((v, j, zeros))
-    return i0, runs
-
-
 def phi_J(e: InvSeq) -> FPath:
-    """Read the run form: value k with j copies and i zeros after it
-    becomes step number n-k+1 = (j, 1-i); absent values give (0, 1).
-    A trusted core: ``e`` must be a nonempty J-avoider."""
+    """Read the run form 0^{i_0} k_1^{j_1} 0^{i_1} ... k_r^{j_r} 0^{i_r},
+    whose positive run values increase: value k with j copies and i
+    zeros after it becomes step number n-k+1 = (j, 1-i); absent values
+    give (0, 1).  A trusted core: ``e`` must be a nonempty J-avoider."""
     n = len(e) - 1
-    i0, runs = _parse_run_form(e)
     steps = [(0, 1)] * n
-    for value, j, zeros in runs:
-        steps[n - value] = (j, 1 - zeros)
+    v = j = zeros = 0
+    for x in (*e, -1):  # -1 closes the last run
+        if x == 0:
+            zeros += 1
+        elif x == v:
+            j += 1
+        else:
+            if v:
+                steps[n - v] = (j, 1 - zeros)
+            v, j, zeros = x, 1, 0
     return tuple(steps)
 
 

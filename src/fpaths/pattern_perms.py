@@ -18,9 +18,13 @@ when a >= 2, and when a >= 2 the a - 1 blocks ω before them.  The
 maximum goes right before ω τ.  When a >= 2 the largest value before ω
 rises to the top of ω's values, which each drop by one, so that the
 block holding it (the head block), the maximum, ω and τ merge into one
-block; when a = 1 the maximum and τ do.  φ undoes this from the last
-step: the maximum's index x and the number w of values it rotated give
-back, with the same blocks, how many of them the step took.
+block; when a = 1 the maximum and τ do.  Undoing a step removes the
+maximum and leaves, in order, the entries to its left on the values
+1..x and those to its right above x: a direct sum.  So φ reads the steps
+off p's max-Cartesian tree (Vuillemin, CACM 1980), whose nodes in
+postorder are the inserted entries: at a node m, ω is the entries of m's
+right subtree below m's left child, τ the rest, and their blocks start
+on the left spine of m's right child.
 
 :func:`validate_avoider` decides membership in one O(n log n) scan and
 scans in O(n^2) only to name a pattern.
@@ -246,59 +250,51 @@ def perm_direct_sum(p1: Permutation, p2: Permutation) -> Permutation:
 # -------------------------------------------------------------- bijection
 
 
-def _take(blocks: list[int], total: int) -> int:
-    """Pop blocks off the right until their lengths add up to ``total``;
-    return how many were popped."""
-    count = 0
-    while total > 0:
-        total -= blocks.pop()
-        count += 1
-    if total:  # only on a permutation that is no avoider
-        raise FormViolation("the blocks do not split as an avoider's do")
-    return count
-
-
-def _insertion_record(p: Permutation) -> list[tuple[int, int]]:
-    """The (x, w) of each step of :func:`psi_S`, last step first, over ids
-    (indexes in p) in value order and in position order (``alive``).  The
-    values left of the maximum, at x, are 1..x-1 and the z >= x of least
-    id; undoing ψ's rotation moves z down to x, and w = z - x."""
-    by_val = sorted(range(len(p)), key=p.__getitem__)
-    alive = list(range(len(p)))
-    record = []
-    while len(by_val) > 1:
-        x = bisect_left(alive, by_val.pop())
-        del alive[x]
-        w = 0
-        if x:
-            upper = by_val[x - 1:]
-            w = upper.index(min(upper))
-            by_val.insert(x - 1, by_val.pop(x - 1 + w))
-        record.append((x, w))
-    return record
-
-
 def phi_S(p: Permutation) -> FPath:
     """Map an avoider of length n+1 to its F-path of length n.  A trusted
-    core: on a permutation that is no avoider it returns some tuple or
-    raises FormViolation.
+    core: on a permutation that is no avoider it returns some tuple of
+    pairs and raises nothing.
 
-    ψ's block stack reads the record (x, w) of each step on a
-    permutation of length ``size``: the blocks covering its last size -
-    x - w entries are τ, those covering the w before them are ω.
+    The stack pops the tree's nodes in postorder, each once a larger
+    entry arrives, and the first node popped is ψ's initial entry.  At a
+    popped node m, ``top`` is its left child's value.  Going down the
+    left spine of m's right child, a block of τ (above ``top``) or ω
+    (below it) starts at each node whose next node down is absent or
+    lies below ``tail``, the least minimum of the right subtrees passed
+    so far; τ's minima lie above ``top``, so above every node of ω.
+    Each spine is walked by one pop: O(n).
     """
+    n = len(p)
+    val = (*p, inf, 0)  # val[n]: a sentinel above every entry; -1: no node
+    left = [-1] * (n + 2)
+    right = [-1] * (n + 2)
+    low = [inf] * (n + 2)  # subtree minima
     steps = []
-    blocks = [1]
-    for size, (x, w) in enumerate(reversed(_insertion_record(p)), 1):
-        tau = _take(blocks, size - x - w)
-        head = 0
-        if w:
-            steps.append((_take(blocks, w) + 1, 1 - tau))
-            head = blocks.pop()
-        else:
-            steps.append((1, 2 - tau) if tau else (0, 1))
-        blocks.append(size - x + head + 1)
-    return tuple(steps)
+    stack: list[int] = []
+    for i in range(n + 1):
+        v = val[i]
+        child = -1
+        while stack and val[stack[-1]] < v:
+            m = stack.pop()
+            right[m] = child
+            low[m] = min(low[left[m]], val[m], low[child])
+            top, tail, s = val[left[m]], inf, child
+            tau = omega = 0  # blocks of τ, above top, and of ω, below it
+            while s >= 0:
+                if low[right[s]] < tail:
+                    tail = low[right[s]]
+                if val[left[s]] < tail:
+                    if val[s] < top:
+                        omega += 1
+                    else:
+                        tau += 1
+                s = left[s]
+            steps.append((omega + 1, 1 - tau) if omega
+                         else (1, 2 - tau) if tau else (0, 1))
+            child = m
+        left[i] = child
+        stack.append(i)
+    return tuple(steps[1:])
 
 
 def psi_S(q: FPath) -> Permutation:

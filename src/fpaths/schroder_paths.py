@@ -158,15 +158,15 @@ def gen_schroder(n: int) -> tuple[SchroderWord, ...]:
             out.append("".join(prefix))
             return
         # u: must still be able to come down
-        if height + 1 <= rest - 1 and (rest - 1 - height - 1) % 2 == 0:
+        if height + 1 <= rest - 1:
             prefix.append("u")
             rec(prefix, width + 1, height + 1, 0)
             prefix.pop()
-        if height > 0 and dd < 2 and (rest - 1 - height + 1) % 2 == 0:
+        if height > 0 and dd < 2:
             prefix.append("d")
             rec(prefix, width + 1, height - 1, dd + 1)
             prefix.pop()
-        if rest >= 2 + height and (rest - 2 - height) % 2 == 0:
+        if rest >= 2 + height:
             prefix.append("h")
             rec(prefix, width + 2, height, 0)
             prefix.pop()

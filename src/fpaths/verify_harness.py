@@ -289,8 +289,8 @@ def verify_statistics(n: int, tag: str, data: SizeData, members=(),
 
 def _dist_diff(d1: Counter, d2: Counter) -> str:
     """The least triple whose counts differ, with both counts."""
-    key = next((k for k in sorted(set(d1) | set(d2)) if d1[k] != d2[k]), None)
-    return "?" if key is None else f"{tuple(key)}: {d1[key]} != {d2[key]}"
+    key = next(k for k in sorted(set(d1) | set(d2)) if d1[k] != d2[k])
+    return f"{tuple(key)}: {d1[key]} != {d2[key]}"
 
 
 #: The two families with a ``decompose`` record, and the peeler it names.

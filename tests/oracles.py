@@ -12,11 +12,13 @@ reads unreduced sequences, as :func:`shape_phi_S` needs.
 Likewise ``schroder_paths.phi_P`` and ``inversion_seqs.phi_I`` read the
 construction record in one pass, while :func:`peel_phi_P` and
 :func:`delete_max_phi_I` take the object apart one step at a time, as
-the paper defines φ_P and φ_I.  ``pattern_perms.phi_S``/``psi_S`` read
-and write the insertion record of the maximum; :func:`shape_phi_S` and
+the paper defines φ_P and φ_I.  ``pattern_perms.psi_S`` writes the
+insertion record of the maximum and ``phi_S`` reads it off the
+permutation's max-Cartesian tree; :func:`shape_phi_S` and
 :func:`shape_psi_S` rebuild the permutation at every step by the four
-shape-case surgeries of :func:`shape_analysis`, and :func:`value_record`
-reads the record off a list of values rather than of ids.
+shape-case surgeries of :func:`shape_analysis`, and :func:`record_phi_S`
+replays the record that :func:`value_record` reads off a list of values
+on ψ's block stack.
 Every family's ``decompose`` maps the F-path's components back with ψ;
 :func:`decompose_I` and :func:`decompose_J` peel the summands off the
 sequence itself, by the paper's connectedness tests (maxid = max + 1,
@@ -408,11 +410,11 @@ def shape_phi_S(p) -> tuple:
 
 
 def value_record(p) -> list:
-    """The (x, w) record of ``pattern_perms._insertion_record``, last step
-    first, on a value list: each step deletes the maximum, at index x;
-    the largest value z left of x is at least x, and when z > x it goes
-    back to x and the w = z - x entries after the maximum go up by one.
-    O(n) Python work per step."""
+    """The (x, w) record of each step of ``pattern_perms.psi_S``, last
+    step first, on a value list: each step deletes the maximum, at index
+    x; the largest value z left of x is at least x, and when z > x it
+    goes back to x and the w = z - x entries after the maximum go up by
+    one.  O(n) Python work per step."""
     cur = list(p)
     record = []
     for top in range(len(cur), 1, -1):
@@ -424,6 +426,32 @@ def value_record(p) -> list:
             cur[x:z] = [v + 1 for v in cur[x:z]]
         record.append((x, z - x))
     return record
+
+
+def record_phi_S(p) -> tuple:
+    """φ_S of an avoider by replaying its :func:`value_record`, first step
+    first, on ψ's block stack: on a permutation of length ``size`` the
+    blocks covering the last size - x - w entries are τ, and those
+    covering the w before them are ω.  O(n) Python work per step."""
+    def take(total):  # pop blocks until their lengths add up to total
+        count = 0
+        while total > 0:
+            total -= blocks.pop()
+            count += 1
+        return count
+
+    steps = []
+    blocks = [1]
+    for size, (x, w) in enumerate(reversed(value_record(p)), 1):
+        tau = take(size - x - w)
+        head = 0
+        if w:
+            steps.append((take(w) + 1, 1 - tau))
+            head = blocks.pop()
+        else:
+            steps.append((1, 2 - tau) if tau else (0, 1))
+        blocks.append(size - x + head + 1)
+    return tuple(steps)
 
 
 def shape_psi_S(q) -> tuple:

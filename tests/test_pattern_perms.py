@@ -6,9 +6,10 @@ the backtracking matcher ``perm_contains``, which in turn is the oracle
 for the pattern scan ``_first_forbidden``.  ``validate_avoider`` decides
 membership by the one-pass order scan ``_contains_forbidden``, with no
 bijection involved, and is checked against ``_first_forbidden``.  The
-insertion-record cores ``phi_S``/``psi_S`` are checked against the
-shape-case surgeries ``shape_phi_S``/``shape_psi_S`` of the oracles,
-and the id-list record against the value-list ``value_record``.
+cores ``phi_S``/``psi_S`` are checked against the shape-case surgeries
+``shape_phi_S``/``shape_psi_S`` of the oracles, and the one-pass tree
+reading ``phi_S`` against ``record_phi_S``, which replays the value-list
+``value_record`` on ψ's block stack.
 """
 import itertools
 import random
@@ -24,7 +25,6 @@ from fpaths.fpath_core import NORTH, fpath_stats, gen_fpaths, validate_fpath
 from fpaths.pattern_perms import (
     FORBIDDEN,
     _first_forbidden,
-    _insertion_record,
     asc,
     gen_avoiders,
     is_avoider,
@@ -44,10 +44,10 @@ from oracles import (
     brute_crit,
     crit,
     perm_contains,
+    record_phi_S,
     shape_analysis,
     shape_phi_S,
     shape_psi_S,
-    value_record,
 )
 
 SIX = ((3, 1, 2), (2, 3, 1), (3, 2, 1), (1, 3, 2), (2, 1, 3), (1, 2, 3))
@@ -365,12 +365,24 @@ def test_case3_case4_surgeries():
 
 
 def test_record_cores_match_the_shape_oracles():
-    """Every F-path of length <= 8 and every avoider of length <= 9."""
+    """Every F-path of length <= 8 and every avoider of length <= 9, also
+    against the record replay."""
     for n in range(9):
         for q in gen_fpaths(n):
             assert psi_S(q) == shape_psi_S(q), q
         for p in gen_avoiders(n + 1):
-            assert phi_S(p) == shape_phi_S(p), p
+            assert phi_S(p) == shape_phi_S(p) == record_phi_S(p), p
+
+
+def test_phi_returns_int_pairs_on_every_permutation():
+    """A trusted core: on every permutation of length <= 7, avoider or
+    not, ``phi_S`` raises nothing and returns len(p) - 1 int pairs."""
+    for n in range(8):
+        for p in itertools.permutations(range(1, n + 1)):
+            q = phi_S(p)
+            assert type(q) is tuple and len(q) == max(n - 1, 0), p
+            assert all(type(s) is tuple and len(s) == 2
+                       and type(s[0]) is type(s[1]) is int for s in q), p
 
 
 #: Paths of length about 3000 whose steps reach deep into the block
@@ -391,13 +403,13 @@ LARGE_PATHS = {
 
 @pytest.mark.parametrize("name", LARGE_PATHS)
 def test_large_paths_with_deep_steps(random_fpath, name):
-    """Membership, round trip, the value-list record, statistics, direct
-    sum, and the shape oracles on the first 500 steps."""
+    """Membership, round trip, the record replay, statistics, direct sum,
+    and the shape oracles on the first 500 steps."""
     q = LARGE_PATHS[name](random_fpath)
     p = psi_S(q)
     assert validate_avoider(p) == p and is_avoider(p)
     assert phi_S(p) == q
-    assert _insertion_record(p) == value_record(p)
+    assert record_phi_S(p) == q
     assert perm_stats(p) == fpath_stats(q)[0]
     half = q[: len(q) // 2]
     assert perm_direct_sum(p, psi_S(half)) == psi_S(q + (NORTH,) + half)
