@@ -28,8 +28,9 @@ twice evaluates it twice.  Each call reads the state once and writes it
 once, so threads tabulating rows at once only take more closed forms.
 :func:`sequence` steps the totals by their recurrence in n the same
 way.  Every public function reads every argument with
-``operator.index``, so a non-integer raises :class:`FormViolation`; an
-integer out of range counts 0.
+``operator.index`` (:func:`a_joint` skips it for plain ints), so a
+non-integer raises :class:`FormViolation`; an integer out of range
+counts 0.
 
 Step classes used by :func:`f_refined` (a path of length n with l north
 steps and statistics as in :mod:`.fpath_core`):
@@ -215,21 +216,30 @@ def a_joint(n: int, h: int, l: int, m: int) -> BigCount:
     >>> a_joint(2, 1, 1, 1)
     2
     """
-    # Inlined _int: this runs once per cell of a joint table.
-    try:
-        n, h, l, m = index(n), index(h), index(l), index(m)
-    except TypeError:
-        raise FormViolation(
-            f"counts take integer arguments, got {(n, h, l, m)!r}") from None
-    s = 2 * (n - l) - h
+    # Inlined _int, _exact_div and series_coeff: this runs once per cell
+    # of a joint table.  Plain ints skip operator.index.
+    if not (type(n) is type(h) is type(l) is type(m) is int):
+        try:
+            n, h, l, m = index(n), index(h), index(l), index(m)
+        except TypeError:
+            raise FormViolation(
+                f"counts take integer arguments, got {(n, h, l, m)!r}"
+            ) from None
+    k = n - l
+    s = 2 * k - h
     t = n - m - s
-    # Most cells are zero: C(n-l, h) or series_coeff(t, s) vanishes.
-    if not (0 <= h <= n - l and 0 <= m <= n and t >= 0 and l >= 0):
+    # Most cells are zero: C(n-l, h) or series_coeff(t, s) vanishes.  Then
+    # s >= n - l >= 0 and m <= n - s <= n.
+    if not (0 <= h <= k and t >= 0 and l >= 0 and m >= 0):
         return 0
-    return _exact_div(
-        (m + 1) * comb(n + 1, l + 1) * comb(n - l, h) * series_coeff(t, s),
-        n + 1,
-    )
+    # series_coeff(t, s) is C(t+s-1, s-1), or [t == 0] when s == 0,
+    # that is when l == n and h == 0.
+    num = ((m + 1) * comb(n + 1, l + 1) * comb(k, h)
+           * (comb(t + s - 1, s - 1) if s else t == 0))
+    q, r = divmod(num, n + 1)
+    if r:
+        raise InexactDivision(num, n + 1)
+    return q
 
 
 # ------------------------------------------------------------- marginals
@@ -322,12 +332,15 @@ _last_cells = dict.fromkeys("hlm", (-1, -1, ()))
 def _row_cell(axis, order, n, v, closed, recurrence):
     """r(v) = closed(n, v), stepped by ``recurrence`` when the axis's last
     call was r(v - 1) of this n and holds ``order`` cells."""
-    last = _last_cells[axis]
-    cells = last[2] if last[:2] == (n, v - 1) else ()
+    last_n, last_v, cells = _last_cells[axis]
+    if last_n != n or last_v != v - 1:
+        cells = ()
     lead = 0
     if len(cells) == order:
-        *coeffs, lead = recurrence(n, v - order)
+        coeffs = recurrence(n, v - order)
+        lead = coeffs[order]
     if lead:
+        # map stops at the shorter ``cells``, so c_order is left out.
         r = _exact_div(-sum(map(mul, coeffs, cells)), lead)
     else:
         r = closed(n, v)
@@ -370,11 +383,13 @@ def a_marginal(n: int, h: int | None = None, l: int | None = None,
     80
     """
     n = _int(n)
-    h, l, m = (None if v is None else _int(v) for v in (h, l, m))
-    fixed = (h is not None, l is not None, m is not None)
-    if n < 0 or any(v is not None and not 0 <= v <= n for v in (h, l, m)):
+    h = None if h is None else _int(h)
+    l = None if l is None else _int(l)
+    m = None if m is None else _int(m)
+    # A starred value reads as 0, which is in range whenever n >= 0.
+    if not (0 <= (h or 0) <= n and 0 <= (l or 0) <= n and 0 <= (m or 0) <= n):
         return 0
-    match fixed:
+    match (h is not None, l is not None, m is not None):
         case (True, True, True):
             return a_joint(n, h, l, m)
         case (True, True, False):

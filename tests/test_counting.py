@@ -224,8 +224,9 @@ def test_joint_dp_against_enumeration():
 
 
 def test_a_joint_against_transfer_dp(dp_layers):
-    # Every cell past the exhaustive range, borders -1 and n+1 included.
-    for n, dist in enumerate(dp_layers[:31]):
+    # Every cell past the exhaustive range, borders -1 and n+1 included,
+    # up to n = 40, past the benchmark's cubes at n = 34..38.
+    for n, dist in enumerate(dp_layers):
         for m in range(-1, n + 2):          # height
             for l in range(-1, n + 2):      # north
                 for h in range(-1, n + 2):  # aone
@@ -255,6 +256,8 @@ def test_a_joint_out_of_range():
     assert a_joint(3, -1, 0, 0) == 0
     assert a_joint(3, 0, 4, 0) == 0
     assert a_joint(3, 0, 0, 5) == 0
+    # Past the -1 border, m + 1 no longer vanishes.
+    assert a_joint(3, 0, 1, -2) == 0
 
 
 # --------------------------------------------------------------- marginals
@@ -452,6 +455,17 @@ def test_stepped_sum_guard_is_live(monkeypatch):
     assert caught.traceback[-1].name == "_stepped_sum"
 
 
+def test_joint_guard_is_live(monkeypatch):
+    # Every binomial one too large: a non-zero cell's division by n + 1
+    # leaves a remainder, and a_joint's own check must catch it.
+    real = counting.comb
+    monkeypatch.setattr(counting, "comb", lambda n, k: real(n, k) + 1)
+    for cell in [(2, 1, 1, 1), (36, 10, 15, 3), (36, 2, 20, 4)]:
+        with pytest.raises(InexactDivision) as caught:
+            a_joint(*cell)
+        assert caught.traceback[-1].name == "a_joint", cell
+
+
 # ------------------------------------------- recurrences: rows and totals
 
 
@@ -642,8 +656,10 @@ def test_helpers_reject_non_integers():
 
 
 def test_a_joint_rejects_non_integers():
-    with pytest.raises(FormViolation):
+    with pytest.raises(FormViolation) as caught:
         a_joint(5, 1, 2, 1.0)
+    assert str(caught.value) == (
+        "counts take integer arguments, got (5, 1, 2, 1.0)")
     with pytest.raises(FormViolation):
         a_joint(5, None, 2, 1)
     assert a_joint(5, -1, 2, 1) == a_joint(5, 1, 2, 9) == 0
@@ -656,7 +672,45 @@ def test_a_marginal_rejects_non_integers():
         a_marginal(5.0)
     with pytest.raises(FormViolation):
         a_marginal(5, l="2")
+    # Every argument is read before any range test.
+    with pytest.raises(FormViolation):
+        a_marginal(-1, h=1.5)
     assert a_marginal(5, m=-1) == a_marginal(5, h=6) == 0
+
+
+class _Sub(int):
+    pass
+
+
+class _Index:
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def _marginal(args, stars):
+    """a_marginal at (n, h, l, m) = ``args``, with the places that
+    ``stars`` marks left out."""
+    return a_marginal(args[0], **{k: v for k, v, star in
+                                  zip("hlm", args[1:], stars) if not star})
+
+
+@pytest.mark.parametrize("kind", [_Sub, _Index, bool])
+def test_counts_read_any_integer_type(kind):
+    """An int subclass, a bool and an ``__index__`` object count as the
+    plain int they stand for, in every place of a_joint and a_marginal."""
+    n = 1 if kind is bool else 6
+    values = (0, 1) if kind is bool else range(-1, n + 2)
+    for cell in itertools.product([n], values, values, values):
+        for at in range(4):
+            args = list(cell)
+            args[at] = kind(args[at])
+            assert a_joint(*args) == a_joint(*cell), args
+            for stars in itertools.product((False, True), repeat=3):
+                assert _marginal(args, stars) == _marginal(cell, stars), (
+                    args, stars)
 
 
 def test_f_refined_rejects_non_integers():

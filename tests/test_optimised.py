@@ -10,10 +10,12 @@ every accepted input must round-trip, keep its statistics and fold back
 from its ``decompose``.  Its checks use ``if``/``raise``, since ``-O``
 also strips pytest's assertion rewriting.  :func:`check_rows` tabulates
 the stepped marginal rows against their closed forms, and checks that a
-corrupted recurrence coefficient still raises ``InexactDivision``.  The
-tests run the sweep, the rows and ``fpaths verify`` in a ``python -O``
-subprocess.  Run by hand: ``python -O tests/test_optimised.py [SEED]``
-or ``python -O tests/test_optimised.py rows``.
+corrupted recurrence coefficient still raises ``InexactDivision``.
+:func:`check_joint` compares the ``a_joint`` cube with the transfer DP
+and checks that a non-integer argument still raises ``FormViolation``.
+The tests run the sweep, the rows, the cube and ``fpaths verify`` in a
+``python -O`` subprocess.  Run by hand:
+``python -O tests/test_optimised.py [SEED|rows|joint]``.
 """
 import os
 import random
@@ -23,9 +25,10 @@ from functools import reduce
 
 import fpaths
 from fpaths import counting
-from fpaths.errors import FpathsError, InexactDivision
+from fpaths.errors import FormViolation, FpathsError, InexactDivision
 from fpaths.families import FAMILIES, TAGS
 from fpaths.fpath_core import fpath_stats
+from oracles import joint_dp
 
 #: Characters mixed into the text edits besides each family's own.
 EXTRA = " -,.0123456789L()[]x"
@@ -192,6 +195,26 @@ def check_rows(n: int = 60) -> int:
     return 3 * (n + 1)
 
 
+def check_joint(n: int = 20) -> int:
+    """Compare every ``a_joint`` cell at n, borders -1 and n+1 included,
+    with ``joint_dp``, then check that a float argument raises
+    ``FormViolation``; return the cells checked."""
+    *_, dist = joint_dp(n)
+    cells = range(-1, n + 2)
+    for h in cells:
+        for l in cells:
+            for m in cells:
+                if counting.a_joint(n, h, l, m) != dist.get((m, l, h), 0):
+                    raise SweepFailure(f"a_joint{(n, h, l, m)} is wrong")
+    try:
+        counting.a_joint(5, 1, 2, 1.0)
+    except FormViolation:
+        pass
+    else:
+        raise SweepFailure("a_joint accepts a float")
+    return len(cells) ** 3
+
+
 def _run_optimised(*argv):
     src = os.path.dirname(os.path.dirname(fpaths.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -217,9 +240,17 @@ def test_stepped_rows_in_optimised_mode():
     assert proc.stdout == "rows 183\n", proc.stdout
 
 
+def test_joint_cube_in_optimised_mode():
+    proc = _run_optimised(__file__, "joint")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "joint 12167\n", proc.stdout
+
+
 if __name__ == "__main__":
     arg = sys.argv[1] if len(sys.argv) > 1 else "0"
     if arg == "rows":
         print(f"rows {check_rows()}")
+    elif arg == "joint":
+        print(f"joint {check_joint()}")
     else:
         print(f"checked {sweep(int(arg))}")
