@@ -167,7 +167,7 @@ def _cmd_sequence(args) -> int:
 
 def _cmd_verify(args) -> int:
     json_file = contextlib.nullcontext()
-    if args.json_path:
+    if args.json_path is not None:
         # A bad --max-n is refused, and an unwritable path named, before
         # the file is opened and before any check runs.
         common_index(args.max_n)

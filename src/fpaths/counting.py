@@ -425,7 +425,7 @@ def sequence(max_n: int) -> list[BigCount]:
     [1, 2, 6, 21, 80, 322, 1347]
     """
     max_n = _int(max_n)
-    seq = [1, 2, 6][:max_n + 1]
+    seq = [1, 2, 6][:max(max_n + 1, 0)]
     for n in range(max_n - 2):
         *coeffs, lead = _total_recurrence(n)
         seq.append(_exact_div(-sum(map(mul, coeffs, seq[n:])), lead))

@@ -5,24 +5,25 @@
 exhaustive over the stated sizes (no sampling) and deterministic; the
 first failing object is reported in its text form.
 
-The unit of work is one tag: a family, or ``"fpath"`` for the records
-about F-paths alone.  :func:`tag_records` makes a tag's records for
-every size n.  It generates a mapped family once per n, runs the trusted
-core ``phi`` once per member and ``psi`` once per path, and keeps the
-psi of each path in a table of its own, since the direct-sum components
-of a path are paths of smaller sizes.  The groups below read these
-values and call neither ``phi`` nor ``psi``, except the two
-``decompose`` records: the family's ``decompose`` runs ``phi`` again,
-and ``psi`` on the components of a path of positive height, on one
-member per path.  What every tag reads at size n, the F-paths, their
+The unit of work is one tag: a mapped family, or the hub ``"fpath"``
+for the records about F-paths alone.  :func:`tag_records` makes a tag's
+records for every size n: the hub's from :func:`verify_hub`, a mapped
+family's from the four groups below.  It generates a mapped family once
+per n, runs the trusted core ``phi`` once per member and ``psi`` once
+per path, and keeps the psi of each path in a table of its own, since
+the direct-sum components of a path are paths of smaller sizes.  The
+groups read these values and call neither ``phi`` nor ``psi``, except
+the two ``decompose`` records: the family's ``decompose`` runs ``phi``
+again, and ``psi`` on the components of a path of positive height, on
+one member per path.  What every tag reads at size n, the F-paths, their
 statistics and decompositions, is a :class:`SizeData` that each process
 builds once per size.  Only the pinned constants go through the
 validating ``from_fpath``.
 
-Each group returns one tag's records at one n as (slot, record) pairs.
-A record is keyed (n, slot, TAGS index), and the report is the pinned
-examples followed by every tag's records sorted by key.  Within
-one n the slots are: 0 ``equinumerous`` of every tag, 1 the round
+Every check returns rows ``(slot, name, ok, detail)``; :func:`tag_records`
+keys each by (n, slot, TAGS index), and :func:`run_all` makes the report,
+the pinned examples followed by every tag's records sorted by key.
+Within one n the slots are: 0 ``equinumerous`` of every tag, 1 the round
 trips, 2 the statistics of the mapped tags, 3 the F-path ``a_joint``
 and involution records, 4 the F-path recompose record, 5 the
 homomorphism records and 6 the ``decompose`` records.  From ``max_n`` =
@@ -34,13 +35,14 @@ The fork is only a speed-up: when the child does not hand its records
 back whole, the parent makes them itself, so every error is raised in
 the calling process, as it is without the fork.
 
-    verify_equinumerous    |family_n| == a_total(n) for all families
+    verify_equinumerous    |family_n| == a_total(n) for every tag
     verify_round_trips     psi(phi(o)) == o, and psi(q) is a generated
                            object with phi(psi(q)) == q
-    verify_statistics      stats(o) == stats(phi(o)); the joint
-                           distribution matches a_joint; the step
-                           involution behaves as stated
+    verify_statistics      stats(o) == stats(phi(o)), jointly too
     verify_direct_sums     psi respects the direct-sum decomposition
+    verify_hub             the F-paths' joint distribution matches
+                           a_joint, the step involution behaves as
+                           stated, each path recomposes from its parts
     verify_pinned_examples frozen worked examples, bit for bit
 """
 from __future__ import annotations
@@ -191,15 +193,15 @@ SEQUENCE = (1, 2, 6, 21, 80, 322, 1347, 5798, 25512)
 class SizeData:
     """What the checks of every tag read at one size n.
 
-    ``paths`` is the F-paths of size n and ``same_path`` maps each to
-    itself, so that an equal value can be stored as the generated path.
+    ``paths`` maps each F-path of size n to itself, in canonical order:
+    it iterates, zips and has the length of the generated paths, and
+    ``paths.get(q, q)`` stores a value equal to a path as that path.
     ``fstats`` maps each path to its ``fpath_stats``, each distinct value
     stored once, and ``fdist`` counts the paths of each triple.
     ``decomps`` holds each path's ``fpath_decompose``, index-aligned.
     """
 
-    paths: tuple
-    same_path: dict
+    paths: dict
     fstats: dict
     fdist: Counter
     decomps: tuple
@@ -208,83 +210,56 @@ class SizeData:
 def size_data(n: int) -> SizeData:
     """Generate the F-paths of size n and compute, once per path, the
     values that every tag's checks read."""
-    paths = FAMILIES["fpath"].generate(n)
+    paths = {q: q for q in FAMILIES["fpath"].generate(n)}
     # Paths share few distinct statistics; store each once.
     same = {}
     fstats = {q: same.setdefault(st, st)
               for q, st in zip(paths, map(fpath_stats, paths))}
-    return SizeData(paths, {q: q for q in paths}, fstats,
+    return SizeData(paths, fstats,
                     Counter(st for st, _ in fstats.values()),
                     tuple(map(fpath_decompose, paths)))
 
 
-def _record(name: str, n: int, bad, render) -> CheckRecord:
+def _row(slot: int, name: str, bad, render) -> tuple:
     """PASS when ``bad`` is None, else FAIL naming ``render(bad)``."""
-    return CheckRecord(name, n, bad is None,
-                       "" if bad is None else render(bad))
+    return slot, name, bad is None, "" if bad is None else render(bad)
 
 
 def verify_equinumerous(n: int, tag: str, members) -> list:
     expected, got = a_total(n), len(members)
     diff = None if got == expected else f"{got} != {expected}"
-    return [(0, _record(f"equinumerous[{tag}]", n, diff, str))]
+    return [_row(0, f"equinumerous[{tag}]", diff, str)]
 
 
-def verify_round_trips(n: int, tag: str, data: SizeData, members, images,
+def verify_round_trips(tag: str, data: SizeData, members, images,
                        psi_of: dict) -> list:
     # psi(phi(o)) is the stored psi of o's image, a generated path.
     bad = next((o for o, q in zip(members, images) if psi_of.get(q) != o),
                None)
-    out = [(1, _record(f"round-trip[{tag}] psi(phi(o)) == o", n, bad,
-                       FAMILIES[tag].render))]
+    out = [_row(1, f"round-trip[{tag}] psi(phi(o)) == o", bad,
+                FAMILIES[tag].render)]
     # psi(q) must be a member whose stored image is q.
     phi_of = dict(zip(members, images))
     bad = next((q for q in data.paths if phi_of.get(psi_of[q]) != q), None)
-    out.append((1, _record(f"round-trip[{tag}] phi(psi(q)) == q", n, bad,
-                           FAMILIES["fpath"].render)))
+    out.append(_row(1, f"round-trip[{tag}] phi(psi(q)) == q", bad,
+                    FAMILIES["fpath"].render))
     return out
 
 
-def verify_statistics(n: int, tag: str, data: SizeData, members=(),
-                      images=()) -> list:
-    fstats, fdist = data.fstats, data.fdist
-    if tag != "fpath":
-        fam = FAMILIES[tag]
-        dist = Counter()
-        bad = None
-        for o, q in zip(members, images):
-            st = fam.stats_core(o)
-            dist[st] += 1
-            if bad is None and (q not in fstats or fstats[q][0] != st):
-                bad = o
-        diff = None if dist == fdist else _dist_diff(dist, fdist)
-        return [(2, _record(f"statistics[{tag}] stats(o) == stats(phi(o))",
-                            n, bad, fam.render)),
-                (2, _record(f"statistics[{tag}] joint distribution", n, diff,
-                            "first diff {}".format))]
-    diff = next(
-        (
-            f"(h,l,a1)=({h},{l},{a1}): {got} != {want}"
-            for h, l, a1 in product(range(n + 1), repeat=3)
-            if (want := a_joint(n, h=a1, l=l, m=h))
-            != (got := fdist.get(StatTriple(h, l, a1), 0))
-        ),
-        None,
-    )
-
-    def involution_holds(q):
-        r = involution_phi_F(q)
-        if r not in fstats or involution_phi_F(r) != q:
-            return False
-        (h1, l1, a1), bone1 = fstats[q]
-        (h2, l2, a2), bone2 = fstats[r]
-        return ((h2, l2) == (h1, l1) and a2 == bone1 - l1
-                and bone2 == a1 + l1 and h1 <= l1 <= bone1)
-
-    bad = next((q for q in data.paths if not involution_holds(q)), None)
-    return [(3, _record("statistics a_joint closed form", n, diff, str)),
-            (3, _record("involution relations", n, bad,
-                        FAMILIES["fpath"].render))]
+def verify_statistics(tag: str, data: SizeData, members, images) -> list:
+    fam, fstats, fdist = FAMILIES[tag], data.fstats, data.fdist
+    dist = Counter()
+    bad = None
+    for o, q in zip(members, images):
+        st = fam.stats_core(o)
+        dist[st] += 1
+        if bad is None and (q not in fstats or fstats[q][0] != st):
+            bad = o
+    diff = None if dist == fdist else _dist_diff(dist, fdist)
+    return [_row(2, f"statistics[{tag}] stats(o) == stats(phi(o))", bad,
+                 fam.render),
+            _row(2, f"statistics[{tag}] joint distribution", diff,
+                 "first diff {}".format)]
 
 
 def _dist_diff(d1: Counter, d2: Counter) -> str:
@@ -297,22 +272,16 @@ def _dist_diff(d1: Counter, d2: Counter) -> str:
 _PEELERS = {"inv-i": "decompose_I", "inv-j": "decompose_J"}
 
 
-def verify_direct_sums(n: int, tag: str, data: SizeData,
-                       psi_of=None) -> list:
+def verify_direct_sums(tag: str, data: SizeData, psi_of: dict) -> list:
     render_path = FAMILIES["fpath"].render
-    if tag == "fpath":
-        bad = next((q for q, comps in zip(data.paths, data.decomps)
-                    if reduce(fpath_direct_sum, comps) != q), None)
-        return [(4, _record("direct-sum[fpath] recompose", n, bad,
-                            render_path))]
     # Each component is a generated path of size <= n, so its psi is
     # stored; a missing one fails the record.
     dsum = FAMILIES[tag].direct_sum
     bad = next((q for q, comps in zip(data.paths, data.decomps)
                 if None in (parts := [psi_of.get(c) for c in comps])
                 or reduce(dsum, parts) != psi_of[q]), None)
-    out = [(5, _record(f"direct-sum[{tag}] psi is a homomorphism", n, bad,
-                       render_path))]
+    out = [_row(5, f"direct-sum[{tag}] psi is a homomorphism", bad,
+                render_path)]
     # The record names are pinned output; they name the connectedness
     # peelers that the tests keep as these two families' oracles.
     if tag in _PEELERS:
@@ -322,10 +291,37 @@ def verify_direct_sums(n: int, tag: str, data: SizeData,
              if decompose(psi_of[q]) != [psi_of.get(c) for c in comps]),
             None,
         )
-        out.append((6, _record(
-            f"direct-sum[{tag}] {_PEELERS[tag]} inverts the fold", n, bad,
-            render_path)))
+        out.append(_row(
+            6, f"direct-sum[{tag}] {_PEELERS[tag]} inverts the fold", bad,
+            render_path))
     return out
+
+
+def verify_hub(n: int, data: SizeData) -> list:
+    """The hub's records at size n, read off ``data`` alone."""
+    fstats, render_path = data.fstats, FAMILIES["fpath"].render
+    diff = next((f"(h,l,a1)=({h},{l},{a1}): {got} != {want}"
+                 for h, l, a1 in product(range(n + 1), repeat=3)
+                 if (want := a_joint(n, h=a1, l=l, m=h))
+                 != (got := data.fdist.get(StatTriple(h, l, a1), 0))), None)
+
+    def involution_holds(q):
+        r = involution_phi_F(q)
+        if r not in fstats or involution_phi_F(r) != q:
+            return False
+        (h1, l1, a1), bone1 = fstats[q]
+        (h2, l2, a2), bone2 = fstats[r]
+        return ((h2, l2) == (h1, l1) and a2 == bone1 - l1
+                and bone2 == a1 + l1 and h1 <= l1 <= bone1)
+
+    bad = next((q for q in data.paths if not involution_holds(q)), None)
+    unsummed = next((q for q, comps in zip(data.paths, data.decomps)
+                     if reduce(fpath_direct_sum, comps) != q), None)
+    return verify_equinumerous(n, "fpath", data.paths) + [
+        _row(3, "statistics a_joint closed form", diff, str),
+        _row(3, "involution relations", bad, render_path),
+        _row(4, "direct-sum[fpath] recompose", unsummed, render_path),
+    ]
 
 
 def tag_records(tag: str, sizes: list) -> list[tuple]:
@@ -333,10 +329,11 @@ def tag_records(tag: str, sizes: list) -> list[tuple]:
     tuples ``(n, slot, TAGS index, name, ok, detail)``; ``sizes[n]`` is
     the :class:`SizeData` of size n.
 
-    A mapped family is generated once per n; ``phi`` runs once per
-    member and ``psi`` once per path.  The psi of every path built so far
-    stays in a table local to this call: the direct-sum components of a
-    path are paths of smaller sizes, and their psi is looked up there.
+    The hub, ``"fpath"``, has its records from :func:`verify_hub`.  A
+    mapped family is generated once per n; ``phi`` runs once per member
+    and ``psi`` once per path.  The psi of every path built so far stays
+    in a table local to this call: the direct-sum components of a path
+    are paths of smaller sizes, and their psi is looked up there.
     """
     t = TAGS.index(tag)
     fam = FAMILIES[tag]
@@ -344,26 +341,23 @@ def tag_records(tag: str, sizes: list) -> list[tuple]:
     rows = []
     for n, data in enumerate(sizes):
         if tag == "fpath":
-            keyed = (verify_equinumerous(n, tag, data.paths)
-                     + verify_statistics(n, tag, data)
-                     + verify_direct_sums(n, tag, data))
+            keyed = verify_hub(n, data)
         else:
             # An image that equals a generated path is stored as that
             # path, and a psi value that equals a member as that member,
             # so the stored values take no memory of their own.
             members = fam.generate(n)
             same_member = {o: o for o in members}
-            images = tuple(data.same_path.get(q, q)
-                           for q in map(fam.phi, members))
             paths = data.paths
+            images = tuple(paths.get(q, q) for q in map(fam.phi, members))
             psi_of.update((q, same_member.get(o, o))
                           for q, o in zip(paths, map(fam.psi, paths)))
             keyed = (verify_equinumerous(n, tag, members)
-                     + verify_round_trips(n, tag, data, members, images,
-                                          psi_of)
-                     + verify_statistics(n, tag, data, members, images)
-                     + verify_direct_sums(n, tag, data, psi_of))
-        rows += [(n, slot, t, r.name, r.ok, r.detail) for slot, r in keyed]
+                     + verify_round_trips(tag, data, members, images, psi_of)
+                     + verify_statistics(tag, data, members, images)
+                     + verify_direct_sums(tag, data, psi_of))
+        rows += [(n, slot, t, name, ok, detail)
+                 for slot, name, ok, detail in keyed]
     return rows
 
 

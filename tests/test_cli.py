@@ -19,7 +19,7 @@ import sys
 import pytest
 
 import fpaths
-from fpaths import fpath_core
+from fpaths import cli, fpath_core
 from fpaths.cli import cmd_dispatch
 from fpaths.errors import FormViolation
 from fpaths.families import FAMILIES, TAGS
@@ -272,6 +272,9 @@ def test_sequence_plain_and_bfile():
     assert (code, out) == (0, "1 2 6 21 80 322 1347\n")
     code, out, _ = run_cli("sequence", "--max-n", "3", "--bfile")
     assert (code, out) == (0, "0 1\n1 2\n2 6\n3 21\n")
+    # Below -1 the sequence is empty too, not sliced from the end.
+    assert run_cli("sequence", "--max-n", "-2") == (0, "\n", "")
+    assert run_cli("sequence", "--max-n", "-2", "--bfile") == (0, "", "")
 
 
 #: n values of the pinned count grid, from the empty path to n = 1000.
@@ -343,6 +346,18 @@ def test_verify_unwritable_json_path_is_refused_before_any_check(
         f"{str(target)!r}\n"
 
 
+def test_verify_empty_json_path_is_refused_before_any_check(monkeypatch):
+    """An empty ``--json`` path is a path that cannot be opened, not an
+    absent option."""
+    def no_run(max_n):
+        raise AssertionError("run_all ran before the path was refused")
+
+    monkeypatch.setattr("fpaths.cli.run_all", no_run)
+    code, out, err = run_cli("verify", "--max-n", "1", "--json", "")
+    assert (code, out) == (2, "")
+    assert err == "fpaths verify: [Errno 2] No such file or directory: ''\n"
+
+
 def test_verify_bad_max_n_leaves_the_json_file_untouched(tmp_path):
     target = tmp_path / "report.json"
     target.write_text("kept\n")
@@ -384,6 +399,16 @@ def test_unknown_family_is_usage_error():
 
 def test_missing_subcommand_is_usage_error():
     assert run_cli()[0] == 2
+
+
+def test_a_broken_pipe_ends_a_command_with_status_0(monkeypatch):
+    """A reader that closes the pipe early stops the output; it is not
+    an error."""
+    def broken(*args, **kwargs):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "print", broken, raising=False)
+    assert run_cli("sequence", "--max-n", "3") == (0, "", "")
 
 
 TOP_HELP = """\

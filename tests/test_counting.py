@@ -490,7 +490,8 @@ def test_sequence_recurrence_matches_a_total():
     assert len(seq) == 3000
     assert seq[1000] == a_total(1000)
     assert seq[2999] == a_total(2999)
-    assert sequence(-1) == [] and sequence(0) == [1]
+    assert all(sequence(k) == [] for k in (-1, -2, -3, -100))
+    assert sequence(0) == [1]
     assert sequence(1) == [1, 2] and sequence(2) == [1, 2, 6]
 
 

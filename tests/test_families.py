@@ -217,6 +217,13 @@ def test_parse_error_offsets(tag, text, offset):
     assert exc.value.offset == offset
 
 
+def test_parse_object_refuses_an_unknown_family():
+    with pytest.raises(ParseError) as exc:
+        parse_object("nope", "x")
+    assert exc.value.offset == 0
+    assert str(exc.value) == "parse error at offset 0: unknown family 'nope'"
+
+
 #: Bad texts and how ``parse`` refuses them: the exception class, its
 #: text and, for a ParseError, its offset into the stripped line.  The
 #: order of the checks shows where one text breaks two rules: a bad token

@@ -131,6 +131,16 @@ def test_validate():
     with pytest.raises(NotAvoider):
         validate_invseq((0, 0, 1, 3, 2), FAMILY_J)
 
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("the entries were read")
+
+    # An unknown family is named before the entries are read.
+    for e in ((0, 1), (), Unread()):
+        with pytest.raises(FormViolation,
+                           match="unknown inversion-sequence family 'K'"):
+            validate_invseq(e, "K")
+
 
 def first_pattern_oracle(e, family, contained=None):
     """The pattern the brute-force check names: first in family order.

@@ -170,6 +170,18 @@ def test_wrong_counts_and_stats_give_the_known_fail_lines(monkeypatch):
     ]
 
 
+def test_a_wrong_involution_gives_the_known_fail_lines(monkeypatch):
+    """An involution that leaves the paths of size n fails the
+    involution record at every n, naming the first path."""
+    monkeypatch.setattr(verify_harness, "involution_phi_F",
+                        lambda q: q + ((0, 1),))
+    assert [r.line() for r in run_all(2).records if not r.ok] == [
+        "FAIL  n=0  involution relations  [-]",
+        "FAIL  n=1  involution relations  [0,1]",
+        "FAIL  n=2  involution relations  [0,1 0,1]",
+    ]
+
+
 #: sha256 of ``run_all(k).to_text()`` and of ``.to_json()``, k = 0..6.
 #: The records sort by (n, slot, TAGS index), and these pin the order
 #: that the sort makes as well as every name and detail.
