@@ -34,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from math import inf
 
-from .errors import FormViolation, FpathsError, NotAvoider
+from .errors import FormViolation, NotAvoider
 from .fpath_core import FPath, StatTriple, int_entries
 
 Permutation = tuple[int, ...]
@@ -146,15 +146,6 @@ def _check_avoider(p: Permutation) -> Permutation:
     if _contains_forbidden(p):
         raise NotAvoider(_first_forbidden(p))
     return p
-
-
-def is_avoider(p) -> bool:
-    """True iff :func:`validate_avoider` accepts p, whatever p is."""
-    try:
-        validate_avoider(p)
-    except FpathsError:
-        return False
-    return True
 
 
 def gen_avoiders(n: int) -> tuple[Permutation, ...]:

@@ -16,9 +16,9 @@ groups read these values and call neither ``phi`` nor ``psi``, except
 the two ``decompose`` records: the family's ``decompose`` runs ``phi``
 again, and ``psi`` on the components of a path of positive height, on
 one member per path.  What every tag reads at size n, the F-paths, their
-statistics and decompositions, is a :class:`SizeData` that each process
-builds once per size.  Only the pinned constants go through the
-validating ``from_fpath``.
+statistics and decompositions, is a :class:`SizeData` that
+:func:`run_all` builds once per size, before any fork.  Only the pinned
+constants go through the validating ``from_fpath``.
 
 Every check returns rows ``(slot, name, ok, detail)``; :func:`tag_records`
 keys each by (n, slot, TAGS index), and :func:`run_all` makes the report,
@@ -29,8 +29,9 @@ and involution records, 4 the F-path recompose record, 5 the
 homomorphism records and 6 the ``decompose`` records.  From ``max_n`` =
 :data:`_SPLIT_FROM_N` on, in a process of one thread where ``os.fork``
 exists, the tags are split between two processes: a forked child runs
-:data:`_CHILD_TAGS` and sends its records back over a pipe as plain
-tuples, while the parent runs the pinned examples and the other tags.
+:data:`_CHILD_TAGS` on the parent's copy of the sizes and sends its
+records back over a pipe as plain tuples, while the parent runs the
+pinned examples and the other tags.
 The fork is only a speed-up: when the child does not hand its records
 back whole, the parent makes them itself, so every error is raised in
 the calling process, as it is without the fork.
@@ -75,10 +76,10 @@ _MAPPED_TAGS = tuple(tag for tag in TAGS if tag != "fpath")
 _CHILD_TAGS = ("bicolored", "inv-i", "inv-j")
 
 #: The least ``max_n`` at which :func:`run_all` forks.  Measured
-#: in-process, median of 3 x 41 runs, the split costs time at max_n 3
-#: (6.6 -> 7.9 ms), saves a sixth at 4 (21 -> 17 ms) and a third at 5
-#: (79 -> 51 ms).  Runs up to 4 stay in one process, so that a caller
-#: who wraps the cores, as the tests do, sees every call.
+#: in-process on two cores, medians of 9 x 21 runs, the split gains
+#: nothing at max_n 3 (5.6 -> 5.4 ms), a fifth at 4 (15 -> 12 ms) and
+#: two fifths at 5 (62 -> 36 ms).  Runs up to 4 stay in one process, so
+#: that a caller who wraps the cores, as the tests do, sees every call.
 _SPLIT_FROM_N = 5
 
 
@@ -191,16 +192,18 @@ SEQUENCE = (1, 2, 6, 21, 80, 322, 1347, 5798, 25512)
 
 @dataclass(frozen=True)
 class SizeData:
-    """What the checks of every tag read at one size n.
+    """What every tag's checks read at size n; :func:`run_all` builds it.
 
-    ``paths`` maps each F-path of size n to itself, in canonical order:
-    it iterates, zips and has the length of the generated paths, and
-    ``paths.get(q, q)`` stores a value equal to a path as that path.
+    ``generated`` counts the paths the generator yielded, repeats
+    included.  ``paths`` maps each distinct one to itself, in canonical
+    order, and ``paths.get(q, q)`` stores a value equal to a path as
+    that path.
     ``fstats`` maps each path to its ``fpath_stats``, each distinct value
     stored once, and ``fdist`` counts the paths of each triple.
     ``decomps`` holds each path's ``fpath_decompose``, index-aligned.
     """
 
+    generated: int
     paths: dict
     fstats: dict
     fdist: Counter
@@ -210,12 +213,13 @@ class SizeData:
 def size_data(n: int) -> SizeData:
     """Generate the F-paths of size n and compute, once per path, the
     values that every tag's checks read."""
-    paths = {q: q for q in FAMILIES["fpath"].generate(n)}
+    generated = FAMILIES["fpath"].generate(n)
+    paths = {q: q for q in generated}
     # Paths share few distinct statistics; store each once.
     same = {}
     fstats = {q: same.setdefault(st, st)
               for q, st in zip(paths, map(fpath_stats, paths))}
-    return SizeData(paths, fstats,
+    return SizeData(len(generated), paths, fstats,
                     Counter(st for st, _ in fstats.values()),
                     tuple(map(fpath_decompose, paths)))
 
@@ -225,8 +229,8 @@ def _row(slot: int, name: str, bad, render) -> tuple:
     return slot, name, bad is None, "" if bad is None else render(bad)
 
 
-def verify_equinumerous(n: int, tag: str, members) -> list:
-    expected, got = a_total(n), len(members)
+def verify_equinumerous(n: int, tag: str, got: int) -> list:
+    expected = a_total(n)
     diff = None if got == expected else f"{got} != {expected}"
     return [_row(0, f"equinumerous[{tag}]", diff, str)]
 
@@ -317,7 +321,7 @@ def verify_hub(n: int, data: SizeData) -> list:
     bad = next((q for q in data.paths if not involution_holds(q)), None)
     unsummed = next((q for q, comps in zip(data.paths, data.decomps)
                      if reduce(fpath_direct_sum, comps) != q), None)
-    return verify_equinumerous(n, "fpath", data.paths) + [
+    return verify_equinumerous(n, "fpath", data.generated) + [
         _row(3, "statistics a_joint closed form", diff, str),
         _row(3, "involution relations", bad, render_path),
         _row(4, "direct-sum[fpath] recompose", unsummed, render_path),
@@ -352,7 +356,7 @@ def tag_records(tag: str, sizes: list) -> list[tuple]:
             images = tuple(paths.get(q, q) for q in map(fam.phi, members))
             psi_of.update((q, same_member.get(o, o))
                           for q, o in zip(paths, map(fam.psi, paths)))
-            keyed = (verify_equinumerous(n, tag, members)
+            keyed = (verify_equinumerous(n, tag, len(members))
                      + verify_round_trips(tag, data, members, images, psi_of)
                      + verify_statistics(tag, data, members, images)
                      + verify_direct_sums(tag, data, psi_of))
@@ -404,20 +408,19 @@ def verify_pinned_examples() -> list[CheckRecord]:
 def run_all(max_n: int = 6) -> VerifyReport:
     """Run every check for 0 <= n <= max_n (pinned examples once).
 
-    ``max_n`` is checked by :func:`common_index` before any size is
-    built.  Each tag's records come from one :func:`tag_records` call;
-    the report is the pinned examples, then every tag's records sorted
-    by their key (n, slot, TAGS index).  From ``max_n`` =
-    :data:`_SPLIT_FROM_N` on, in a process of one thread where
-    ``os.fork`` exists, a forked child makes the records of
-    :data:`_CHILD_TAGS` (:func:`_split`); the report is the same either
-    way.
+    ``max_n`` is checked by :func:`common_index`, then every size's
+    :class:`SizeData` is built once, before any fork.  Each tag's
+    records come from one :func:`tag_records` call; the report is the
+    pinned examples, then every tag's records sorted by their key (n,
+    slot, TAGS index).  From ``max_n`` = :data:`_SPLIT_FROM_N` on, in a
+    process of one thread where ``os.fork`` exists, a forked child
+    makes the records of :data:`_CHILD_TAGS` (:func:`_split`); the
+    report is the same either way.
     """
     max_n = common_index(max_n)
-    if _forks(max_n):
-        pinned, rows = _split(max_n)
-    else:
-        pinned, rows = verify_pinned_examples(), _rows(TAGS, max_n)
+    sizes = [size_data(n) for n in range(max_n + 1)]
+    split = _split(sizes) if _forks(max_n) else None
+    pinned, rows = split or (verify_pinned_examples(), _rows(TAGS, sizes))
     # The sort is stable, and rows of one key come from one call in order.
     rows.sort(key=lambda row: row[:3])
     return VerifyReport(pinned + [CheckRecord(name, n, ok, detail)
@@ -436,22 +439,21 @@ def _forks(max_n: int) -> bool:
     return threading.active_count() == 1
 
 
-def _rows(tags: tuple, max_n: int) -> list[tuple]:
-    """The :func:`tag_records` rows of each of ``tags``, on one
-    :class:`SizeData` per size built in this process."""
-    sizes = [size_data(n) for n in range(max_n + 1)]
+def _rows(tags: tuple, sizes: list) -> list[tuple]:
+    """The :func:`tag_records` rows of each of ``tags``, on the
+    :class:`SizeData` list that :func:`run_all` built once."""
     return [row for tag in tags for row in tag_records(tag, sizes)]
 
 
-def _split(max_n: int) -> tuple[list[CheckRecord], list[tuple]]:
+def _split(sizes: list) -> tuple[list[CheckRecord], list[tuple]] | None:
     """The pinned records and every tag's rows, the rows of
-    :data:`_CHILD_TAGS` made in a forked child when it can.
+    :data:`_CHILD_TAGS` made in a forked child; None if ``os.fork`` fails.
 
     The fork is only a speed-up.  The child's rows are taken when it
     exits with status 0, which it does only after writing them whole;
-    otherwise, when ``os.fork`` fails, and when the status is lost
-    because the caller ignores SIGCHLD, this process makes them itself,
-    so an error in a check is raised here, where it happens.
+    otherwise, and when the status is lost because the caller ignores
+    SIGCHLD, this process makes them itself, so an error in a check is
+    raised here, where it happens.
     The parent always reaps the child: when its own half raises, it
     kills the child first.
     """
@@ -461,16 +463,16 @@ def _split(max_n: int) -> tuple[list[CheckRecord], list[tuple]]:
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return verify_pinned_examples(), _rows(TAGS, max_n)
+        return None
     if pid == 0:
         os.close(read_fd)
-        _child(write_fd, max_n)
+        _child(write_fd, sizes)
     os.close(write_fd)
     mine = tuple(tag for tag in TAGS if tag not in _CHILD_TAGS)
     try:
         with open(read_fd, "rb") as pipe:
             pinned = verify_pinned_examples()
-            rows = _rows(mine, max_n)
+            rows = _rows(mine, sizes)
             sent = pipe.read()
     except BaseException:
         import signal
@@ -487,12 +489,13 @@ def _split(max_n: int) -> tuple[list[CheckRecord], list[tuple]]:
             status = None
     if status == 0:
         return pinned, rows + marshal.loads(sent)
-    return pinned, rows + _rows(_CHILD_TAGS, max_n)
+    return pinned, rows + _rows(_CHILD_TAGS, sizes)
 
 
-def _child(write_fd: int, max_n: int):
+def _child(write_fd: int, sizes: list):
     """The forked child of :func:`_split`: write the rows of
-    :data:`_CHILD_TAGS` with ``marshal`` to ``write_fd``.
+    :data:`_CHILD_TAGS` on the parent's ``sizes``, with ``marshal``, to
+    ``write_fd``.
 
     It never returns: it leaves through ``os._exit``, so it runs no
     cleanup of the parent's and flushes no inherited stdio; with status
@@ -500,7 +503,7 @@ def _child(write_fd: int, max_n: int):
     """
     status = 1
     try:
-        sent = marshal.dumps(_rows(_CHILD_TAGS, max_n))
+        sent = marshal.dumps(_rows(_CHILD_TAGS, sizes))
         with open(write_fd, "wb") as pipe:
             pipe.write(sent)
         status = 0

@@ -19,7 +19,7 @@ import pytest
 from collections import Counter
 
 from fpaths import pattern_perms
-from fpaths.errors import FormViolation, NotAvoider
+from fpaths.errors import FormViolation, FpathsError, NotAvoider
 from fpaths.families import FAMILIES
 from fpaths.fpath_core import NORTH, fpath_stats, gen_fpaths, validate_fpath
 from fpaths.pattern_perms import (
@@ -27,7 +27,6 @@ from fpaths.pattern_perms import (
     _first_forbidden,
     asc,
     gen_avoiders,
-    is_avoider,
     perm_direct_sum,
     perm_stats,
     phi_S,
@@ -128,9 +127,12 @@ def test_membership_and_generation_match_oracle_exhaustively():
         for p in itertools.permutations(range(1, n + 1)):
             want = first_forbidden_oracle(p)
             assert named_pattern(p) == want, p
-            assert is_avoider(p) == (want is None)
             if want is None:
+                assert validate_avoider(p) == p
                 avoiders.append(p)
+            else:
+                with pytest.raises(FpathsError):
+                    validate_avoider(p)
         assert list(gen_avoiders(n)) == avoiders, n
 
 
@@ -162,10 +164,11 @@ def test_membership_runs_no_bijection(monkeypatch):
                 assert exc.value.pattern == want, p
 
 
-def test_is_avoider_refuses_what_validation_refuses():
+def test_validate_avoider_refuses_every_non_avoider_input():
     for p in ([1, 1, 1], [0, 5], "abc", [], 5, (2, 3, 4, 1), (1.0,)):
-        assert not is_avoider(p), p
-    assert is_avoider([2, 3, 1])
+        with pytest.raises(FpathsError):
+            validate_avoider(p)
+    assert validate_avoider([2, 3, 1]) == (2, 3, 1)
 
 
 def test_round_trip_holds_on_every_avoider():
@@ -407,7 +410,7 @@ def test_large_paths_with_deep_steps(random_fpath, name):
     and the shape oracles on the first 500 steps."""
     q = LARGE_PATHS[name](random_fpath)
     p = psi_S(q)
-    assert validate_avoider(p) == p and is_avoider(p)
+    assert validate_avoider(p) == p
     assert phi_S(p) == q
     assert record_phi_S(p) == q
     assert perm_stats(p) == fpath_stats(q)[0]

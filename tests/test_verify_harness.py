@@ -52,6 +52,23 @@ def test_run_all_generates_each_pair_once(monkeypatch):
     assert calls == {(tag, n): 1 for tag in TAGS for n in range(3)}
 
 
+def test_a_repeated_fpath_fails_only_the_fpath_count(monkeypatch):
+    """``equinumerous[fpath]`` counts what the generator yielded, so a
+    repeated path fails it; every other record reads each distinct path
+    once and passes."""
+    info = FAMILIES["fpath"]
+
+    def generate(n):
+        paths = info.generate(n)
+        return paths + paths[:1] if n == 3 else paths
+
+    monkeypatch.setitem(FAMILIES, "fpath",
+                        dataclasses.replace(info, generate=generate))
+    assert [r.line() for r in run_all(4).records if not r.ok] == [
+        "FAIL  n=3  equinumerous[fpath]  [22 != 21]",
+    ]
+
+
 def test_psi_image_outside_the_family_is_a_fail_record(monkeypatch):
     """The harness runs the trusted phi only on family members, so a psi
     that leaves the family gives a FAIL record, not a crash in phi."""
@@ -270,6 +287,58 @@ def test_split_records_equal_the_one_process_records(monkeypatch, max_n):
         [dataclasses.astuple(r) for r in one]
 
 
+def test_a_split_run_generates_each_pair_once_across_both_processes(
+        monkeypatch, tmp_path):
+    """The F-paths of every size are generated once, in the calling
+    process and before the fork; the child reads the parent's copy."""
+    log = tmp_path / "generate.log"
+
+    def logged(tag, generate):
+        def wrapper(n):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {tag} {n}\n")
+            return generate(n)
+        return wrapper
+
+    for tag in TAGS:
+        info = FAMILIES[tag]
+        monkeypatch.setitem(FAMILIES, tag, dataclasses.replace(
+            info, generate=logged(tag, info.generate)))
+    assert run_all(5).ok
+    _no_child_left()
+    lines = [line.split() for line in log.read_text().splitlines()]
+    assert Counter((tag, int(n)) for _, tag, n in lines) == \
+        {(tag, n): 1 for tag in TAGS for n in range(6)}
+    pids = {tag: {int(pid) for pid, t, _ in lines if t == tag}
+            for tag in TAGS}
+    assert pids["fpath"] == {os.getpid()}
+    # The fork was taken: the child's tags ran in one other process.
+    child = set().union(*(pids[tag] for tag in verify_harness._CHILD_TAGS))
+    assert len(child) == 1 and os.getpid() not in child
+
+
+def test_an_error_in_the_fpath_generator_is_raised_before_any_fork(
+        monkeypatch):
+    info = FAMILIES["fpath"]
+    forks = []
+
+    def generate(n):
+        if n == 5:
+            raise FormViolation("no F-paths of size 5")
+        return info.generate(n)
+
+    def fork():
+        forks.append(os.getpid())
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setitem(FAMILIES, "fpath",
+                        dataclasses.replace(info, generate=generate))
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(FormViolation, match="^no F-paths of size 5$"):
+        run_all(5)
+    assert forks == []
+
+
 @pytest.mark.parametrize("child_tags", [("fpath",), ("perm", "tree"), MAPPED])
 def test_any_partition_of_the_tags_gives_the_one_process_records(
         monkeypatch, child_tags):
@@ -335,7 +404,8 @@ def test_an_error_in_the_child_is_raised_again(monkeypatch):
     assert message == f"psi failed in process {os.getpid()}"
 
 
-def test_an_error_with_attributes_keeps_them_across_the_pipe(monkeypatch):
+def test_an_error_with_attributes_is_raised_again_by_the_parent(
+        monkeypatch):
     _raise_in_psi(monkeypatch, "bicolored",
                   lambda pid: WeightOutOfRange(pid, 7, 2))
     with pytest.raises(WeightOutOfRange) as caught:
@@ -347,7 +417,8 @@ def test_an_error_with_attributes_keeps_them_across_the_pipe(monkeypatch):
     assert str(exc) == f"vertex {exc.vertex} has weight 7, expected 1..2"
 
 
-def test_an_unpicklable_error_in_the_child_comes_back_named(monkeypatch):
+def test_an_unpicklable_error_in_the_child_is_raised_again_by_the_parent(
+        monkeypatch):
     class Local(Exception):
         pass
 
