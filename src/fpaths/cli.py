@@ -11,8 +11,9 @@
 ``--n`` is the common index: F-paths of length n, Schröder words of
 semilength n, and objects of size n+1 in the other five families.
 ``count`` uses the closed-form argument order (h = aone, l = north,
-m = height).  Exit status: 0 success, 1 verification failure, 2 usage
-or parse errors.
+m = height).  Exit status: 0 success (or a reader closed the pipe), 1
+verification failure, 2 usage errors and every ``FpathsError`` or
+``OSError`` (a full disk too), printed as ``fpaths <command>: <error>``.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import contextlib
 import sys
 
 from .counting import a_marginal, f_refined, sequence
-from .errors import FpathsError
+from .errors import FormViolation, FpathsError
 from .families import FAMILIES, TAGS
 from .fpath_core import common_index
 from .verify_harness import run_all
@@ -129,19 +130,15 @@ def _cmd_stats(args) -> int:
 def _cmd_count(args) -> int:
     if args.refined is not None:
         if (args.h, args.l, args.m) != (None, None, None):
-            print("count: --refined excludes --h/--l/--m", file=sys.stderr)
-            return 2
+            raise FormViolation("--refined excludes --h/--l/--m")
         parts = args.refined.split(",")
         if len(parts) != 5:
-            print("count: --refined wants five integers i,j,k,l,m",
-                  file=sys.stderr)
-            return 2
+            raise FormViolation("--refined wants five integers i,j,k,l,m")
         try:
             i, j, k, l, m = (int(p) for p in parts)
         except ValueError:
-            print(f"count: bad --refined value {args.refined!r}",
-                  file=sys.stderr)
-            return 2
+            raise FormViolation(
+                f"bad --refined value {args.refined!r}") from None
         print(f_refined(args.n, i, j, k, l, m))
     else:
         print(a_marginal(args.n, h=args.h, l=args.l, m=args.m))
@@ -171,11 +168,7 @@ def _cmd_verify(args) -> int:
         # A bad --max-n is refused, and an unwritable path named, before
         # the file is opened and before any check runs.
         common_index(args.max_n)
-        try:
-            json_file = open(args.json_path, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"fpaths verify: {exc}", file=sys.stderr)
-            return 2
+        json_file = open(args.json_path, "w", encoding="utf-8")
     with json_file as fh:
         report = run_all(args.max_n)
         print(report.to_text())
@@ -203,11 +196,11 @@ def cmd_dispatch(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except FpathsError as exc:
-        print(f"fpaths {args.command}: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
+    except (FpathsError, OSError) as exc:
+        print(f"fpaths {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

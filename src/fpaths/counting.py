@@ -26,8 +26,9 @@ So tabulating a row in order costs O(n) big-integer steps instead of
 O(n^2).  A call never returns a stored value: asking for the same cell
 twice evaluates it twice.  Each call reads the state once and writes it
 once, so threads tabulating rows at once only take more closed forms.
-:func:`sequence` steps the totals by their recurrence in n the same
-way.  Every public function reads every argument with
+:func:`sequence` steps the totals by their recurrence in n with the
+same stepper, on a fourth axis: the row of n = 0 whose cell v is
+a_total(v).  Every public function reads every argument with
 ``operator.index`` (:func:`a_joint` skips it for plain ints), so a
 non-integer raises :class:`FormViolation`; an integer out of range
 counts 0.
@@ -325,8 +326,9 @@ def _m_recurrence(n, m):
             (m + 1) * (m + 2) * (m + 3) * (m - n + 3))
 
 
-#: Per axis, (n, v, the last cells up to r(v)) of the last in-range call.
-_last_cells = dict.fromkeys("hlm", (-1, -1, ()))
+#: Per axis, (n, v, the last cells up to r(v)) of the last in-range call;
+#: the axis "total" is the row of n = 0 whose cell v is a_total(v).
+_last_cells = dict.fromkeys(("h", "l", "m", "total"), (-1, -1, ()))
 
 
 def _row_cell(axis, order, n, v, closed, recurrence):
@@ -419,14 +421,12 @@ def _total_recurrence(n):
 def sequence(max_n: int) -> list[BigCount]:
     """The sequence a_total(0..max_n) as a list: 1, 2, 6, then each value
     one step of the order-3 recurrence in n from the three before it,
-    every division checked exact.
+    every division checked exact, by the rows' stepper on the axis
+    ``"total"``.
 
     >>> sequence(6)
     [1, 2, 6, 21, 80, 322, 1347]
     """
-    max_n = _int(max_n)
-    seq = [1, 2, 6][:max(max_n + 1, 0)]
-    for n in range(max_n - 2):
-        *coeffs, lead = _total_recurrence(n)
-        seq.append(_exact_div(-sum(map(mul, coeffs, seq[n:])), lead))
-    return seq
+    return [_row_cell("total", 3, 0, v, lambda _, k: a_total(k),
+                      lambda _, k: _total_recurrence(k))
+            for v in range(_int(max_n) + 1)]

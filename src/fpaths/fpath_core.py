@@ -119,6 +119,9 @@ def fpath_height(q: FPath) -> int:
 def fpath_stats(q: FPath) -> tuple[StatTriple, int]:
     """Return ``(StatTriple(height, north, aone), bone)``.
 
+    Trusted, like ``phi`` and ``psi``: run :func:`validate_fpath` first,
+    or take the triple from the checked ``FAMILIES["fpath"].stats``.
+
     >>> fpath_stats(((0, 1), (1, 1)))
     (StatTriple(h=1, l=1, a1=1), 2)
     """
@@ -138,7 +141,8 @@ def involution_phi_F(q: FPath) -> FPath:
     """The step-local involution fixing (0,1) and mapping (a,b) -> (2-b, 2-a).
 
     It preserves every prefix height (hence validity), ``height`` and
-    ``north``, and swaps ``aone <-> bone - north``:
+    ``north``, and swaps ``aone <-> bone - north``.  Trusted, like
+    :func:`fpath_stats`: check ``q`` with :func:`validate_fpath` first.
 
     >>> involution_phi_F(((0, 1), (3, -1)))
     ((0, 1), (3, -1))
@@ -212,7 +216,8 @@ def gen_fpaths(n: int) -> tuple[FPath, ...]:
 
 
 def fpath_direct_sum(q1: FPath, q2: FPath) -> FPath:
-    """Concatenate with a fresh (0,1) separator: ``q1 + (0,1) + q2``."""
+    """Concatenate with a fresh (0,1) separator: ``q1 + (0,1) + q2``.
+    Trusted, like :func:`fpath_stats`: run :func:`validate_fpath` first."""
     return tuple(q1) + (NORTH,) + tuple(q2)
 
 
@@ -229,7 +234,8 @@ def fpath_decompose(q: FPath) -> list[FPath]:
     Returns the list ``[R_1, ..., R_{m+1}]`` (length ``height(q) + 1``).
     One pass keeps ``last[i - 1]``, the last (0,1) landing at height i:
     one landing at h drops the entries above h, which the path can only
-    reach again through later (0,1) steps.
+    reach again through later (0,1) steps.  Trusted, like
+    :func:`fpath_stats`: check ``q`` with :func:`validate_fpath` first.
 
     >>> fpath_decompose(((0, 1), (1, 0), (0, 1)))
     [((0, 1), (1, 0)), ()]

@@ -7,34 +7,29 @@ first failing object is reported in its text form.
 
 The unit of work is one tag: a mapped family, or the hub ``"fpath"``
 for the records about F-paths alone.  :func:`tag_records` makes a tag's
-records for every size n: the hub's from :func:`verify_hub`, a mapped
-family's from the four groups below.  It generates a mapped family once
-per n, runs the trusted core ``phi`` once per member and ``psi`` once
-per path, and keeps the psi of each path in a table of its own, since
-the direct-sum components of a path are paths of smaller sizes.  The
-groups read these values and call neither ``phi`` nor ``psi``, except
-the two ``decompose`` records: the family's ``decompose`` runs ``phi``
-again, and ``psi`` on the components of a path of positive height, on
-one member per path.  What every tag reads at size n, the F-paths, their
-statistics and decompositions, is a :class:`SizeData` that
-:func:`run_all` builds once per size, before any fork.  Only the pinned
-constants go through the validating ``from_fpath``.
+records for every size n: the hub's from :func:`verify_hub` and
+:func:`verify_pinned_examples`, a mapped family's from the four groups
+below.  It generates a mapped family once per n, runs the trusted core
+``phi`` once per member and ``psi`` once per path, and keeps the psi of
+each path in a table of its own, since the direct-sum components of a
+path are paths of smaller sizes.  The groups read these values and
+call neither ``phi`` nor ``psi``, except the two ``decompose`` records:
+the family's ``decompose`` runs ``phi`` again, and ``psi`` on the
+components of a path of positive height, on one member per path.  What
+every tag reads at size n, the F-paths, their statistics and
+decompositions, is a :class:`SizeData` that :func:`run_all` builds once
+per size, before any fork.  Only the pinned constants go through the
+validating ``from_fpath``.
 
 Every check returns rows ``(slot, name, ok, detail)``; :func:`tag_records`
-keys each by (n, slot, TAGS index), and :func:`run_all` makes the report,
-the pinned examples followed by every tag's records sorted by key.
-Within one n the slots are: 0 ``equinumerous`` of every tag, 1 the round
-trips, 2 the statistics of the mapped tags, 3 the F-path ``a_joint``
-and involution records, 4 the F-path recompose record, 5 the
-homomorphism records and 6 the ``decompose`` records.  From ``max_n`` =
-:data:`_SPLIT_FROM_N` on, in a process of one thread where ``os.fork``
-exists, the tags are split between two processes: a forked child runs
-:data:`_CHILD_TAGS` on the parent's copy of the sizes and sends its
-records back over a pipe as plain tuples, while the parent runs the
-pinned examples and the other tags.
-The fork is only a speed-up: when the child does not hand its records
-back whole, the parent makes them itself, so every error is raised in
-the calling process, as it is without the fork.
+keys each by (n, slot, TAGS index), the pinned examples, which are rows
+of the hub's pass, by (-1, 0, 0), and :func:`run_all` makes the report,
+every row sorted by key.  Within one n the slots are: 0 ``equinumerous``
+of every tag, 1 the round trips, 2 the statistics of the mapped tags, 3
+the F-path ``a_joint`` and involution records, 4 the F-path recompose
+record, 5 the homomorphism records and 6 the ``decompose`` records.
+From ``max_n`` = :data:`_SPLIT_FROM_N` on, :func:`_split` may run some
+tags in a forked child; the report is the same either way.
 
     verify_equinumerous    |family_n| == a_total(n) for every tag
     verify_round_trips     psi(phi(o)) == o, and psi(q) is a generated
@@ -80,6 +75,13 @@ _CHILD_TAGS = ("bicolored", "inv-i", "inv-j")
 #: nothing at max_n 3 (5.6 -> 5.4 ms), a fifth at 4 (15 -> 12 ms) and
 #: two fifths at 5 (62 -> 36 ms).  Runs up to 4 stay in one process, so
 #: that a caller who wraps the cores, as the tests do, sees every call.
+#: The split gains only when the second core is free, and on a shared
+#: 2-core host it often is not: two forked copies of a fixed CPU loop
+#: ran at a parallel efficiency of 0.41 to 1.05 over five runs.  There
+#: the bench's ``verify`` (max_n 5, a fresh process per run) read 0.0721
+#: s with the split and 0.0658 s with this threshold past 5, medians of
+#: 10 alternating pairs, the split slower in all 10; at max_n 6, in a
+#: long-lived process, the split still won, 144-177 ms against 280-286.
 _SPLIT_FROM_N = 5
 
 
@@ -333,7 +335,8 @@ def tag_records(tag: str, sizes: list) -> list[tuple]:
     tuples ``(n, slot, TAGS index, name, ok, detail)``; ``sizes[n]`` is
     the :class:`SizeData` of size n.
 
-    The hub, ``"fpath"``, has its records from :func:`verify_hub`.  A
+    The hub, ``"fpath"``, has its records from :func:`verify_hub`, and
+    the rows of :func:`verify_pinned_examples` keyed (-1, 0, 0).  A
     mapped family is generated once per n; ``phi`` runs once per member
     and ``psi`` once per path.  The psi of every path built so far stays
     in a table local to this call: the direct-sum components of a path
@@ -342,10 +345,10 @@ def tag_records(tag: str, sizes: list) -> list[tuple]:
     t = TAGS.index(tag)
     fam = FAMILIES[tag]
     psi_of = {}
-    rows = []
+    groups = {-1: verify_pinned_examples()} if tag == "fpath" else {}
     for n, data in enumerate(sizes):
         if tag == "fpath":
-            keyed = verify_hub(n, data)
+            groups[n] = verify_hub(n, data)
         else:
             # An image that equals a generated path is stored as that
             # path, and a psi value that equals a member as that member,
@@ -356,20 +359,22 @@ def tag_records(tag: str, sizes: list) -> list[tuple]:
             images = tuple(paths.get(q, q) for q in map(fam.phi, members))
             psi_of.update((q, same_member.get(o, o))
                           for q, o in zip(paths, map(fam.psi, paths)))
-            keyed = (verify_equinumerous(n, tag, len(members))
-                     + verify_round_trips(tag, data, members, images, psi_of)
-                     + verify_statistics(tag, data, members, images)
-                     + verify_direct_sums(tag, data, psi_of))
-        rows += [(n, slot, t, name, ok, detail)
-                 for slot, name, ok, detail in keyed]
-    return rows
+            groups[n] = (
+                verify_equinumerous(n, tag, len(members))
+                + verify_round_trips(tag, data, members, images, psi_of)
+                + verify_statistics(tag, data, members, images)
+                + verify_direct_sums(tag, data, psi_of))
+    return [(n, slot, t, name, ok, detail)
+            for n, rows in groups.items()
+            for slot, name, ok, detail in rows]
 
 
-def verify_pinned_examples() -> list[CheckRecord]:
+def verify_pinned_examples() -> list:
+    """The frozen worked examples, as rows of slot 0."""
     out = []
 
     def rec(name, ok, detail=""):
-        out.append(CheckRecord(name, -1, ok, detail))
+        out.append((0, name, ok, detail))
 
     seq_ok = tuple(a_total(i) for i in range(9)) == SEQUENCE
     rec("pinned sequence a(0..8)", seq_ok)
@@ -410,33 +415,18 @@ def run_all(max_n: int = 6) -> VerifyReport:
 
     ``max_n`` is checked by :func:`common_index`, then every size's
     :class:`SizeData` is built once, before any fork.  Each tag's
-    records come from one :func:`tag_records` call; the report is the
-    pinned examples, then every tag's records sorted by their key (n,
-    slot, TAGS index).  From ``max_n`` = :data:`_SPLIT_FROM_N` on, in a
-    process of one thread where ``os.fork`` exists, a forked child
-    makes the records of :data:`_CHILD_TAGS` (:func:`_split`); the
-    report is the same either way.
+    records come from one :func:`tag_records` call, in this process or,
+    from ``max_n`` = :data:`_SPLIT_FROM_N` on, in a forked child
+    (:func:`_split`); the report is every row sorted by its key (n,
+    slot, TAGS index), the same either way.
     """
     max_n = common_index(max_n)
     sizes = [size_data(n) for n in range(max_n + 1)]
-    split = _split(sizes) if _forks(max_n) else None
-    pinned, rows = split or (verify_pinned_examples(), _rows(TAGS, sizes))
+    rows = _split(max_n, sizes) or _rows(TAGS, sizes)
     # The sort is stable, and rows of one key come from one call in order.
     rows.sort(key=lambda row: row[:3])
-    return VerifyReport(pinned + [CheckRecord(name, n, ok, detail)
-                                  for n, _, _, name, ok, detail in rows])
-
-
-def _forks(max_n: int) -> bool:
-    """Whether :func:`run_all` splits: from ``max_n`` =
-    :data:`_SPLIT_FROM_N` on, where ``os.fork`` exists, in a process of
-    one thread.  A forked child has only the calling thread, and a lock
-    that another thread held at the fork would stay held in it."""
-    if max_n < _SPLIT_FROM_N or not hasattr(os, "fork"):
-        return False
-    import threading  # here, so that ``import fpaths`` does not load it
-
-    return threading.active_count() == 1
+    return VerifyReport([CheckRecord(name, n, ok, detail)
+                         for n, _, _, name, ok, detail in rows])
 
 
 def _rows(tags: tuple, sizes: list) -> list[tuple]:
@@ -445,18 +435,29 @@ def _rows(tags: tuple, sizes: list) -> list[tuple]:
     return [row for tag in tags for row in tag_records(tag, sizes)]
 
 
-def _split(sizes: list) -> tuple[list[CheckRecord], list[tuple]] | None:
-    """The pinned records and every tag's rows, the rows of
-    :data:`_CHILD_TAGS` made in a forked child; None if ``os.fork`` fails.
+def _split(max_n: int, sizes: list) -> list[tuple] | None:
+    """Every tag's rows, the rows of :data:`_CHILD_TAGS` made in a forked
+    child, or None where :func:`run_all` does not split: below
+    :data:`_SPLIT_FROM_N`, where ``os.fork`` is missing or fails, and
+    while another thread runs, since a forked child has only the calling
+    thread, and a lock that another thread held at the fork would stay
+    held in it.
 
-    The fork is only a speed-up.  The child's rows are taken when it
-    exits with status 0, which it does only after writing them whole;
-    otherwise, and when the status is lost because the caller ignores
-    SIGCHLD, this process makes them itself, so an error in a check is
-    raised here, where it happens.
-    The parent always reaps the child: when its own half raises, it
+    The fork is only a speed-up.  The child runs on this process's copy
+    of ``sizes`` and sends its rows back over a pipe as ``marshal``
+    tuples.  They are taken when it exits with status 0, which it does
+    only after writing them whole; otherwise, and when the status is
+    lost because the caller ignores SIGCHLD, this process makes them
+    itself, so an error in a check is raised here, where it happens.
+    This process always reaps the child: when its own half raises, it
     kills the child first.
     """
+    if max_n < _SPLIT_FROM_N or not hasattr(os, "fork"):
+        return None
+    import threading  # here, so that ``import fpaths`` does not load it
+
+    if threading.active_count() != 1:
+        return None
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -471,7 +472,6 @@ def _split(sizes: list) -> tuple[list[CheckRecord], list[tuple]] | None:
     mine = tuple(tag for tag in TAGS if tag not in _CHILD_TAGS)
     try:
         with open(read_fd, "rb") as pipe:
-            pinned = verify_pinned_examples()
             rows = _rows(mine, sizes)
             sent = pipe.read()
     except BaseException:
@@ -488,14 +488,13 @@ def _split(sizes: list) -> tuple[list[CheckRecord], list[tuple]] | None:
         except ChildProcessError:  # reaped already: SIGCHLD is ignored
             status = None
     if status == 0:
-        return pinned, rows + marshal.loads(sent)
-    return pinned, rows + _rows(_CHILD_TAGS, sizes)
+        return rows + marshal.loads(sent)
+    return rows + _rows(_CHILD_TAGS, sizes)
 
 
 def _child(write_fd: int, sizes: list):
     """The forked child of :func:`_split`: write the rows of
-    :data:`_CHILD_TAGS` on the parent's ``sizes``, with ``marshal``, to
-    ``write_fd``.
+    :data:`_CHILD_TAGS` to ``write_fd``.
 
     It never returns: it leaves through ``os._exit``, so it runs no
     cleanup of the parent's and flushes no inherited stdio; with status

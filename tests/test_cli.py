@@ -226,16 +226,16 @@ def test_count_refined():
 
 
 def test_count_refined_conflicts_with_marginals():
-    code, _, err = run_cli(
-        "count", "--n", "2", "--refined", "1,0,0,1,1", "--h", "0"
-    )
-    assert code == 2
-    assert "--refined excludes" in err
+    assert run_cli("count", "--n", "2", "--refined", "1,0,0,1,1",
+                   "--h", "0") == \
+        (2, "", "fpaths count: --refined excludes --h/--l/--m\n")
 
 
 def test_count_refined_malformed():
-    assert run_cli("count", "--n", "2", "--refined", "1,2")[0] == 2
-    assert run_cli("count", "--n", "2", "--refined", "a,b,c,d,e")[0] == 2
+    assert run_cli("count", "--n", "2", "--refined", "1,2") == \
+        (2, "", "fpaths count: --refined wants five integers i,j,k,l,m\n")
+    assert run_cli("count", "--n", "2", "--refined", "a,b,c,d,e") == \
+        (2, "", "fpaths count: bad --refined value 'a,b,c,d,e'\n")
 
 
 # --------------------------------------------------------- table, sequence
@@ -356,6 +356,22 @@ def test_verify_empty_json_path_is_refused_before_any_check(monkeypatch):
     code, out, err = run_cli("verify", "--max-n", "1", "--json", "")
     assert (code, out) == (2, "")
     assert err == "fpaths verify: [Errno 2] No such file or directory: ''\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_verify_on_a_full_disk_is_a_one_line_error():
+    """A JSON file that cannot be written is an error of the command,
+    exit status 2, not a failed verification."""
+    src = os.path.dirname(os.path.dirname(fpaths.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fpaths.cli", "verify", "--max-n", "1",
+         "--json", "/dev/full"],
+        capture_output=True, text=True, check=False,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert proc.stdout.endswith("\n135 passed, 0 failed, 135 total\n")
+    assert proc.stderr == \
+        "fpaths verify: [Errno 28] No space left on device\n"
 
 
 def test_verify_bad_max_n_leaves_the_json_file_untouched(tmp_path):

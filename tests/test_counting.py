@@ -550,6 +550,20 @@ def test_stepped_rows_any_access_pattern(pattern, n):
         assert a_marginal(k, **{axis: v}) == _closed(k, axis, v), (k, axis, v)
 
 
+def test_sequence_and_the_rows_step_apart():
+    """``sequence`` steps on an axis of its own: interleaved cell by cell
+    with in-order h-, l- and m-rows and with single ``a_total`` calls,
+    every value is the closed form's."""
+    totals = [sum(math.comb(n + 1, i + 1) * math.comb(2 * n + 1 - i, i)
+                  for i in range(n + 1)) // (n + 1) for n in range(61)]
+    for n in range(61):
+        for v in range(n + 1):
+            for axis in "hlm":
+                assert a_marginal(n, **{axis: v}) == _closed(n, axis, v)
+            assert sequence(v) == totals[:v + 1], (n, v)
+            assert a_total(n - v) == totals[n - v]
+
+
 @pytest.fixture
 def evaluations(monkeypatch):
     """Counts closed-form row evaluations per axis."""
