@@ -8,7 +8,10 @@ summed closed forms step each term from the previous one by an exact
 ratio p/q of small integers, not one ``comb`` per term: every factor of
 p and q is linear in the step number, so the factors are built once per
 call as ``range`` objects, those common to p and q cancel, and each
-step's p and q are multiplied at C level, with every division checked.
+step's p and q are multiplied at C level.  The steps go in blocks of
+``_BLOCK``: a block multiplies its small ratios together and sums its
+terms over one common denominator, so that it makes two big divisions,
+not one per term, each checked exact (see :func:`_stepped_sum`).
 :func:`a_joint` returns its zero cells before any binomial.
 
 Along a single-axis row r(v) = ``a_marginal(n, h=v)`` (or ``l=v``, or
@@ -29,9 +32,9 @@ once, so threads tabulating rows at once only take more closed forms.
 :func:`sequence` steps the totals by their recurrence in n with the
 same stepper, on a fourth axis: the row of n = 0 whose cell v is
 a_total(v).  Every public function reads every argument with
-``operator.index`` (:func:`a_joint` skips it for plain ints), so a
-non-integer raises :class:`FormViolation`; an integer out of range
-counts 0.
+``operator.index`` (:func:`a_joint`, and :func:`a_marginal` with one
+value fixed, skip it for plain ints), so a non-integer raises
+:class:`FormViolation`; an integer out of range counts 0.
 
 Step classes used by :func:`f_refined` (a path of length n with l north
 steps and statistics as in :mod:`.fpath_core`):
@@ -47,7 +50,7 @@ so ``aone = i + j`` and ``bone = i + k + l``.
 from __future__ import annotations
 
 from functools import partial, reduce
-from itertools import repeat
+from itertools import islice, repeat
 from math import comb
 from operator import index, mul
 
@@ -153,16 +156,28 @@ def _products(factors, steps: int):
     return reduce(partial(map, mul), seqs) if seqs else repeat(1, steps)
 
 
+#: Steps of :func:`_stepped_sum` per pair of big divisions.
+_BLOCK = 32
+
+
 def _stepped_sum(count: int, *runs) -> BigCount:
     """Sum over i in range(count) of the product over ``runs`` of
     C(a + i·da, b + i·db), one run being a tuple (a, b, da, db) with
     da in (-1, 0, 1) and db in (1, 2).
 
-    The first term is seeded with ``math.comb``.  Each later one is the
+    The first term t is seeded with ``math.comb``.  Each later one is the
     one before times p/q, where p and q are the products of the cancelled
-    factors of :func:`_ratio_factors`, and every division is checked
-    exact.  Every term must be non-zero, so that no ratio divides by
-    zero; nothing is stepped past the last term.
+    factors of :func:`_ratio_factors`.  The steps go in blocks of
+    ``_BLOCK``.  From P = Q = 1 and T = 0, each step of a block sets
+    P ← P·p, Q ← Q·q and T ← T·q + P, on integers far smaller than t:
+    the k-th term after t is t·P_k/Q_k, and the block's terms after t
+    sum to t·T/Q.  Two big divisions end the block, each checked exact.
+    t·T/Q guards the block's sum, which is exact when every term is an
+    integer; t·P/Q guards the next block's t, and the last block, which
+    has no next, skips it.  So a wrong factor is checked at the end of
+    its own block, and two divisions per block replace one per term.  Every
+    term must be non-zero, so that no ratio divides by zero; nothing is
+    stepped past the last term.
     """
     if count < 1:
         return 0
@@ -171,11 +186,22 @@ def _stepped_sum(count: int, *runs) -> BigCount:
         term *= comb(a, b)
     total = term
     num, den = _ratio_factors(runs)
-    for p, q in zip(_products(num, count - 1), _products(den, count - 1)):
-        term, r = divmod(term * p, q)
+    steps = zip(_products(num, count - 1), _products(den, count - 1))
+    for left in range(count - 1, 0, -_BLOCK):
+        block_p = block_q = 1
+        block_t = 0
+        for p, q in islice(steps, _BLOCK):
+            block_p *= p
+            block_q *= q
+            block_t = block_t * q + block_p
+        part, r = divmod(term * block_t, block_q)
         if r:
-            raise InexactDivision(term * q + r, q)
-        total += term
+            raise InexactDivision(term * block_t, block_q)
+        total += part
+        if left > _BLOCK:
+            term, r = divmod(term * block_p, block_q)
+            if r:
+                raise InexactDivision(term * block_q + r, block_q)
     return total
 
 
@@ -342,11 +368,19 @@ def _row_cell(axis, order, n, v, closed, recurrence):
         coeffs = recurrence(n, v - order)
         lead = coeffs[order]
     if lead:
-        # map stops at the shorter ``cells``, so c_order is left out.
-        r = _exact_div(-sum(map(mul, coeffs, cells)), lead)
+        # The sums written out: sum(map(mul, ...)) costs twice as much.
+        if order == 3:
+            c0, c1, c2, _ = coeffs
+            r0, r1, r2 = cells
+            r = _exact_div(-(c0 * r0 + c1 * r1 + c2 * r2), lead)
+            cells = (r1, r2, r)
+        else:
+            r = _exact_div(-coeffs[0] * cells[0], lead)
+            cells = (r,)
     else:
         r = closed(n, v)
-    _last_cells[axis] = (n, v, (*cells, r)[-order:])
+        cells = (*cells, r)[-order:]
+    _last_cells[axis] = (n, v, cells)
     return r
 
 
@@ -375,7 +409,8 @@ def a_marginal(n: int, h: int | None = None, l: int | None = None,
     same axis was last asked for, at the same n, takes one recurrence
     step from the cells kept for that axis (see the module docstring);
     every other call evaluates the closed form.  Either way the value is
-    computed, never returned from a store.
+    computed, never returned from a store.  Such a call with plain ints
+    skips ``operator.index``; any other integer type is read with it.
 
     >>> a_marginal(5, h=2)
     110
@@ -384,6 +419,18 @@ def a_marginal(n: int, h: int | None = None, l: int | None = None,
     >>> a_marginal(4)
     80
     """
+    # A single-axis row calls this once per cell, so plain ints take one
+    # of these three branches and skip _int, as in a_joint.
+    if type(n) is int:
+        if l is None is m and type(h) is int:
+            return (_row_cell("h", 3, n, h, _a_h, _h_recurrence)
+                    if 0 <= h <= n else 0)
+        if h is None is m and type(l) is int:
+            return (_row_cell("l", 1, n, l, _a_l, _l_recurrence)
+                    if 0 <= l <= n else 0)
+        if h is None is l and type(m) is int:
+            return (_row_cell("m", 3, n, m, _a_m, _m_recurrence)
+                    if 0 <= m <= n else 0)
     n = _int(n)
     h = None if h is None else _int(h)
     l = None if l is None else _int(l)
@@ -400,14 +447,11 @@ def a_marginal(n: int, h: int | None = None, l: int | None = None,
             return _a_hm(n, h, m)
         case (False, True, True):
             return _a_lm(n, l, m)
-        case (True, False, False):
-            return _row_cell("h", 3, n, h, _a_h, _h_recurrence)
-        case (False, True, False):
-            return _row_cell("l", 1, n, l, _a_l, _l_recurrence)
-        case (False, False, True):
-            return _row_cell("m", 3, n, m, _a_m, _m_recurrence)
-        case _:
+        case (False, False, False):
             return a_total(n)
+        case _:
+            # One value fixed, now a plain int: the branches above.
+            return a_marginal(n, h, l, m)
 
 
 def _total_recurrence(n):

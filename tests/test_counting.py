@@ -435,6 +435,88 @@ def test_stepped_sum_pairs_of_runs():
     assert cancels == {False, True}
 
 
+#: Counts that stop a block one step short, end it, go one step past it
+#: or into a third block, and a few hundred.
+BLOCK = counting._BLOCK
+LONG_COUNTS = (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 300)
+
+
+def _long_run(shape, count, rng):
+    """A run of this shape whose first ``count`` terms are non-zero:
+    b + i·db <= a + i·da for every i < count."""
+    da, db = shape
+    b = rng.randint(0, 5)
+    return b + (db - da) * (count - 1) + rng.randint(0, 5), b, da, db
+
+
+def _cancelling_partner(r1, shape, count):
+    """A run of this shape, fit for ``count`` terms, one of whose ratio
+    factors cancels against one of ``r1``'s; None if there is none."""
+    da, db = shape
+    num, den = counting._ratio_factors([r1])
+    for c, _ in num + den:
+        for a, b in itertools.product(range(c - 3, c + 4), range(6)):
+            r2 = (a, b, da, db)
+            if a >= b + (db - da) * (count - 1) and _cancels((r1, r2)) \
+                    and not _cancels((r1,)) and not _cancels((r2,)):
+                return r2
+    return None
+
+
+@pytest.mark.parametrize("count", LONG_COUNTS)
+def test_stepped_sum_many_blocks(count):
+    rng = random.Random(count)
+    for shape in RUN_SHAPES:
+        for _ in range(3):
+            run = _long_run(shape, count, rng)
+            assert counting._stepped_sum(count, run) == \
+                _direct_sum(count, run), (count, run)
+    cancels = []
+    for s1, s2 in itertools.product(RUN_SHAPES, repeat=2):
+        r1 = _long_run(s1, count, rng)
+        for r2 in (_long_run(s2, count, rng),
+                   _cancelling_partner(r1, s2, count)):
+            if r2 is not None:
+                got = counting._stepped_sum(count, r1, r2)
+                assert got == _direct_sum(count, r1, r2), (count, r1, r2)
+                cancels.append(_cancels((r1, r2)))
+    assert cancels.count(True) >= 10 and False in cancels
+
+
+def _comb_sums(n, v):
+    """The sums of _a_h, _a_m and _a_hm (at m = v // 3) at the cell v,
+    before their last division, straight from ``math.comb``."""
+    c = math.comb
+    m = v // 3
+    h_sum = sum(c(n - v + 1, i) * c(n + 1, 2 * i + v + 1)
+                for i in range((n - v) // 2 + 1))
+    # series_coeff(t, 2i) = C(t + 2i - 1, 2i - 1) for i >= 1, t >= 0.
+    m_sum = int(v == n) + sum(c(n + 1, i) * c(n - v + i - 1, 2 * i - 1)
+                              for i in range(1, n - v + 1))
+    hm_sum = int(v == 0 and m == n) + sum(
+        c(n - v + 1, i + 1) * c(n - m - 1, v - n - m + 2 * i)
+        for i in range(n - v + 1)
+        if v - n - m + 2 * i >= 0 and 2 * n - v - 2 * i >= 1)
+    return h_sum, m_sum, hm_sum
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_summed_forms_at_large_n_match_comb_sums(n):
+    """a_total, _a_h, _a_m and _a_hm at n = 1000 and 2000, whose sums
+    run over many blocks, against plain ``math.comb`` sums."""
+    c = math.comb
+    total = sum(c(n + 1, i + 1) * c(2 * n + 1 - i, i) for i in range(n + 1))
+    assert a_total(n) == total // (n + 1)
+    rng = random.Random(n)
+    for v in [0, 1, n // 3, n - 1, n, rng.randrange(2, n - 1)]:
+        h_sum, m_sum, hm_sum = _comb_sums(n, v)
+        m = v // 3
+        assert counting._a_h(n, v) == c(n + 1, v) * h_sum // (n + 1), v
+        assert counting._a_m(n, v) == (v + 1) * m_sum // (n + 1), v
+        assert counting._a_hm(n, v, m) == \
+            (m + 1) * c(n + 1, v) * hm_sum // (n + 1), v
+
+
 def test_stepped_sum_guard_is_live(monkeypatch):
     # One denominator factor off by one: a step's division leaves a
     # remainder, and the per-step check must catch it.
@@ -464,6 +546,69 @@ def test_joint_guard_is_live(monkeypatch):
         with pytest.raises(InexactDivision) as caught:
             a_joint(*cell)
         assert caught.traceback[-1].name == "a_joint", cell
+
+
+# ------------------------------------------------- direct sums as counts
+#
+# A path of height m splits uniquely as R_1 N R_2 ... N R_{m+1}, with
+# height-0 parts R_i and one north step N per separator, so the counts
+# of height m are those of (m+1)-tuples of height-0 paths.  These
+# identities tie the closed forms and the stepped rows to the direct
+# sums, independently of the recurrences.  A series is a list over the
+# x-degree of Counters keyed by the monomial y^l z^a1 as l·64 + a1
+# (l, a1 <= 25), or by 0 where there is no y or z.
+
+
+def _times(f, g, degree):
+    """f·g with every x-degree above ``degree`` dropped."""
+    out = []
+    for k in range(degree + 1):
+        acc = Counter()
+        for i in range(k + 1):
+            for e1, c1 in f[i].items():
+                for e2, c2 in g[k - i].items():
+                    acc[e1 + e2] += c1 * c2
+        out.append(acc)
+    return out
+
+
+def test_m_row_and_totals_are_powers_of_the_height_0_series():
+    """a_marginal(n, m=h) == [x^(n-h)] R^(h+1) and A = R/(1 - x·R) for
+    n <= 120, with R(x) = sum of a_marginal(n, m=0)·x^n and A the
+    totals."""
+    top = 120
+    rows = [[a_marginal(n, m=h) for h in range(n + 1)] for n in range(top + 1)]
+    series = [Counter({0: row[0]}) for row in rows]
+    power = series
+    for h in range(top + 1):
+        for n in range(h, top + 1):
+            assert rows[n][h] == power[n - h][0], (n, h)
+        power = _times(power, series, top - h - 1)
+    r = [row[0] for row in rows]
+    totals = sequence(top)
+    for n in range(top + 1):
+        want = r[n] + sum(totals[k] * r[n - 1 - k] for k in range(n))
+        assert a_total(n) == totals[n] == want, n
+
+
+def test_joint_cells_are_powers_of_the_height_0_series():
+    """a_joint(n, a1, l, m) == [x^(n-m) y^(l-m) z^a1] R(x, y, z)^(m+1)
+    for n <= 25, with R the m = 0 slice: a separator adds one north
+    step, and nothing to a1."""
+    top = 25
+    series = [Counter({l * 64 + a1: a_joint(n, a1, l, 0)
+                       for l in range(n + 1) for a1 in range(n + 1)
+                       if a_joint(n, a1, l, 0)})
+              for n in range(top + 1)]
+    power = series
+    for m in range(top + 1):
+        for n in range(m, top + 1):
+            got = {(l, a1): a_joint(n, a1, l, m)
+                   for l in range(n + 1) for a1 in range(n + 1)}
+            want = {(l, a1): power[n - m][(l - m) * 64 + a1] if l >= m else 0
+                    for l in range(n + 1) for a1 in range(n + 1)}
+            assert got == want, (n, m)
+        power = _times(power, series, top - m - 1)
 
 
 # ------------------------------------------- recurrences: rows and totals

@@ -10,7 +10,8 @@ every accepted input must round-trip, keep its statistics and fold back
 from its ``decompose``.  Its checks use ``if``/``raise``, since ``-O``
 also strips pytest's assertion rewriting.  :func:`check_rows` tabulates
 the stepped marginal rows against their closed forms, and checks that a
-corrupted recurrence coefficient still raises ``InexactDivision``.
+corrupted recurrence coefficient, or a corrupted ratio factor of a
+stepped sum of several blocks, still raises ``InexactDivision``.
 :func:`check_joint` compares the ``a_joint`` cube with the transfer DP
 and checks that a non-integer argument still raises ``FormViolation``.
 The tests run the sweep, the rows, the cube and ``fpaths verify`` in a
@@ -22,6 +23,7 @@ import random
 import subprocess
 import sys
 from functools import reduce
+from math import comb
 
 import fpaths
 from fpaths import counting
@@ -171,9 +173,31 @@ def sweep(seed: int, per_family: int = 300) -> int:
 
 
 def check_rows(n: int = 60) -> int:
-    """Tabulate the h-, l- and m-rows at n in order against the closed
-    forms, then again with the first recurrence coefficient off by one,
-    which must raise ``InexactDivision``; return the cells checked."""
+    """Check one stepped sum of several blocks against its ``math.comb``
+    sum, and that it raises ``InexactDivision`` with one ratio factor off
+    by one.  Then tabulate the h-, l- and m-rows at n in order against
+    the closed forms, and again with the first recurrence coefficient off
+    by one, which must raise ``InexactDivision``; return the row cells
+    checked."""
+    count, run = 2 * counting._BLOCK + 1, (400, 3, -1, 1)
+    want = sum(comb(400 - i, 3 + i) for i in range(count))
+    if counting._stepped_sum(count, run) != want:
+        raise SweepFailure("a stepped sum of several blocks is wrong")
+    real_factors = counting._ratio_factors
+
+    def off_by_one(runs):
+        num, ((c, e), *rest) = real_factors(runs)
+        return num, [(c + 1, e), *rest]
+
+    counting._ratio_factors = off_by_one
+    try:
+        counting._stepped_sum(count, run)
+    except InexactDivision:
+        pass
+    else:
+        raise SweepFailure("a stepped sum's division is unchecked")
+    finally:
+        counting._ratio_factors = real_factors
     for axis in "hlm":
         closed = getattr(counting, f"_a_{axis}")
         name = f"_{axis}_recurrence"

@@ -187,6 +187,35 @@ def test_wrong_counts_and_stats_give_the_known_fail_lines(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("field", ["h", "l", "a1"])
+def test_a_wrong_fpath_stats_coordinate_gives_the_known_fail_lines(
+        monkeypatch, field):
+    """One coordinate of the hub's statistics one too large for the first
+    path at n = 3: that path's triple (3, 3, 0) leaves the hub's
+    distribution, so the closed-form record, the involution record and
+    both statistics records of every mapped family fail at n = 3."""
+    real, first = verify_harness.fpath_stats, FAMILIES["fpath"].generate(3)[0]
+
+    def wrong(q):
+        st, bone = real(q)
+        if q == first:
+            st = st._replace(**{field: getattr(st, field) + 1})
+        return st, bone
+
+    monkeypatch.setattr(verify_harness, "fpath_stats", wrong)
+    objects = {"schroder": "hhh", "bicolored": "uuuurrrr", "perm": "1 2 3 4",
+               "inv-i": "0,0,0,0", "inv-j": "0,0,0,0", "tree": "[L L L L]"}
+    assert [r.line() for r in run_all(4).records if not r.ok] == [
+        *(line for tag, o in objects.items() for line in (
+            f"FAIL  n=3  statistics[{tag}] stats(o) == stats(phi(o))  [{o}]",
+            f"FAIL  n=3  statistics[{tag}] joint distribution  "
+            "[first diff (3, 3, 0): 1 != 0]")),
+        "FAIL  n=3  statistics a_joint closed form  "
+        "[(h,l,a1)=(3,3,0): 0 != 1]",
+        "FAIL  n=3  involution relations  [0,1 0,1 0,1]",
+    ]
+
+
 def test_a_wrong_involution_gives_the_known_fail_lines(monkeypatch):
     """An involution that leaves the paths of size n fails the
     involution record at every n, naming the first path."""
@@ -223,15 +252,41 @@ def _swap_direct_sum_arguments(info):
     return {"direct_sum": lambda o1, o2: direct_sum(o2, o1)}
 
 
-def _raise_one_l(info):
-    """``stats_core`` adds 1 to l for the first member at n = 3."""
-    stats_core, first = info.stats_core, info.generate(3)[0]
+def _add_non_member(info):
+    """``generate`` yields the first member of size 4 among those of size
+    3."""
+    generate = info.generate
+    return {"generate": lambda n: (generate(n) + generate(4)[:1] if n == 3
+                                   else generate(n))}
 
-    def raised(o):
-        st = stats_core(o)
-        return st._replace(l=st.l + 1) if o == first else st
 
-    return {"stats_core": raised}
+def _swap_two_images(info):
+    """``phi`` swaps the images of the first two members at n = 3."""
+    phi, (first, second, *_) = info.phi, info.generate(3)
+    swap = {first: second, second: first}
+    return {"phi": lambda o: phi(swap.get(o, o))}
+
+
+def _shift_one(field, by):
+    """A fault: ``stats_core`` adds ``by`` to ``field`` for the first
+    member at n = 3."""
+    def fault(info):
+        stats_core, first = info.stats_core, info.generate(3)[0]
+
+        def shifted(o):
+            st = stats_core(o)
+            return (st._replace(**{field: getattr(st, field) + by})
+                    if o == first else st)
+
+        return {"stats_core": shifted}
+
+    fault.__name__ = f"_{'raise' if by > 0 else 'lower'}_one_{field}"
+    return fault
+
+
+_raise_one_l = _shift_one("l", 1)
+_raise_one_h = _shift_one("h", 1)
+_lower_one_a1 = _shift_one("a1", -1)
 
 
 def _drop_last_summand(info):
@@ -398,6 +453,144 @@ FAULT_MATRIX = [
         "[first diff (3, 3, 0): 0 != 1]",
     ]),
     ("tree", _drop_last_summand, []),
+    # A non-member in generate, two swapped images in phi, and +1 on h
+    # and -1 on a1 in stats_core, in each family.
+    ("schroder", _add_non_member, [
+        "FAIL  n=3  equinumerous[schroder]  [22 != 21]",
+        "FAIL  n=3  round-trip[schroder] psi(phi(o)) == o  [uuuddudd]",
+        "FAIL  n=3  statistics[schroder] stats(o) == stats(phi(o))  "
+        "[uuuddudd]",
+        "FAIL  n=3  statistics[schroder] joint distribution  "
+        "[first diff (0, 2, 2): 1 != 0]",
+    ]),
+    ("schroder", _swap_two_images, [
+        "FAIL  n=3  round-trip[schroder] psi(phi(o)) == o  [uududd]",
+        "FAIL  n=3  round-trip[schroder] phi(psi(q)) == q  [0,1 1,1 1,0]",
+    ]),
+    ("schroder", _raise_one_h, [
+        "FAIL  n=3  statistics[schroder] stats(o) == stats(phi(o))  [uududd]",
+        "FAIL  n=3  statistics[schroder] joint distribution  "
+        "[first diff (0, 1, 2): 2 != 3]",
+    ]),
+    ("schroder", _lower_one_a1, [
+        "FAIL  n=3  statistics[schroder] stats(o) == stats(phi(o))  [uududd]",
+        "FAIL  n=3  statistics[schroder] joint distribution  "
+        "[first diff (0, 1, 1): 4 != 3]",
+    ]),
+    ("bicolored", _add_non_member, [
+        "FAIL  n=3  equinumerous[bicolored]  [22 != 21]",
+        "FAIL  n=3  round-trip[bicolored] psi(phi(o)) == o  [ububububur]",
+        "FAIL  n=3  statistics[bicolored] stats(o) == stats(phi(o))  "
+        "[ububububur]",
+        "FAIL  n=3  statistics[bicolored] joint distribution  "
+        "[first diff (0, 0, 4): 1 != 0]",
+    ]),
+    ("bicolored", _swap_two_images, [
+        "FAIL  n=3  round-trip[bicolored] psi(phi(o)) == o  [ubububur]",
+        "FAIL  n=3  round-trip[bicolored] phi(psi(q)) == q  [1,1 1,1 0,1]",
+        "FAIL  n=3  statistics[bicolored] stats(o) == stats(phi(o))  "
+        "[ubububur]",
+    ]),
+    ("bicolored", _raise_one_h, [
+        "FAIL  n=3  statistics[bicolored] stats(o) == stats(phi(o))  "
+        "[ubububur]",
+        "FAIL  n=3  statistics[bicolored] joint distribution  "
+        "[first diff (0, 0, 3): 0 != 1]",
+    ]),
+    ("bicolored", _lower_one_a1, [
+        "FAIL  n=3  statistics[bicolored] stats(o) == stats(phi(o))  "
+        "[ubububur]",
+        "FAIL  n=3  statistics[bicolored] joint distribution  "
+        "[first diff (0, 0, 2): 1 != 0]",
+    ]),
+    ("perm", _add_non_member, [
+        "FAIL  n=3  equinumerous[perm]  [22 != 21]",
+        "FAIL  n=3  round-trip[perm] psi(phi(o)) == o  [1 2 3 4 5]",
+        "FAIL  n=3  statistics[perm] stats(o) == stats(phi(o))  [1 2 3 4 5]",
+        "FAIL  n=3  statistics[perm] joint distribution  "
+        "[first diff (4, 4, 0): 1 != 0]",
+    ]),
+    ("perm", _swap_two_images, [
+        "FAIL  n=3  round-trip[perm] psi(phi(o)) == o  [1 2 3 4]",
+        "FAIL  n=3  round-trip[perm] phi(psi(q)) == q  [0,1 0,1 0,1]",
+        "FAIL  n=3  statistics[perm] stats(o) == stats(phi(o))  [1 2 3 4]",
+    ]),
+    ("perm", _raise_one_h, [
+        "FAIL  n=3  statistics[perm] stats(o) == stats(phi(o))  [1 2 3 4]",
+        "FAIL  n=3  statistics[perm] joint distribution  "
+        "[first diff (3, 3, 0): 0 != 1]",
+    ]),
+    ("perm", _lower_one_a1, [
+        "FAIL  n=3  statistics[perm] stats(o) == stats(phi(o))  [1 2 3 4]",
+        "FAIL  n=3  statistics[perm] joint distribution  "
+        "[first diff (3, 3, -1): 1 != 0]",
+    ]),
+    ("inv-i", _add_non_member, [
+        "FAIL  n=3  equinumerous[inv-i]  [22 != 21]",
+        "FAIL  n=3  round-trip[inv-i] psi(phi(o)) == o  [0,0,0,0,0]",
+        "FAIL  n=3  statistics[inv-i] stats(o) == stats(phi(o))  [0,0,0,0,0]",
+        "FAIL  n=3  statistics[inv-i] joint distribution  "
+        "[first diff (4, 4, 0): 1 != 0]",
+    ]),
+    ("inv-i", _swap_two_images, [
+        "FAIL  n=3  round-trip[inv-i] psi(phi(o)) == o  [0,0,0,0]",
+        "FAIL  n=3  round-trip[inv-i] phi(psi(q)) == q  [0,1 0,1 0,1]",
+        "FAIL  n=3  statistics[inv-i] stats(o) == stats(phi(o))  [0,0,0,0]",
+    ]),
+    ("inv-i", _raise_one_h, [
+        "FAIL  n=3  statistics[inv-i] stats(o) == stats(phi(o))  [0,0,0,0]",
+        "FAIL  n=3  statistics[inv-i] joint distribution  "
+        "[first diff (3, 3, 0): 0 != 1]",
+    ]),
+    ("inv-i", _lower_one_a1, [
+        "FAIL  n=3  statistics[inv-i] stats(o) == stats(phi(o))  [0,0,0,0]",
+        "FAIL  n=3  statistics[inv-i] joint distribution  "
+        "[first diff (3, 3, -1): 1 != 0]",
+    ]),
+    ("inv-j", _add_non_member, [
+        "FAIL  n=3  equinumerous[inv-j]  [22 != 21]",
+        "FAIL  n=3  round-trip[inv-j] psi(phi(o)) == o  [0,0,0,0,0]",
+        "FAIL  n=3  statistics[inv-j] stats(o) == stats(phi(o))  [0,0,0,0,0]",
+        "FAIL  n=3  statistics[inv-j] joint distribution  "
+        "[first diff (4, 4, 0): 1 != 0]",
+    ]),
+    ("inv-j", _swap_two_images, [
+        "FAIL  n=3  round-trip[inv-j] psi(phi(o)) == o  [0,0,0,0]",
+        "FAIL  n=3  round-trip[inv-j] phi(psi(q)) == q  [0,1 0,1 0,1]",
+        "FAIL  n=3  statistics[inv-j] stats(o) == stats(phi(o))  [0,0,0,0]",
+    ]),
+    ("inv-j", _raise_one_h, [
+        "FAIL  n=3  statistics[inv-j] stats(o) == stats(phi(o))  [0,0,0,0]",
+        "FAIL  n=3  statistics[inv-j] joint distribution  "
+        "[first diff (3, 3, 0): 0 != 1]",
+    ]),
+    ("inv-j", _lower_one_a1, [
+        "FAIL  n=3  statistics[inv-j] stats(o) == stats(phi(o))  [0,0,0,0]",
+        "FAIL  n=3  statistics[inv-j] joint distribution  "
+        "[first diff (3, 3, -1): 1 != 0]",
+    ]),
+    ("tree", _add_non_member, [
+        "FAIL  n=3  equinumerous[tree]  [22 != 21]",
+        "FAIL  n=3  round-trip[tree] psi(phi(o)) == o  [[L L L L L]]",
+        "FAIL  n=3  statistics[tree] stats(o) == stats(phi(o))  [[L L L L L]]",
+        "FAIL  n=3  statistics[tree] joint distribution  "
+        "[first diff (4, 4, 0): 1 != 0]",
+    ]),
+    ("tree", _swap_two_images, [
+        "FAIL  n=3  round-trip[tree] psi(phi(o)) == o  [[L L L L]]",
+        "FAIL  n=3  round-trip[tree] phi(psi(q)) == q  [0,1 0,1 0,1]",
+        "FAIL  n=3  statistics[tree] stats(o) == stats(phi(o))  [[L L L L]]",
+    ]),
+    ("tree", _raise_one_h, [
+        "FAIL  n=3  statistics[tree] stats(o) == stats(phi(o))  [[L L L L]]",
+        "FAIL  n=3  statistics[tree] joint distribution  "
+        "[first diff (3, 3, 0): 0 != 1]",
+    ]),
+    ("tree", _lower_one_a1, [
+        "FAIL  n=3  statistics[tree] stats(o) == stats(phi(o))  [[L L L L]]",
+        "FAIL  n=3  statistics[tree] joint distribution  "
+        "[first diff (3, 3, -1): 1 != 0]",
+    ]),
 ]
 
 
