@@ -8,21 +8,17 @@ test suite (several tools consume these indexes).
 """
 from __future__ import annotations
 
+import copyreg
+
 
 class FpathsError(ValueError):
     """Base class for every domain error raised by this package."""
 
     def __reduce__(self):
         # The default calls ``type(self)(*self.args)``, but a subclass's
-        # ``__init__`` takes its attributes, not the message in ``args``.
-        return _rebuild, (type(self), self.args, self.__dict__)
-
-
-def _rebuild(cls, args, attrs):
-    """An unpickled error: ``args`` and attributes set, no ``__init__``."""
-    exc = cls.__new__(cls, *args)
-    exc.__dict__.update(attrs)
-    return exc
+        # ``__init__`` takes its attributes, not the message in ``args``;
+        # this sets ``args`` and the attributes without ``__init__``.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 # ---------------------------------------------------------------- F-paths

@@ -29,7 +29,9 @@ of every tag, 1 the round trips, 2 the statistics of the mapped tags, 3
 the F-path ``a_joint`` and involution records, 4 the F-path recompose
 record, 5 the homomorphism records and 6 the ``decompose`` records.
 From ``max_n`` = :data:`_SPLIT_FROM_N` on, :func:`_split` may run some
-tags in a forked child; the report is the same either way.
+tags in a forked child; where ``os.pipe`` or ``os.fork`` fails, or the
+child hands no rows back, this process makes them, and the report is the
+same either way.
 
     verify_equinumerous    |family_n| == a_total(n) for every tag
     verify_round_trips     psi(phi(o)) == o, and psi(q) is a generated
@@ -70,18 +72,20 @@ _MAPPED_TAGS = tuple(tag for tag in TAGS if tag != "fpath")
 #: same time.
 _CHILD_TAGS = ("bicolored", "inv-i", "inv-j")
 
-#: The least ``max_n`` at which :func:`run_all` forks.  Measured
-#: in-process on two cores, medians of 9 x 21 runs, the split gains
-#: nothing at max_n 3 (5.6 -> 5.4 ms), a fifth at 4 (15 -> 12 ms) and
-#: two fifths at 5 (62 -> 36 ms).  Runs up to 4 stay in one process, so
-#: that a caller who wraps the cores, as the tests do, sees every call.
-#: The split gains only when the second core is free, and on a shared
-#: 2-core host it often is not: two forked copies of a fixed CPU loop
-#: ran at a parallel efficiency of 0.41 to 1.05 over five runs.  There
-#: the bench's ``verify`` (max_n 5, a fresh process per run) read 0.0721
-#: s with the split and 0.0658 s with this threshold past 5, medians of
-#: 10 alternating pairs, the split slower in all 10; at max_n 6, in a
-#: long-lived process, the split still won, 144-177 ms against 280-286.
+#: The least ``max_n`` at which :func:`run_all` forks.  Runs up to 4
+#: stay in one process, so that a caller who wraps the cores, as the
+#: tests do, sees every call.  The split gains only when the second core
+#: is free.  ``run_all(k)`` timed in fresh processes on a shared 2-core
+#: host, import excluded, the split against this constant set past k
+#: (medians of alternating pairs; in how many pairs the split won):
+#:
+#:     k = 5   0.054 s against 0.052 s    4 of 11
+#:     k = 6   0.261 s against 0.252 s    3 of 11
+#:     k = 7   0.680 s against 1.039 s    7 of 7
+#:     k = 8   2.80 s against 5.72 s      5 of 5
+#:
+#: Moving the constant is a performance claim of its own, to be judged
+#: on the bench's alternating pairs.
 _SPLIT_FROM_N = 5
 
 
@@ -438,19 +442,21 @@ def _rows(tags: tuple, sizes: list) -> list[tuple]:
 def _split(max_n: int, sizes: list) -> list[tuple] | None:
     """Every tag's rows, the rows of :data:`_CHILD_TAGS` made in a forked
     child, or None where :func:`run_all` does not split: below
-    :data:`_SPLIT_FROM_N`, where ``os.fork`` is missing or fails, and
-    while another thread runs, since a forked child has only the calling
-    thread, and a lock that another thread held at the fork would stay
-    held in it.
+    :data:`_SPLIT_FROM_N`, where ``os.fork`` is missing, where
+    ``os.pipe`` or ``os.fork`` fails, and while another thread runs,
+    since a forked child has only the calling thread, and a lock that
+    another thread held at the fork would stay held in it.
 
     The fork is only a speed-up.  The child runs on this process's copy
     of ``sizes`` and sends its rows back over a pipe as ``marshal``
-    tuples.  They are taken when it exits with status 0, which it does
-    only after writing them whole; otherwise, and when the status is
-    lost because the caller ignores SIGCHLD, this process makes them
-    itself, so an error in a check is raised here, where it happens.
-    This process always reaps the child: when its own half raises, it
-    kills the child first.
+    tuples.  It leaves through ``os._exit``, so it runs no cleanup of
+    this process's and flushes no inherited stdio: with status 0 once
+    it has written its rows whole, else with status 1.  The rows are
+    taken on status 0 only; otherwise, and when the status is lost
+    because the caller ignores SIGCHLD, this process makes them itself,
+    so an error in a check is raised here, where it happens.  This
+    process always reaps the child: when its own half raises, it kills
+    the child first.
     """
     if max_n < _SPLIT_FROM_N or not hasattr(os, "fork"):
         return None
@@ -458,16 +464,25 @@ def _split(max_n: int, sizes: list) -> list[tuple] | None:
 
     if threading.active_count() != 1:
         return None
-    read_fd, write_fd = os.pipe()
+    fds = ()
     try:
+        fds = os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+        for fd in fds:
+            os.close(fd)
         return None
+    read_fd, write_fd = fds
     if pid == 0:
-        os.close(read_fd)
-        _child(write_fd, sizes)
+        status = 1
+        try:
+            os.close(read_fd)
+            sent = marshal.dumps(_rows(_CHILD_TAGS, sizes))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(sent)
+            status = 0
+        finally:
+            os._exit(status)
     os.close(write_fd)
     mine = tuple(tag for tag in TAGS if tag not in _CHILD_TAGS)
     try:
@@ -490,21 +505,3 @@ def _split(max_n: int, sizes: list) -> list[tuple] | None:
     if status == 0:
         return rows + marshal.loads(sent)
     return rows + _rows(_CHILD_TAGS, sizes)
-
-
-def _child(write_fd: int, sizes: list):
-    """The forked child of :func:`_split`: write the rows of
-    :data:`_CHILD_TAGS` to ``write_fd``.
-
-    It never returns: it leaves through ``os._exit``, so it runs no
-    cleanup of the parent's and flushes no inherited stdio; with status
-    0 once the rows are written whole, else with status 1.
-    """
-    status = 1
-    try:
-        sent = marshal.dumps(_rows(_CHILD_TAGS, sizes))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(sent)
-        status = 0
-    finally:
-        os._exit(status)

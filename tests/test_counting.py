@@ -537,6 +537,21 @@ def test_stepped_sum_guard_is_live(monkeypatch):
     assert caught.traceback[-1].name == "_stepped_sum"
 
 
+def test_stepped_sum_next_term_guard_is_live(monkeypatch):
+    # Every ratio 1, but the denominator 2 at step 30 (from 0): the first
+    # block's terms after t = 1 are 30 ones, 1/2 and 1/2, which sum to an
+    # integer, so only the guard on the next block's t, 1/2, can catch
+    # it.  ``_stepped_sum`` asks for the 69 numerators first, then the
+    # denominators.
+    made = iter([[1] * 69, [2 if i == 30 else 1 for i in range(69)]])
+    monkeypatch.setattr(counting, "_products",
+                        lambda factors, steps: iter(next(made)))
+    with pytest.raises(InexactDivision) as caught:
+        counting._stepped_sum(70, (1, 0, 0, 1))
+    assert caught.traceback[-1].name == "_stepped_sum"
+    assert (caught.value.numerator, caught.value.denominator) == (1, 2)
+
+
 def test_joint_guard_is_live(monkeypatch):
     # Every binomial one too large: a non-zero cell's division by n + 1
     # leaves a remainder, and a_joint's own check must catch it.

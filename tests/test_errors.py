@@ -1,4 +1,6 @@
-"""The error classes: every one survives a pickle round trip."""
+"""The error classes: every one survives a pickle round trip and a
+copy."""
+import copy
 import pickle
 
 import pytest
@@ -33,8 +35,10 @@ def test_every_class_is_covered():
 
 @pytest.mark.parametrize("exc", INSTANCES, ids=lambda e: type(e).__name__)
 def test_pickle_round_trip_keeps_type_message_and_attributes(exc):
-    back = pickle.loads(pickle.dumps(exc))
-    assert type(back) is type(exc)
-    assert str(back) == str(exc)
-    assert back.args == exc.args
-    assert vars(back) == vars(exc)
+    backs = [pickle.loads(pickle.dumps(exc, protocol))
+             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in [*backs, copy.copy(exc), copy.deepcopy(exc)]:
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert back.args == exc.args
+        assert vars(back) == vars(exc)

@@ -2,6 +2,7 @@
 one phi per object, one psi per path, the FAIL lines of planted faults,
 and the split of the checks between the process and one forked child."""
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -267,6 +268,13 @@ def _swap_two_images(info):
     return {"phi": lambda o: phi(swap.get(o, o))}
 
 
+def _swap_two_preimages(info):
+    """``psi`` swaps its answers for the first two paths at n = 3."""
+    psi, (first, second, *_) = info.psi, FAMILIES["fpath"].generate(3)
+    swap = {first: second, second: first}
+    return {"psi": lambda q: psi(swap.get(q, q))}
+
+
 def _shift_one(field, by):
     """A fault: ``stats_core`` adds ``by`` to ``field`` for the first
     member at n = 3."""
@@ -467,6 +475,11 @@ FAULT_MATRIX = [
         "FAIL  n=3  round-trip[schroder] psi(phi(o)) == o  [uududd]",
         "FAIL  n=3  round-trip[schroder] phi(psi(q)) == q  [0,1 1,1 1,0]",
     ]),
+    ("schroder", _swap_two_preimages, [
+        "FAIL  n=3  round-trip[schroder] psi(phi(o)) == o  [hhud]",
+        "FAIL  n=3  round-trip[schroder] phi(psi(q)) == q  [0,1 0,1 0,1]",
+        "FAIL  n=3  direct-sum[schroder] psi is a homomorphism  [0,1 0,1 0,1]",
+    ]),
     ("schroder", _raise_one_h, [
         "FAIL  n=3  statistics[schroder] stats(o) == stats(phi(o))  [uududd]",
         "FAIL  n=3  statistics[schroder] joint distribution  "
@@ -490,6 +503,12 @@ FAULT_MATRIX = [
         "FAIL  n=3  round-trip[bicolored] phi(psi(q)) == q  [1,1 1,1 0,1]",
         "FAIL  n=3  statistics[bicolored] stats(o) == stats(phi(o))  "
         "[ubububur]",
+    ]),
+    ("bicolored", _swap_two_preimages, [
+        "FAIL  n=3  round-trip[bicolored] psi(phi(o)) == o  [uuuburrr]",
+        "FAIL  n=3  round-trip[bicolored] phi(psi(q)) == q  [0,1 0,1 0,1]",
+        "FAIL  n=3  direct-sum[bicolored] psi is a homomorphism  "
+        "[0,1 0,1 0,1]",
     ]),
     ("bicolored", _raise_one_h, [
         "FAIL  n=3  statistics[bicolored] stats(o) == stats(phi(o))  "
@@ -515,6 +534,11 @@ FAULT_MATRIX = [
         "FAIL  n=3  round-trip[perm] phi(psi(q)) == q  [0,1 0,1 0,1]",
         "FAIL  n=3  statistics[perm] stats(o) == stats(phi(o))  [1 2 3 4]",
     ]),
+    ("perm", _swap_two_preimages, [
+        "FAIL  n=3  round-trip[perm] psi(phi(o)) == o  [1 2 3 4]",
+        "FAIL  n=3  round-trip[perm] phi(psi(q)) == q  [0,1 0,1 0,1]",
+        "FAIL  n=3  direct-sum[perm] psi is a homomorphism  [0,1 0,1 0,1]",
+    ]),
     ("perm", _raise_one_h, [
         "FAIL  n=3  statistics[perm] stats(o) == stats(phi(o))  [1 2 3 4]",
         "FAIL  n=3  statistics[perm] joint distribution  "
@@ -536,6 +560,13 @@ FAULT_MATRIX = [
         "FAIL  n=3  round-trip[inv-i] psi(phi(o)) == o  [0,0,0,0]",
         "FAIL  n=3  round-trip[inv-i] phi(psi(q)) == q  [0,1 0,1 0,1]",
         "FAIL  n=3  statistics[inv-i] stats(o) == stats(phi(o))  [0,0,0,0]",
+    ]),
+    ("inv-i", _swap_two_preimages, [
+        "FAIL  n=3  round-trip[inv-i] psi(phi(o)) == o  [0,0,0,0]",
+        "FAIL  n=3  round-trip[inv-i] phi(psi(q)) == q  [0,1 0,1 0,1]",
+        "FAIL  n=3  direct-sum[inv-i] psi is a homomorphism  [0,1 0,1 0,1]",
+        "FAIL  n=3  direct-sum[inv-i] decompose_I inverts the fold  "
+        "[0,1 0,1 0,1]",
     ]),
     ("inv-i", _raise_one_h, [
         "FAIL  n=3  statistics[inv-i] stats(o) == stats(phi(o))  [0,0,0,0]",
@@ -559,6 +590,13 @@ FAULT_MATRIX = [
         "FAIL  n=3  round-trip[inv-j] phi(psi(q)) == q  [0,1 0,1 0,1]",
         "FAIL  n=3  statistics[inv-j] stats(o) == stats(phi(o))  [0,0,0,0]",
     ]),
+    ("inv-j", _swap_two_preimages, [
+        "FAIL  n=3  round-trip[inv-j] psi(phi(o)) == o  [0,0,0,0]",
+        "FAIL  n=3  round-trip[inv-j] phi(psi(q)) == q  [0,1 0,1 0,1]",
+        "FAIL  n=3  direct-sum[inv-j] psi is a homomorphism  [0,1 0,1 0,1]",
+        "FAIL  n=3  direct-sum[inv-j] decompose_J inverts the fold  "
+        "[0,1 0,1 0,1]",
+    ]),
     ("inv-j", _raise_one_h, [
         "FAIL  n=3  statistics[inv-j] stats(o) == stats(phi(o))  [0,0,0,0]",
         "FAIL  n=3  statistics[inv-j] joint distribution  "
@@ -580,6 +618,11 @@ FAULT_MATRIX = [
         "FAIL  n=3  round-trip[tree] psi(phi(o)) == o  [[L L L L]]",
         "FAIL  n=3  round-trip[tree] phi(psi(q)) == q  [0,1 0,1 0,1]",
         "FAIL  n=3  statistics[tree] stats(o) == stats(phi(o))  [[L L L L]]",
+    ]),
+    ("tree", _swap_two_preimages, [
+        "FAIL  n=3  round-trip[tree] psi(phi(o)) == o  [[L L L L]]",
+        "FAIL  n=3  round-trip[tree] phi(psi(q)) == q  [0,1 0,1 0,1]",
+        "FAIL  n=3  direct-sum[tree] psi is a homomorphism  [0,1 0,1 0,1]",
     ]),
     ("tree", _raise_one_h, [
         "FAIL  n=3  statistics[tree] stats(o) == stats(phi(o))  [[L L L L]]",
@@ -924,6 +967,25 @@ def test_a_failed_fork_leaves_no_pipe_open(monkeypatch):
     open_fds = set(os.listdir("/proc/self/fd"))
     monkeypatch.setattr(os, "fork", no_fork)
     records = run_all(5).records
+    assert set(os.listdir("/proc/self/fd")) == open_fds
+    assert [dataclasses.astuple(r) for r in records] == \
+        [dataclasses.astuple(r) for r in one]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+def test_a_failed_pipe_gives_the_one_process_records(monkeypatch):
+    """A process at its file-descriptor limit runs every check itself."""
+    def no_pipe():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        one = run_all(5).records
+    open_fds = set(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    records = run_all(5).records
+    _no_child_left()
     assert set(os.listdir("/proc/self/fd")) == open_fds
     assert [dataclasses.astuple(r) for r in records] == \
         [dataclasses.astuple(r) for r in one]
