@@ -32,9 +32,9 @@ once, so threads tabulating rows at once only take more closed forms.
 :func:`sequence` steps the totals by their recurrence in n with the
 same stepper, on a fourth axis: the row of n = 0 whose cell v is
 a_total(v).  Every public function reads every argument with
-``operator.index`` (:func:`a_joint`, and :func:`a_marginal` with one
-value fixed, skip it for plain ints), so a non-integer raises
-:class:`FormViolation`; an integer out of range counts 0.
+``operator.index``, so a non-integer raises :class:`FormViolation`;
+an integer out of range counts 0.  :func:`a_joint` and
+:func:`a_marginal` let plain ints skip ``operator.index``.
 
 Step classes used by :func:`f_refined` (a path of length n with l north
 steps and statistics as in :mod:`.fpath_core`):
@@ -409,8 +409,9 @@ def a_marginal(n: int, h: int | None = None, l: int | None = None,
     same axis was last asked for, at the same n, takes one recurrence
     step from the cells kept for that axis (see the module docstring);
     every other call evaluates the closed form.  Either way the value is
-    computed, never returned from a store.  Such a call with plain ints
-    skips ``operator.index``; any other integer type is read with it.
+    computed, never returned from a store.  Every argument is read
+    before any range test; :func:`a_joint` and :func:`a_marginal` let
+    plain ints skip ``operator.index``.
 
     >>> a_marginal(5, h=2)
     110
@@ -419,39 +420,31 @@ def a_marginal(n: int, h: int | None = None, l: int | None = None,
     >>> a_marginal(4)
     80
     """
-    # A single-axis row calls this once per cell, so plain ints take one
-    # of these three branches and skip _int, as in a_joint.
-    if type(n) is int:
-        if l is None is m and type(h) is int:
-            return (_row_cell("h", 3, n, h, _a_h, _h_recurrence)
-                    if 0 <= h <= n else 0)
-        if h is None is m and type(l) is int:
-            return (_row_cell("l", 1, n, l, _a_l, _l_recurrence)
-                    if 0 <= l <= n else 0)
-        if h is None is l and type(m) is int:
-            return (_row_cell("m", 3, n, m, _a_m, _m_recurrence)
-                    if 0 <= m <= n else 0)
-    n = _int(n)
-    h = None if h is None else _int(h)
-    l = None if l is None else _int(l)
-    m = None if m is None else _int(m)
+    n = n if type(n) is int else _int(n)
+    h = h if h is None or type(h) is int else _int(h)
+    l = l if l is None or type(l) is int else _int(l)
+    m = m if m is None or type(m) is int else _int(m)
+    if l is None is m:
+        if h is None:
+            return a_total(n)
+        return (_row_cell("h", 3, n, h, _a_h, _h_recurrence)
+                if 0 <= h <= n else 0)
+    if h is None is m:
+        return (_row_cell("l", 1, n, l, _a_l, _l_recurrence)
+                if 0 <= l <= n else 0)
+    if h is None is l:
+        return (_row_cell("m", 3, n, m, _a_m, _m_recurrence)
+                if 0 <= m <= n else 0)
     # A starred value reads as 0, which is in range whenever n >= 0.
     if not (0 <= (h or 0) <= n and 0 <= (l or 0) <= n and 0 <= (m or 0) <= n):
         return 0
-    match (h is not None, l is not None, m is not None):
-        case (True, True, True):
-            return a_joint(n, h, l, m)
-        case (True, True, False):
-            return _a_hl(n, h, l)
-        case (True, False, True):
-            return _a_hm(n, h, m)
-        case (False, True, True):
-            return _a_lm(n, l, m)
-        case (False, False, False):
-            return a_total(n)
-        case _:
-            # One value fixed, now a plain int: the branches above.
-            return a_marginal(n, h, l, m)
+    if m is None:
+        return _a_hl(n, h, l)
+    if l is None:
+        return _a_hm(n, h, m)
+    if h is None:
+        return _a_lm(n, l, m)
+    return a_joint(n, h, l, m)
 
 
 def _total_recurrence(n):

@@ -322,6 +322,6 @@ FAMILIES: dict[str, FamilyInfo] = {
 
 def parse_object(family: str, text: str):
     """Parse and fully validate one object of the given family."""
-    if family not in FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise ParseError(0, f"unknown family {family!r}")
     return FAMILIES[family].parse(text)

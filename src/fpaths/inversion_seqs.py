@@ -89,7 +89,7 @@ def validate_invseq(entries, family: str) -> InvSeq:
     :func:`_scan`, length >= 1, the inversion bound and ``family``
     avoidance.  A bound violation anywhere beats any pattern, and
     NotAvoider names the first pattern of the family that e contains."""
-    if family not in _PATTERNS:
+    if not isinstance(family, str) or family not in _PATTERNS:
         raise FormViolation(f"unknown inversion-sequence family {family!r}")
     return _check_invseq(int_entries(entries), family)
 

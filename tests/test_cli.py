@@ -4,8 +4,10 @@ stdout/stderr go through redirect_* because the suite runs with -s;
 stdin is swapped by hand for the same reason.  A few tests run real
 subprocesses instead, to check what cmd_dispatch alone cannot reach.
 """
+import ast
 import collections
 import contextlib
+import glob
 import hashlib
 import io
 import itertools
@@ -548,6 +550,22 @@ def test_console_script_is_installed():
         )
         assert proc.returncode == 0
         assert proc.stdout == "1 2 6 21 80\n"
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    """Every module of the package parses with the grammar of the oldest
+    Python that pyproject.toml's ``requires-python`` admits."""
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        spec = tomllib.load(fh)["project"]["requires-python"]
+    assert spec.startswith(">=")
+    floor = tuple(int(part) for part in spec[2:].split("."))
+    paths = sorted(glob.glob(os.path.join(root, "src", "fpaths", "*.py")))
+    assert paths
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            ast.parse(fh.read(), filename=path, feature_version=floor)
 
 
 def test_membership_checks_survive_optimised_mode():

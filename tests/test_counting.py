@@ -847,9 +847,14 @@ def test_a_marginal_rejects_non_integers():
         a_marginal(5.0)
     with pytest.raises(FormViolation):
         a_marginal(5, l="2")
-    # Every argument is read before any range test.
-    with pytest.raises(FormViolation):
-        a_marginal(-1, h=1.5)
+    # Every argument is read before any range test, on every pattern with
+    # a fixed value: an out-of-range int never hides a later non-integer.
+    for n, fixed in ((-1, {"h": 1.5}), (-1, {"l": "2"}), (-1, {"m": 1.5}),
+                     (5, {"h": 9, "l": 1.5}), (5, {"h": 9, "m": 1.5}),
+                     (5, {"l": 9, "m": "2"}), (-1, {"h": 1, "l": 1, "m": "2"}),
+                     (5, {"h": 1, "l": 9, "m": 1.5})):
+        with pytest.raises(FormViolation):
+            a_marginal(n, **fixed)
     assert a_marginal(5, m=-1) == a_marginal(5, h=6) == 0
 
 

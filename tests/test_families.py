@@ -222,6 +222,13 @@ def test_parse_object_refuses_an_unknown_family():
         parse_object("nope", "x")
     assert exc.value.offset == 0
     assert str(exc.value) == "parse error at offset 0: unknown family 'nope'"
+    # A key that is not a string, hashable or not, is an unknown name.
+    for family in (None, [], {}, set()):
+        with pytest.raises(ParseError) as exc:
+            parse_object(family, "1")
+        assert exc.value.offset == 0
+        assert str(exc.value) == (
+            f"parse error at offset 0: unknown family {family!r}")
 
 
 #: Bad texts and how ``parse`` refuses them: the exception class, its

@@ -135,11 +135,14 @@ def test_validate():
         def __iter__(self):
             raise AssertionError("the entries were read")
 
-    # An unknown family is named before the entries are read.
-    for e in ((0, 1), (), Unread()):
-        with pytest.raises(FormViolation,
-                           match="unknown inversion-sequence family 'K'"):
-            validate_invseq(e, "K")
+    # An unknown family, a key that is not a string included, is named
+    # before the entries are read.
+    for family in ("K", None, [], {}, set()):
+        for e in ((0, 1), (), Unread()):
+            with pytest.raises(FormViolation) as exc:
+                validate_invseq(e, family)
+            assert str(exc.value) == (
+                f"unknown inversion-sequence family {family!r}")
 
 
 def first_pattern_oracle(e, family, contained=None):
