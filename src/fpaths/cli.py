@@ -22,7 +22,7 @@ import contextlib
 import sys
 
 from .counting import a_marginal, f_refined, sequence
-from .errors import FormViolation, FpathsError
+from .errors import FormViolation, FpathsError, int_text
 from .families import FAMILIES, TAGS
 from .fpath_core import common_index
 from .verify_harness import run_all
@@ -139,9 +139,9 @@ def _cmd_count(args) -> int:
         except ValueError:
             raise FormViolation(
                 f"bad --refined value {args.refined!r}") from None
-        print(f_refined(args.n, i, j, k, l, m))
+        print(int_text(f_refined(args.n, i, j, k, l, m)))
     else:
-        print(a_marginal(args.n, h=args.h, l=args.l, m=args.m))
+        print(int_text(a_marginal(args.n, h=args.h, l=args.l, m=args.m)))
     return 0
 
 
@@ -156,9 +156,9 @@ def _cmd_sequence(args) -> int:
     values = sequence(args.max_n)
     if args.bfile:
         for n, v in enumerate(values):
-            print(f"{n} {v}")
+            print(f"{n} {int_text(v)}")
     else:
-        print(" ".join(str(v) for v in values))
+        print(" ".join(map(int_text, values)))
     return 0
 
 

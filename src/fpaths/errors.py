@@ -133,13 +133,25 @@ class WeightOnLeafOrRoot(FpathsError):
 # -------------------------------------------------------- counting / text
 
 
+def int_text(value) -> str:
+    """``str(value)``, also for an int past CPython's int-to-str digit
+    limit (``sys.get_int_max_str_digits()``), whose digits come from
+    ``Decimal``, exact for ints; the process-wide limit is left as is."""
+    try:
+        return str(value)
+    except ValueError:
+        from decimal import Decimal  # here, so that ``counting`` does not load it
+        return str(Decimal(value))
+
+
 class InexactDivision(FpathsError):
     """An integer division in a counting formula left a remainder (internal bug)."""
 
     def __init__(self, numerator, denominator):
         self.numerator = numerator
         self.denominator = denominator
-        super().__init__(f"{numerator} is not divisible by {denominator}")
+        super().__init__(
+            f"{int_text(numerator)} is not divisible by {int_text(denominator)}")
 
 
 class ParseError(FpathsError):

@@ -17,12 +17,14 @@ import random
 import shutil
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
 import fpaths
 from fpaths import cli, fpath_core
 from fpaths.cli import cmd_dispatch
+from fpaths.counting import a_total
 from fpaths.errors import FormViolation
 from fpaths.families import FAMILIES, TAGS
 from fpaths.verify_harness import run_all
@@ -277,6 +279,29 @@ def test_sequence_plain_and_bfile():
     # Below -1 the sequence is empty too, not sliced from the end.
     assert run_cli("sequence", "--max-n", "-2") == (0, "\n", "")
     assert run_cli("sequence", "--max-n", "-2", "--bfile") == (0, "", "")
+
+
+# a(6000) is the first total past CPython's 4300-digit int-to-str limit.
+# The printed digits are compared through Decimal, which applies no such
+# limit to the text it reads.
+
+
+def test_count_prints_a_value_past_the_digit_limit():
+    code, out, err = run_cli("count", "--n", "6000")
+    assert (code, err) == (0, "")
+    assert len(out) == 4301 + 1
+    assert Decimal(out) == Decimal(a_total(6000))
+
+
+def test_sequence_prints_values_past_the_digit_limit():
+    want = Decimal(a_total(6001))
+    code, out, err = run_cli("sequence", "--max-n", "6001")
+    assert (code, err) == (0, "")
+    assert Decimal(out.split()[-1]) == want
+    code, out, err = run_cli("sequence", "--max-n", "6001", "--bfile")
+    assert (code, err) == (0, "")
+    n, value = out.splitlines()[-1].split()
+    assert (n, Decimal(value)) == ("6001", want)
 
 
 #: n values of the pinned count grid, from the empty path to n = 1000.

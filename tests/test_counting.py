@@ -905,3 +905,14 @@ def test_sequence_rejects_non_integers():
     with pytest.raises(FormViolation):
         sequence(3.0)
     assert sequence(-1) == []
+
+
+def test_exact_div_names_a_numerator_past_the_digit_limit():
+    # 5000 digits: past CPython's int-to-str limit, so the message's
+    # digits must come from a conversion that does not apply it.
+    num = 10**4999 + 1
+    with pytest.raises(InexactDivision) as caught:
+        counting._exact_div(num, 10)
+    assert (caught.value.numerator, caught.value.denominator) == (num, 10)
+    assert str(caught.value) == \
+        "1" + "0" * 4998 + "1 is not divisible by 10"

@@ -2,6 +2,7 @@
 copy."""
 import copy
 import pickle
+import sys
 
 import pytest
 
@@ -42,3 +43,14 @@ def test_pickle_round_trip_keeps_type_message_and_attributes(exc):
         assert str(back) == str(exc)
         assert back.args == exc.args
         assert vars(back) == vars(exc)
+
+
+def test_inexact_division_names_a_numerator_past_the_digit_limit():
+    """A numerator over CPython's 4300-digit int-to-str limit still gets
+    its digits in the message, and the process-wide limit is untouched."""
+    limit = sys.get_int_max_str_digits()
+    exc = errors.InexactDivision(10**5000, 3)
+    assert str(exc) == "1" + "0" * 5000 + " is not divisible by 3"
+    assert str(errors.InexactDivision(-(10**5000), 7)).startswith("-10000")
+    assert str(errors.InexactDivision(7, 2)) == "7 is not divisible by 2"
+    assert sys.get_int_max_str_digits() == limit

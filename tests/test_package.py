@@ -1,0 +1,108 @@
+"""The package surface: ``import fpaths`` loads no submodule, and each
+export is imported from its home submodule on first use."""
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import fpaths
+
+#: Each export's home submodule, in ``__all__`` order.
+HOMES = {
+    "counting": ("a_joint", "a_marginal", "a_total", "f_refined",
+                 "multinomial", "sequence", "series_coeff"),
+    "errors": ("BelowAxis", "FormViolation", "FpathsError", "GuardExceeded",
+               "InexactDivision", "NotAvoider", "NotClosed", "ParseError",
+               "PrefixViolation", "RunFormViolation", "StepNotInF",
+               "TripleDescent", "WeightOnLeafOrRoot", "WeightOutOfRange"),
+    "families": ("FAMILIES", "TAGS", "parse_object"),
+    "fpath_core": ("FPath", "FStep", "StatTriple", "fpath_decompose",
+                   "fpath_direct_sum", "fpath_stats", "gen_fpaths",
+                   "involution_phi_F", "validate_fpath"),
+    "verify_harness": ("VerifyReport", "run_all"),
+}
+
+#: What a count needs: the package, the closed forms and their imports.
+COUNTING_MODULES = ["fpaths", "fpaths.counting", "fpaths.errors",
+                    "fpaths.fpath_core"]
+
+
+def fresh(code: str):
+    """Run ``code`` in an isolated interpreter that finds this package,
+    and return what the JSON it prints last decodes to."""
+    src = os.path.dirname(os.path.dirname(fpaths.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c",
+         f"import json, sys; sys.path.insert(0, {src!r})\n{code}"],
+        capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = ("print(json.dumps(sorted(m for m in sys.modules "
+          "if m.partition('.')[0] == 'fpaths')))")
+
+
+@pytest.mark.parametrize("code", ["import fpaths.counting",
+                                  "import fpaths; fpaths.a_total(3)"])
+def test_a_count_loads_only_the_counting_modules(code):
+    assert fresh(f"{code}\n{LOADED}") == COUNTING_MODULES
+
+
+def test_a_bare_import_loads_no_submodule():
+    assert fresh(f"import fpaths\n{LOADED}") == ["fpaths"]
+
+
+def test_all_lists_every_export_in_order():
+    assert fpaths.__all__ == [name for names in HOMES.values()
+                              for name in names] + ["__version__"]
+
+
+def test_every_export_is_the_object_of_its_home_submodule():
+    for home, names in HOMES.items():
+        module = importlib.import_module(f"fpaths.{home}")
+        for name in names:
+            assert getattr(fpaths, name) is getattr(module, name), name
+
+
+def test_star_import_and_dir_reach_every_export_in_a_fresh_process():
+    star, listed = fresh(
+        "import fpaths\n"
+        "listed = dir(fpaths)\n"
+        "ns = {}\n"
+        "exec('from fpaths import *', ns)\n"
+        "print(json.dumps([sorted(set(ns) - {'__builtins__'}), listed]))")
+    assert star == sorted(fpaths.__all__)
+    assert set(fpaths.__all__) <= set(listed)
+    assert "__all__" in listed
+
+
+def test_a_submodule_resolves_after_a_bare_import():
+    assert fresh("import fpaths\n"
+                 "print(json.dumps([fpaths.counting.a_total(3), "
+                 "fpaths.families.TAGS[1]]))") == [21, "schroder"]
+
+
+@pytest.mark.parametrize("name", ["nope", "__wrapped__", "", "counting.x"])
+def test_an_unknown_name_raises_the_standard_attribute_error(name):
+    with pytest.raises(AttributeError) as caught:
+        getattr(fpaths, name)
+    assert str(caught.value) == f"module 'fpaths' has no attribute {name!r}"
+    assert not hasattr(fpaths, name)
+
+
+def test_a_missing_module_inside_a_submodule_is_not_an_attribute_error():
+    # ``families`` imports ``weighted_trees``; blocking that import must
+    # surface as the import error it is, by either route to ``families``.
+    assert fresh(
+        "sys.modules['fpaths.weighted_trees'] = None\n"
+        "import fpaths\n"
+        "seen = []\n"
+        "for name in ('families', 'FAMILIES'):\n"
+        "    try:\n"
+        "        getattr(fpaths, name)\n"
+        "    except ModuleNotFoundError as exc:\n"
+        "        seen.append(exc.name)\n"
+        "print(json.dumps(seen))") == ["fpaths.weighted_trees"] * 2

@@ -995,9 +995,10 @@ def test_the_split_writes_nothing_and_imports_no_new_module():
     """The child leaves without flushing the stdout buffer it inherits,
     and records cross the pipe with marshal: pickle is not imported at
     all, and signal only when the parent's half raises."""
-    code = ("import sys, fpaths; before = set(sys.modules); "
+    code = ("import sys, fpaths; run_all = fpaths.run_all; "
+            "before = set(sys.modules); "
             "sys.stdout.write('unflushed '); "
-            "assert fpaths.run_all(5).ok; "
+            "assert run_all(5).ok; "
             "print(sorted(set(sys.modules) - before))")
     buffered = {k: v for k, v in os.environ.items()
                 if k != "PYTHONUNBUFFERED"}
