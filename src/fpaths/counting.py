@@ -33,8 +33,10 @@ once, so threads tabulating rows at once only take more closed forms.
 same stepper, on a fourth axis: the row of n = 0 whose cell v is
 a_total(v).  Every public function reads every argument with
 ``operator.index``, so a non-integer raises :class:`FormViolation`;
-an integer out of range counts 0.  :func:`a_joint` and
-:func:`a_marginal` let plain ints skip ``operator.index``.
+an integer out of range counts 0, and an n past :data:`MAX_COUNT_N`
+raises :class:`GuardExceeded` unless its count is 0 without
+arithmetic.  :func:`a_joint` and :func:`a_marginal` let plain ints skip
+``operator.index``.
 
 Step classes used by :func:`f_refined` (a path of length n with l north
 steps and statistics as in :mod:`.fpath_core`):
@@ -54,10 +56,17 @@ from itertools import islice, repeat
 from math import comb
 from operator import index, mul
 
-from .errors import FormViolation, InexactDivision
+from .errors import FormViolation, GuardExceeded, InexactDivision, int_text
 from .fpath_core import int_entries
 
 BigCount = int
+
+#: Largest n that :func:`a_total`, :func:`a_marginal`, :func:`a_joint`,
+#: :func:`f_refined` and :func:`sequence` take; a larger one raises
+#: :class:`GuardExceeded` before any big arithmetic, where the answer is
+#: not 0 without it.  a(n) has about 0.7176·n digits, and at n = 50,000
+#: ``a_total`` took 1.2 s on a 2-core host.
+MAX_COUNT_N = 50_000
 
 
 def comb0(n: int, k: int) -> BigCount:
@@ -107,7 +116,15 @@ def _int(value) -> int:
         return index(value)
     except TypeError:
         raise FormViolation(
-            f"counts take integer arguments, got {value!r}") from None
+            f"counts take integer arguments, got {int_text(value, repr)}"
+        ) from None
+
+
+def _capped(n: int) -> int:
+    """n, or :class:`GuardExceeded` when n > :data:`MAX_COUNT_N`."""
+    if n > MAX_COUNT_N:
+        raise GuardExceeded(n, MAX_COUNT_N)
+    return n
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -220,6 +237,7 @@ def f_refined(n: int, i: int, j: int, k: int, l: int, m: int) -> BigCount:
     n, i, j, k, l, m = map(_int, (n, i, j, k, l, m))
     if min(i, j, k, l, m) < 0 or m > n:
         return 0
+    _capped(n)
     n_prime = n - i - j - k - l
     if n_prime < 0:
         return 0
@@ -243,14 +261,14 @@ def a_joint(n: int, h: int, l: int, m: int) -> BigCount:
     >>> a_joint(2, 1, 1, 1)
     2
     """
-    # Inlined _int, _exact_div and series_coeff: this runs once per cell
-    # of a joint table.  Plain ints skip operator.index.
+    # Inlined _int, _capped, _exact_div and series_coeff: this runs once
+    # per cell of a joint table.  Plain ints skip operator.index.
     if not (type(n) is type(h) is type(l) is type(m) is int):
         try:
             n, h, l, m = index(n), index(h), index(l), index(m)
         except TypeError:
             raise FormViolation(
-                f"counts take integer arguments, got {(n, h, l, m)!r}"
+                f"counts take integer arguments, got {int_text((n, h, l, m))}"
             ) from None
     k = n - l
     s = 2 * k - h
@@ -259,6 +277,8 @@ def a_joint(n: int, h: int, l: int, m: int) -> BigCount:
     # s >= n - l >= 0 and m <= n - s <= n.
     if not (0 <= h <= k and t >= 0 and l >= 0 and m >= 0):
         return 0
+    if n > MAX_COUNT_N:
+        raise GuardExceeded(n, MAX_COUNT_N)
     # series_coeff(t, s) is C(t+s-1, s-1), or [t == 0] when s == 0,
     # that is when l == n and h == 0.
     num = ((m + 1) * comb(n + 1, l + 1) * comb(k, h)
@@ -393,6 +413,7 @@ def a_total(n: int) -> BigCount:
     n = _int(n)
     if n < 0:
         return 0
+    _capped(n)
     # sum over i = 0..n of C(n+1, i+1)·C(2n+1-i, i); every term is
     # non-zero.
     acc = _stepped_sum(n + 1, (n + 1, 1, 0, 1), (2 * n + 1, 0, -1, 1))
@@ -424,6 +445,7 @@ def a_marginal(n: int, h: int | None = None, l: int | None = None,
     h = h if h is None or type(h) is int else _int(h)
     l = l if l is None or type(l) is int else _int(l)
     m = m if m is None or type(m) is int else _int(m)
+    _capped(n)
     if l is None is m:
         if h is None:
             return a_total(n)
@@ -466,4 +488,4 @@ def sequence(max_n: int) -> list[BigCount]:
     """
     return [_row_cell("total", 3, 0, v, lambda _, k: a_total(k),
                       lambda _, k: _total_recurrence(k))
-            for v in range(_int(max_n) + 1)]
+            for v in range(_capped(_int(max_n)) + 1)]

@@ -30,7 +30,8 @@ class StepNotInF(FpathsError):
     def __init__(self, step, position):
         self.step = step
         self.position = position
-        super().__init__(f"step {self.step} at position {position} is not in F")
+        super().__init__(
+            f"step {int_text(self.step)} at position {position} is not in F")
 
 
 class PrefixViolation(FpathsError):
@@ -45,12 +46,14 @@ class PrefixViolation(FpathsError):
 
 
 class GuardExceeded(FpathsError):
-    """A common index n above the enumeration ceiling ``guard``."""
+    """An n above the ceiling ``guard``: a common index above the
+    enumeration ceiling ``fpath_core.MAX_N``, or a count's n above
+    ``counting.MAX_COUNT_N``."""
 
     def __init__(self, requested, guard):
         self.requested = requested
         self.guard = guard
-        super().__init__(f"n must be <= {guard}, got {requested}")
+        super().__init__(f"n must be <= {guard}, got {int_text(requested)}")
 
 
 # ------------------------------------------------- lattice-path families
@@ -117,7 +120,8 @@ class WeightOutOfRange(FpathsError):
         self.weight = weight
         self.outdeg = outdeg
         super().__init__(
-            f"vertex {vertex} has weight {weight!r}, expected 1..{outdeg}"
+            f"vertex {vertex} has weight {int_text(weight, repr)}, "
+            f"expected 1..{int_text(outdeg)}"
         )
 
 
@@ -127,21 +131,30 @@ class WeightOnLeafOrRoot(FpathsError):
     def __init__(self, vertex, weight):
         self.vertex = vertex
         self.weight = weight
-        super().__init__(f"vertex {vertex} must be unweighted, got {weight!r}")
+        super().__init__(f"vertex {vertex} must be unweighted, "
+                         f"got {int_text(weight, repr)}")
 
 
 # -------------------------------------------------------- counting / text
 
 
-def int_text(value) -> str:
-    """``str(value)``, also for an int past CPython's int-to-str digit
-    limit (``sys.get_int_max_str_digits()``), whose digits come from
-    ``Decimal``, exact for ints; the process-wide limit is left as is."""
+def int_text(value, form=str) -> str:
+    """``form(value)``, ``form`` being ``str`` or ``repr``, also for an
+    int past CPython's int-to-str digit limit
+    (``sys.get_int_max_str_digits()``), alone or inside a tuple or list:
+    its digits come from ``Decimal``, exact for ints.  The process-wide
+    limit is left as is."""
     try:
-        return str(value)
+        return form(value)
     except ValueError:
-        from decimal import Decimal  # here, so that ``counting`` does not load it
-        return str(Decimal(value))
+        if not isinstance(value, (tuple, list)):
+            # here, so that ``counting`` does not load it
+            from decimal import Decimal
+            return str(Decimal(value))
+        text = ", ".join(int_text(v, repr) for v in value)
+        if isinstance(value, list):
+            return f"[{text}]"
+        return f"({text},)" if len(value) == 1 else f"({text})"
 
 
 class InexactDivision(FpathsError):

@@ -26,7 +26,13 @@ from __future__ import annotations
 from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import FormViolation, GuardExceeded, PrefixViolation, StepNotInF
+from .errors import (
+    FormViolation,
+    GuardExceeded,
+    PrefixViolation,
+    StepNotInF,
+    int_text,
+)
 
 FStep = tuple[int, int]
 FPath = tuple[FStep, ...]
@@ -75,8 +81,8 @@ def int_entries(values) -> tuple[int, ...]:
         try:
             out.append(index(v))
         except TypeError:
-            raise FormViolation(
-                f"entry {v!r} at position {pos} is not an integer") from None
+            raise FormViolation(f"entry {int_text(v, repr)} at position "
+                                f"{pos} is not an integer") from None
     return tuple(out)
 
 
@@ -184,9 +190,10 @@ def common_index(n) -> int:
     try:
         n = index(n)
     except TypeError:
-        raise FormViolation(f"n must be an integer, got {n!r}") from None
+        raise FormViolation(
+            f"n must be an integer, got {int_text(n, repr)}") from None
     if n < 0:
-        raise FormViolation(f"n must be >= 0, got {n}")
+        raise FormViolation(f"n must be >= 0, got {int_text(n)}")
     if n > MAX_N:
         raise GuardExceeded(n, MAX_N)
     return n

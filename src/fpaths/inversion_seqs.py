@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import pairwise
 
-from .errors import FormViolation, NotAvoider
+from .errors import FormViolation, NotAvoider, int_text
 from .fpath_core import FPath, StatTriple, fpath_height, int_entries
 
 InvSeq = tuple[int, ...]
@@ -58,7 +58,8 @@ def _scan(e, family: str, at: int = 0, opened: int = 0, closed: int = 0,
     found = None
     for i, x in enumerate(e, at):
         if not 0 <= x <= i:
-            raise FormViolation(f"entry {x} at position {i + 1} outside 0..{i}")
+            raise FormViolation(
+                f"entry {int_text(x)} at position {i + 1} outside 0..{i}")
         bit = 1 << x
         if closed & bit:
             found = P101

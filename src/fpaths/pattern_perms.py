@@ -26,15 +26,15 @@ postorder are the inserted entries: at a node m, ω is the entries of m's
 right subtree below m's left child, τ the rest, and their blocks start
 on the left spine of m's right child.
 
-:func:`validate_avoider` decides membership in one O(n log n) scan and
+:func:`validate_avoider` decides membership in one scan over bit sets,
+:func:`_scan`, which :func:`gen_avoiders` carries down its search, and
 scans in O(n^2) only to name a pattern.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from math import inf
 
-from .errors import FormViolation, NotAvoider
+from .errors import FormViolation, NotAvoider, int_text
 from .fpath_core import FPath, StatTriple, int_entries
 
 Permutation = tuple[int, ...]
@@ -73,58 +73,57 @@ def _contains_132(s) -> bool:
     return False
 
 
-def _forbidden_ending_at(prefix, x) -> Permutation | None:
-    """The first pattern of FORBIDDEN with an occurrence whose last entry
-    is x, placed right after ``prefix``; None if there is none.
-
-    Every forbidden pattern ends in its smallest entry, so such an
-    occurrence exists iff the entries of ``prefix`` larger than x contain
-    123 (2341), 132 (2431) or 213 (3241).  213 is 132 reversed and
-    complemented.  Linear in len(prefix).
-    """
-    above = [v for v in prefix if v > x]
-    if len(above) < 3:
-        return None
-    if _contains_123(above):
-        return FORBIDDEN[0]
-    if _contains_132(above):
-        return FORBIDDEN[1]
-    if _contains_132([-v for v in reversed(above)]):
-        return FORBIDDEN[2]
-    return None
-
-
 def _first_forbidden(p: Permutation) -> Permutation | None:
-    """The first pattern of FORBIDDEN that p contains, or None.  O(n^2)."""
-    found = {_forbidden_ending_at(p[:k], p[k]) for k in range(3, len(p))}
+    """The first pattern of FORBIDDEN that p contains, or None.  O(n^2).
+
+    Every forbidden pattern ends in its smallest entry, so an occurrence
+    ends at x = p_l iff the entries before l larger than x contain 123
+    (2341), 132 (2431) or 213 (3241).  213 is 132 reversed and
+    complemented.
+    """
+    found = set()
+    for k in range(3, len(p)):
+        above = [v for v in p[:k] if v > p[k]]
+        if _contains_123(above):
+            found.add(FORBIDDEN[0])
+        elif _contains_132(above):
+            found.add(FORBIDDEN[1])
+        elif _contains_132([-v for v in reversed(above)]):
+            found.add(FORBIDDEN[2])
     return next((pat for pat in FORBIDDEN if pat in found), None)
 
 
-def _contains_forbidden(p: Permutation) -> bool:
-    """True iff the permutation p contains a pattern of FORBIDDEN, in one
-    scan with O(n log n) comparisons.
+def _scan(p, seen: int = 0, rl: int = 0, low: int = 0):
+    """Read the entries p after a prefix whose state is ``seen``, ``rl``
+    and ``low``, and return ``(found, seen, rl, low)``: found is True,
+    and the scan stops, at the first entry that completes a pattern of
+    FORBIDDEN.
 
-    The orders 123, 132 and 213 are those whose first entry is below
-    their last, so (see :func:`_forbidden_ending_at`) p contains one iff
-    some i < j < k < l have p_l < p_i < p_k and p_l < p_j.  At k, take
-    p_l = t, the least entry after k, and r the last index before k with
-    p_r > t; the entries between r and k lie below t.  So one exists iff
-    a value before k other than p_r lies in (t, p_k).  ``tops`` holds the
-    prefix's right-to-left maxima, negated, and p_r is the last above t.
+    By :func:`_first_forbidden`, an entry x completes one iff some
+    i < j < k before it have x < p_i < p_k and x < p_j.  For y = p_k,
+    let T(y) be the largest min(p_i, p_j) over i < j < k with p_i < y,
+    and b the largest earlier value below y.  If a larger entry follows
+    b, then (b, that entry) is a pair, so T(y) = b.  If none does, b is
+    a right-to-left maximum of p_1..p_(k-1): every pair then holds an
+    entry below b, and b with the largest earlier value c below it is a
+    pair in either order, so T(y) = c, or 0 when there is no c.  So x
+    completes a pattern iff x < ``low``, the largest T so far.  ``seen``
+    and ``rl`` are the bit sets of the values and of the right-to-left
+    maxima seen so far; an entry y removes the maxima below it.
     """
-    seen: list[int] = []
-    tops: list[int] = []
-    for v, t in zip(p, _later_minima(p)):
-        if v > t:
-            lo = bisect_left(seen, t)
-            between = bisect_left(seen, v, lo) - lo
-            if between > 1 or between and -tops[bisect_left(tops, -t) - 1] > v:
-                return True
-        insort(seen, v)
-        while tops and tops[-1] > -v:
-            tops.pop()
-        tops.append(-v)
-    return False
+    for y in p:
+        if y < low:
+            return True, seen, rl, low
+        bit = 1 << y
+        below = seen & (bit - 1)
+        b = below.bit_length() - 1
+        if b > low:  # T(y) <= b
+            t = (below ^ 1 << b).bit_length() - 1 if rl >> b & 1 else b
+            if t > low:
+                low = t
+        seen |= bit
+        rl = rl & -bit | bit
+    return False, seen, rl, low
 
 
 def validate_avoider(p: Permutation) -> Permutation:
@@ -135,15 +134,15 @@ def validate_avoider(p: Permutation) -> Permutation:
     if not p:
         raise FormViolation("empty permutation; the shortest has length 1")
     if sorted(p) != list(range(1, len(p) + 1)):
-        raise FormViolation(f"not a permutation of 1..{len(p)}: {p!r}")
+        raise FormViolation(f"not a permutation of 1..{len(p)}: {int_text(p)}")
     return _check_avoider(p)
 
 
 def _check_avoider(p: Permutation) -> Permutation:
     """The tuple permutation p, as parsed text is, if it avoids FORBIDDEN:
-    :func:`_contains_forbidden` decides, and :func:`_first_forbidden`
-    runs only on a rejection, to name the pattern in NotAvoider."""
-    if _contains_forbidden(p):
+    :func:`_scan` decides, and :func:`_first_forbidden` runs only on a
+    rejection, to name the pattern in NotAvoider."""
+    if _scan(p)[0]:
         raise NotAvoider(_first_forbidden(p))
     return p
 
@@ -151,36 +150,26 @@ def _check_avoider(p: Permutation) -> Permutation:
 def gen_avoiders(n: int) -> tuple[Permutation, ...]:
     """All avoiders of length n in lexicographic order.
 
-    Depth-first over prefixes, values in increasing order.  Containment
-    is closed under extension, so a prefix is dropped as soon as its last
-    entry completes a pattern.  The entries that can follow a prefix are
-    the unused values from some threshold up (a smaller entry sees more
-    entries above it), so once one value passes, the larger ones do too.
-    A trusted core: n must be an integer >= 1, checked by
-    ``FAMILIES["perm"].generate``.
+    Depth-first over prefixes, values in increasing order, carrying each
+    prefix's :func:`_scan` state.  Containment is closed under extension,
+    and the entries that can follow a prefix are its unused values above
+    its threshold ``low``, so no candidate is tested.  A trusted core: n
+    must be an integer >= 1, checked by ``FAMILIES["perm"].generate``.
     """
     out: list[Permutation] = []
     prefix: list[int] = []
-    used = [False] * (n + 1)
 
-    def rec() -> None:
+    def rec(seen: int, rl: int, low: int) -> None:
         if len(prefix) == n:
             out.append(tuple(prefix))
             return
-        passed = False
-        for v in range(1, n + 1):
-            if used[v] or (
-                not passed and _forbidden_ending_at(prefix, v) is not None
-            ):
-                continue
-            passed = True
-            used[v] = True
-            prefix.append(v)
-            rec()
-            prefix.pop()
-            used[v] = False
+        for v in range(low + 1, n + 1):
+            if not seen >> v & 1:
+                prefix.append(v)
+                rec(*_scan((v,), seen, rl, low)[1:])
+                prefix.pop()
 
-    rec()
+    rec(0, 0, 0)
     return tuple(out)
 
 
@@ -211,25 +200,23 @@ def perm_stats(p: Permutation) -> StatTriple:
     i is critical when every pair j < i < k with pi(j), pi(k) < pi(i)
     appears in increasing order.  With L(i) the largest value left of i
     below pi(i), that holds iff no later entry is below L(i) (vacuously
-    when there is no such value).  One pass over the suffix minima,
-    with a sorted list of the values seen so far, counts both in
-    O(n log n) comparisons.
+    when there is no such value).  One pass over the suffix minima
+    counts both, reading L(i) + 1 as the bit length of ``seen``, the bit
+    set of the values so far, below pi(i).
 
     >>> perm_stats((2, 4, 1, 3))
     StatTriple(h=0, l=2, a1=0)
     """
-    blocks = crit = 0
+    blocks = crit = seen = 0
     top = -inf
-    seen: list[int] = []
     for v, low in zip(p, _later_minima(p)):
         if v > top:
             top = v
         if top < low:
             blocks += 1
-        at = bisect_left(seen, v)
-        if at == 0 or seen[at - 1] < low:
+        if (seen & ((1 << v) - 1)).bit_length() <= low:
             crit += 1
-        seen.insert(at, v)
+        seen |= 1 << v
     a = asc(p)
     return StatTriple(blocks - 1, a, crit - a - 1)
 

@@ -32,7 +32,12 @@ from __future__ import annotations
 from itertools import product
 from operator import index
 
-from .errors import FormViolation, WeightOnLeafOrRoot, WeightOutOfRange
+from .errors import (
+    FormViolation,
+    WeightOnLeafOrRoot,
+    WeightOutOfRange,
+    int_text,
+)
 from .fpath_core import NORTH, FPath, StatTriple, fpath_height
 
 #: A tree: its preorder code of ``(weight, outdegree)`` pairs, root first.
@@ -74,7 +79,7 @@ def validate_wtree(t: WTree) -> WTree:
         code.append((w if w is None else index(w), d))
         open_ += d - 1
     if open_:
-        raise FormViolation(f"the tree is missing {open_} vertexes")
+        raise FormViolation(f"the tree is missing {int_text(open_)} vertexes")
     return tuple(code)
 
 

@@ -6,9 +6,12 @@ The library decides membership with linear or quadratic scans
 and counts blocks and critical indexes in one pass
 (``pattern_perms.perm_stats``); these oracles try every subsequence or
 triple instead, so the tests can check the fast code against a
-definition that shares no code with it.  :func:`block_count` and
-:func:`crit` count the two separately, and :func:`block_count` also
-reads unreduced sequences, as :func:`shape_phi_S` needs.
+definition that shares no code with it.  :func:`contains_forbidden`,
+the order scan that ``pattern_perms`` used before its bit-set
+``_scan``, is the reference past the exhaustive range.
+:func:`block_count` and :func:`crit` count the two separately, and
+:func:`block_count` also reads unreduced sequences, as
+:func:`shape_phi_S` needs.
 Likewise ``schroder_paths.phi_P`` and ``inversion_seqs.phi_I`` read the
 construction record in one pass, while :func:`peel_phi_P` and
 :func:`delete_max_phi_I` take the object apart one step at a time, as
@@ -31,7 +34,7 @@ classes, for ``counting.f_refined``.
 character at a time, the oracle of the one-pass ``parse`` of the
 fpath, perm, inv-i, inv-j and tree families.
 """
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import Counter
 from itertools import combinations
 from math import inf
@@ -145,6 +148,35 @@ def crit(p) -> int:
             count += 1
         seen.insert(at, v)
     return count
+
+
+def contains_forbidden(p) -> bool:
+    """True iff the permutation p contains a pattern of FORBIDDEN, in one
+    scan with O(n log n) comparisons: the large-n reference of
+    ``pattern_perms._scan``.
+
+    The orders 123, 132 and 213 are those whose first entry is below
+    their last, so (see ``pattern_perms._first_forbidden``) p contains
+    one iff some i < j < k < l have p_l < p_i < p_k and p_l < p_j.  At
+    k, take p_l = t, the least entry after k, and r the last index
+    before k with p_r > t; the entries between r and k lie below t.  So
+    one exists iff a value before k other than p_r lies in (t, p_k).
+    ``tops`` holds the prefix's right-to-left maxima, negated, and p_r
+    is the last above t.
+    """
+    seen: list[int] = []
+    tops: list[int] = []
+    for v, t in zip(p, _later_minima(p)):
+        if v > t:
+            lo = bisect_left(seen, t)
+            between = bisect_left(seen, v, lo) - lo
+            if between > 1 or between and -tops[bisect_left(tops, -t) - 1] > v:
+                return True
+        insort(seen, v)
+        while tops and tops[-1] > -v:
+            tops.pop()
+        tops.append(-v)
+    return False
 
 
 # ------------------------------------------------------------ paper's maps

@@ -17,6 +17,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from decimal import Decimal
 
 import pytest
@@ -24,7 +25,7 @@ import pytest
 import fpaths
 from fpaths import cli, fpath_core
 from fpaths.cli import cmd_dispatch
-from fpaths.counting import a_total
+from fpaths.counting import MAX_COUNT_N, a_total
 from fpaths.errors import FormViolation
 from fpaths.families import FAMILIES, TAGS
 from fpaths.verify_harness import run_all
@@ -222,6 +223,15 @@ def test_count_out_of_range_is_zero():
         for v in ("-2", "5"):
             assert run_cli("count", "--n", "4", flag, v)[:2] == (0, "0\n")
     assert run_cli("count", "--n", "-1")[:2] == (0, "0\n")
+
+
+def test_count_refuses_an_n_past_the_ceiling_at_once():
+    """It used to run for minutes; now it exits 2 naming the ceiling."""
+    start = time.perf_counter()
+    assert run_cli("count", "--n", "100000000000000000000", "--h", "1") == (
+        2, "", f"fpaths count: n must be <= {MAX_COUNT_N}, "
+               "got 100000000000000000000\n")
+    assert time.perf_counter() - start < 5
 
 
 def test_count_refined():

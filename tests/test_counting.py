@@ -1,6 +1,7 @@
 """Counting formulas against brute-force distributions and pinned tables."""
 import itertools
 import math
+import operator
 import random
 import sys
 import threading
@@ -19,7 +20,7 @@ from fpaths.counting import (
     sequence,
     series_coeff,
 )
-from fpaths.errors import FormViolation, InexactDivision
+from fpaths.errors import FormViolation, GuardExceeded, InexactDivision
 from fpaths.fpath_core import fpath_stats, gen_fpaths
 from oracles import joint_dp, step_class_dp
 
@@ -626,6 +627,61 @@ def test_joint_cells_are_powers_of_the_height_0_series():
         power = _times(power, series, top - m - 1)
 
 
+# ------------------------------------------ the counts as algebraic series
+#
+# A series is the list of its coefficients, x^0 first.  Each cubic is
+# checked coefficientwise on truncated products, with exact ints.
+
+
+def _series_times(f, g, degree):
+    """f·g with every degree above ``degree`` dropped."""
+    return [sum(map(operator.mul, f[:k + 1], reversed(g[:k + 1])))
+            for k in range(degree + 1)]
+
+
+def _at(f, k):
+    return f[k] if k >= 0 else 0
+
+
+def test_totals_satisfy_their_cubic():
+    """A = sum of a(n)·x^n satisfies x^3·A^3 + 2x^2·A^2 + (2x - 1)·A + 1
+    = 0, checked to n = 700."""
+    top = 700
+    a = sequence(top)
+    a2 = _series_times(a, a, top)
+    a3 = _series_times(a2, a, top)
+    for n in range(top + 1):
+        assert (_at(a3, n - 3) + 2 * _at(a2, n - 2) + 2 * _at(a, n - 1)
+                - a[n] + (n == 0)) == 0, n
+
+
+def test_height_0_series_satisfies_its_cubic():
+    """R = sum of a_marginal(n, m=0)·x^n satisfies x^2·R^3 - (2x + x^2)·R^2
+    + (1 + x)·R - 1 = 0, checked to n = 700."""
+    top = 700
+    r = [a_marginal(n, m=0) for n in range(top + 1)]
+    r2 = _series_times(r, r, top)
+    r3 = _series_times(r2, r, top)
+    for n in range(top + 1):
+        assert (_at(r3, n - 2) - 2 * _at(r2, n - 1) - _at(r2, n - 2)
+                + r[n] + _at(r, n - 1) - (n == 0)) == 0, n
+
+
+def test_totals_are_the_lagrange_coefficients():
+    """a(n) = [y^n] φ(y)^(n+1) / (n + 1) with φ = 1 + 2y + 2y^2 + y^3,
+    so w = sum of a(n)·x^(n+1) solves w = x·φ(w): for n <= 200 and at
+    n = 500 and 1000.  ``power`` is φ^(n+1) truncated at degree 1000,
+    multiplied by φ once per n."""
+    checked = {n: a_total(n) for n in (*range(201), 500, 1000)}
+    top = max(checked)
+    power = [1] + [0] * top
+    for n in range(top + 1):
+        power = [power[d] + 2 * _at(power, d - 1) + 2 * _at(power, d - 2)
+                 + _at(power, d - 3) for d in range(top + 1)]
+        if n in checked:
+            assert power[n] == (n + 1) * checked[n], n
+
+
 # ------------------------------------------- recurrences: rows and totals
 
 
@@ -916,3 +972,39 @@ def test_exact_div_names_a_numerator_past_the_digit_limit():
     assert (caught.value.numerator, caught.value.denominator) == (num, 10)
     assert str(caught.value) == \
         "1" + "0" * 4998 + "1 is not divisible by 10"
+
+
+# ---------------------------------------------------------- the ceiling on n
+
+CAP = counting.MAX_COUNT_N
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: a_total(n),
+    lambda n: a_marginal(n),
+    lambda n: a_marginal(n, h=1),
+    lambda n: a_marginal(n, l=1),
+    lambda n: a_marginal(n, m=1),
+    lambda n: a_marginal(n, h=1, m=1),
+    lambda n: a_joint(n, 0, n, n),
+    lambda n: f_refined(n, 0, 0, 0, n, n),
+    lambda n: sequence(n),
+], ids=["total", "star", "h", "l", "m", "hm", "joint", "refined", "sequence"])
+def test_counts_refuse_an_n_past_the_ceiling(call):
+    """Past MAX_COUNT_N every count that needs arithmetic raises
+    GuardExceeded, naming the ceiling, before it does any: at n = 10**20
+    the closed forms used to run for minutes."""
+    for n in (CAP + 1, 10**20):
+        with pytest.raises(GuardExceeded) as caught:
+            call(n)
+        assert str(caught.value) == f"n must be <= {CAP}, got {n}"
+        assert (caught.value.requested, caught.value.guard) == (n, CAP)
+
+
+def test_counts_that_need_no_arithmetic_stay_0_past_the_ceiling():
+    big = 10**20
+    assert a_total(-big) == a_marginal(-big, h=1) == 0
+    assert a_joint(big, 1, 1, 1) == 0           # a zero cell of the cube
+    assert a_joint(big, big + 1, 0, 0) == 0     # a value outside 0..n
+    assert f_refined(big, -1, 0, 0, 0, 0) == 0
+    assert a_joint(CAP, 0, CAP, CAP) == 1       # the all-north path

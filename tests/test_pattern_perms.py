@@ -4,8 +4,10 @@ The containment oracle re-implements pattern matching with
 itertools.combinations and order-type comparison, sharing nothing with
 the backtracking matcher ``perm_contains``, which in turn is the oracle
 for the pattern scan ``_first_forbidden``.  ``validate_avoider`` decides
-membership by the one-pass order scan ``_contains_forbidden``, with no
-bijection involved, and is checked against ``_first_forbidden``.  The
+membership by the one-pass bit-set scan ``_scan``, with no bijection
+involved, and is checked against ``_first_forbidden`` on every
+permutation of length <= 8 and against the order scan
+``contains_forbidden`` of the oracles at n = 3000.  The
 cores ``phi_S``/``psi_S`` are checked against the shape-case surgeries
 ``shape_phi_S``/``shape_psi_S`` of the oracles, and the one-pass tree
 reading ``phi_S`` against ``record_phi_S``, which replays the value-list
@@ -19,6 +21,7 @@ import pytest
 from collections import Counter
 
 from fpaths import pattern_perms
+from fpaths.counting import a_total
 from fpaths.errors import FormViolation, FpathsError, NotAvoider
 from fpaths.families import FAMILIES
 from fpaths.fpath_core import NORTH, fpath_stats, gen_fpaths, validate_fpath
@@ -41,6 +44,7 @@ from oracles import (
     block_count,
     block_decompose,
     brute_crit,
+    contains_forbidden,
     crit,
     perm_contains,
     record_phi_S,
@@ -420,6 +424,44 @@ def test_large_paths_with_deep_steps(random_fpath, name):
     p = shape_psi_S(head)
     assert psi_S(head) == p
     assert phi_S(p) == shape_phi_S(p) == head
+
+
+#: LARGE_PATHS and two more seeded walks of length 3000.
+SCANNED_PATHS = {
+    **LARGE_PATHS,
+    **{
+        f"walk-{seed}": lambda walk, seed=seed: walk(random.Random(seed), 3000)
+        for seed in (3001, 3002)
+    },
+}
+
+
+@pytest.mark.parametrize("pattern", (None, *FORBIDDEN),
+                         ids=["as-is", "2341", "2431", "3241"])
+@pytest.mark.parametrize("name", SCANNED_PATHS)
+def test_membership_matches_the_order_scan_at_large_n(random_fpath, name,
+                                                      pattern):
+    """validate_avoider accepts ψ_S of each path, and refuses it with
+    ``pattern`` planted, exactly when ``contains_forbidden``, the order
+    scan the bit-set ``_scan`` replaced, finds no pattern."""
+    p = psi_S(SCANNED_PATHS[name](random_fpath))
+    if pattern:
+        p = plant(random.Random(len(p)), p, pattern)
+    try:
+        accepted = validate_avoider(p) == p
+    except NotAvoider:
+        accepted = False
+    assert accepted is not contains_forbidden(p)
+    assert accepted is (pattern is None)
+
+
+def test_gen_avoiders_9_is_the_filtered_lexicographic_list():
+    """Strictly increasing, every member accepted, and a_total(8) of
+    them: so it is the lexicographic list of all avoiders of length 9."""
+    got = gen_avoiders(9)
+    assert len(got) == a_total(8) == 25512
+    assert all(a < b for a, b in zip(got, got[1:]))
+    assert all(validate_avoider(p) == p for p in got)
 
 
 def test_round_trip_small():
