@@ -14,6 +14,8 @@ semilength n, and objects of size n+1 in the other five families.
 m = height).  Exit status: 0 success (or a reader closed the pipe), 1
 verification failure, 2 usage errors and every ``FpathsError`` or
 ``OSError`` (a full disk too), printed as ``fpaths <command>: <error>``.
+``counting`` and ``verify_harness`` are imported by the commands that
+use them, so ``enumerate``, ``map`` and ``stats`` load neither.
 """
 from __future__ import annotations
 
@@ -21,11 +23,9 @@ import argparse
 import contextlib
 import sys
 
-from .counting import a_marginal, f_refined, sequence
 from .errors import FormViolation, FpathsError, int_text
 from .families import FAMILIES, TAGS
 from .fpath_core import common_index
-from .verify_harness import run_all
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,6 +128,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .counting import a_marginal, f_refined
+
     if args.refined is not None:
         if (args.h, args.l, args.m) != (None, None, None):
             raise FormViolation("--refined excludes --h/--l/--m")
@@ -146,6 +148,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .counting import a_marginal
+
     for n in range(6):
         row = [a_marginal(n, **{args.which: v}) for v in range(n + 1)]
         print(" ".join(str(v) for v in row))
@@ -153,6 +157,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
+    from .counting import sequence
+
     values = sequence(args.max_n)
     if args.bfile:
         for n, v in enumerate(values):
@@ -163,6 +169,8 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify_harness import run_all
+
     json_file = contextlib.nullcontext()
     if args.json_path is not None:
         # A bad --max-n is refused, and an unwritable path named, before

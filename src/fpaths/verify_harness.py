@@ -72,21 +72,20 @@ _MAPPED_TAGS = tuple(tag for tag in TAGS if tag != "fpath")
 #: same time.
 _CHILD_TAGS = ("bicolored", "inv-i", "inv-j")
 
-#: The least ``max_n`` at which :func:`run_all` forks.  Runs up to 4
-#: stay in one process, so that a caller who wraps the cores, as the
-#: tests do, sees every call.  The split gains only when the second core
-#: is free.  ``run_all(k)`` timed in fresh processes on a shared 2-core
-#: host, import excluded, the split against this constant set past k
-#: (medians of alternating pairs; in how many pairs the split won):
+#: The least ``max_n`` at which :func:`run_all` forks: the least at
+#: which the fork measured a win.  Below it, the default ``verify
+#: --max-n 6`` included, every check runs in one process, and a caller
+#: who wraps the cores, as the tests do, sees every call.  The split
+#: gains only when the second core is free.  ``run_all(k)`` timed in
+#: fresh processes on a shared 2-core host, import excluded, the split
+#: (this constant set to k) against one process (set to k + 1); medians
+#: of alternating pairs, and in how many pairs the split won:
 #:
-#:     k = 5   0.054 s against 0.052 s    4 of 11
-#:     k = 6   0.261 s against 0.252 s    3 of 11
-#:     k = 7   0.680 s against 1.039 s    7 of 7
-#:     k = 8   2.80 s against 5.72 s      5 of 5
-#:
-#: Moving the constant is a performance claim of its own, to be judged
-#: on the bench's alternating pairs.
-_SPLIT_FROM_N = 5
+#:     k = 5   0.053 s against 0.050 s    2 of 11
+#:     k = 6   0.215 s against 0.211 s    4 of 11
+#:     k = 7   0.679 s against 1.229 s    7 of 7
+#:     k = 8   2.42 s against 4.29 s      5 of 5
+_SPLIT_FROM_N = 7
 
 
 @dataclass

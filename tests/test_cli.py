@@ -375,7 +375,7 @@ def test_verify_unwritable_json_path_is_refused_before_any_check(
     def no_run(max_n):
         raise AssertionError("run_all ran before the path was refused")
 
-    monkeypatch.setattr("fpaths.cli.run_all", no_run)
+    monkeypatch.setattr("fpaths.verify_harness.run_all", no_run)
     target = tmp_path / "missing" / "report.json"
     code, out, err = run_cli("verify", "--max-n", "5", "--json", str(target))
     assert (code, out) == (2, "")
@@ -389,7 +389,7 @@ def test_verify_empty_json_path_is_refused_before_any_check(monkeypatch):
     def no_run(max_n):
         raise AssertionError("run_all ran before the path was refused")
 
-    monkeypatch.setattr("fpaths.cli.run_all", no_run)
+    monkeypatch.setattr("fpaths.verify_harness.run_all", no_run)
     code, out, err = run_cli("verify", "--max-n", "1", "--json", "")
     assert (code, out) == (2, "")
     assert err == "fpaths verify: [Errno 2] No such file or directory: ''\n"

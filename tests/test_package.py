@@ -51,6 +51,22 @@ def test_a_count_loads_only_the_counting_modules(code):
     assert fresh(f"{code}\n{LOADED}") == COUNTING_MODULES
 
 
+def test_a_map_loads_neither_the_counts_nor_the_harness():
+    """``map`` runs on the families alone: the console script imports
+    ``counting`` and ``verify_harness`` only in the commands that use
+    them."""
+    loaded = fresh("import io\n"
+                   "from fpaths.cli import cmd_dispatch\n"
+                   "sys.stdin = io.StringIO('2 3 1\\n')\n"
+                   "code = cmd_dispatch(['map', '--from', 'perm', "
+                   "'--to', 'inv-j'])\n"
+                   "assert code == 0, code\n"
+                   f"{LOADED}")
+    assert "fpaths.families" in loaded
+    assert "fpaths.counting" not in loaded
+    assert "fpaths.verify_harness" not in loaded
+
+
 def test_a_bare_import_loads_no_submodule():
     assert fresh(f"import fpaths\n{LOADED}") == ["fpaths"]
 

@@ -6,6 +6,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -721,6 +722,15 @@ def _psi_tags(calls):
     return {tag for kind, tag, _ in calls if kind == "psi"}
 
 
+@pytest.fixture
+def split_from_5(monkeypatch):
+    """The split taken from ``max_n`` 5 on, below the shipped threshold,
+    so that a test's ``run_all(5)`` or ``run_all(6)`` reaches the child
+    at the cost of a small run."""
+    monkeypatch.setattr(verify_harness, "_SPLIT_FROM_N", 5)
+
+
+@pytest.mark.usefixtures("split_from_5")
 @pytest.mark.parametrize("max_n", [5, 6])
 def test_split_records_equal_the_one_process_records(monkeypatch, max_n):
     calls = _count_cores(monkeypatch)
@@ -736,6 +746,7 @@ def test_split_records_equal_the_one_process_records(monkeypatch, max_n):
         [dataclasses.astuple(r) for r in one]
 
 
+@pytest.mark.usefixtures("split_from_5")
 def test_a_split_run_generates_each_pair_once_across_both_processes(
         monkeypatch, tmp_path):
     """The F-paths of every size are generated once, in the calling
@@ -766,6 +777,7 @@ def test_a_split_run_generates_each_pair_once_across_both_processes(
     assert len(child) == 1 and os.getpid() not in child
 
 
+@pytest.mark.usefixtures("split_from_5")
 def test_an_error_in_the_fpath_generator_is_raised_before_any_fork(
         monkeypatch):
     info = FAMILIES["fpath"]
@@ -788,6 +800,7 @@ def test_an_error_in_the_fpath_generator_is_raised_before_any_fork(
     assert forks == []
 
 
+@pytest.mark.usefixtures("split_from_5")
 @pytest.mark.parametrize("child_tags", [("fpath",), ("perm", "tree"), MAPPED])
 def test_any_partition_of_the_tags_gives_the_one_process_records(
         monkeypatch, child_tags):
@@ -803,12 +816,14 @@ def test_any_partition_of_the_tags_gives_the_one_process_records(
         [dataclasses.astuple(r) for r in one]
 
 
+@pytest.mark.usefixtures("split_from_5")
 def test_split_is_not_taken_below_the_threshold(monkeypatch):
     calls = _count_cores(monkeypatch)
     assert run_all(verify_harness._SPLIT_FROM_N - 1).ok
     assert _psi_tags(calls) == set(MAPPED)
 
 
+@pytest.mark.usefixtures("split_from_5")
 def test_split_is_not_taken_while_another_thread_runs(monkeypatch):
     calls = _count_cores(monkeypatch)
     done = threading.Event()
@@ -823,6 +838,7 @@ def test_split_is_not_taken_while_another_thread_runs(monkeypatch):
     assert _psi_tags(calls) == set(MAPPED)
 
 
+@pytest.mark.usefixtures("split_from_5")
 def test_swapped_psi_pair_fails_alike_when_inv_i_runs_in_the_child(
         monkeypatch):
     assert "inv-i" in verify_harness._CHILD_TAGS
@@ -839,6 +855,7 @@ def _raise_in_psi(monkeypatch, tag, exc):
                         dataclasses.replace(FAMILIES[tag], psi=psi))
 
 
+@pytest.mark.usefixtures("split_from_5")
 def test_an_error_in_the_child_is_raised_again(monkeypatch):
     """The child leaves without its rows, and the parent makes them
     itself: the error is raised in the calling process."""
@@ -853,6 +870,7 @@ def test_an_error_in_the_child_is_raised_again(monkeypatch):
     assert message == f"psi failed in process {os.getpid()}"
 
 
+@pytest.mark.usefixtures("split_from_5")
 def test_an_error_with_attributes_is_raised_again_by_the_parent(
         monkeypatch):
     _raise_in_psi(monkeypatch, "bicolored",
@@ -866,6 +884,7 @@ def test_an_error_with_attributes_is_raised_again_by_the_parent(
     assert str(exc) == f"vertex {exc.vertex} has weight 7, expected 1..2"
 
 
+@pytest.mark.usefixtures("split_from_5")
 def test_an_unpicklable_error_in_the_child_is_raised_again_by_the_parent(
         monkeypatch):
     class Local(Exception):
@@ -878,6 +897,7 @@ def test_an_unpicklable_error_in_the_child_is_raised_again_by_the_parent(
     assert type(caught.value) is Local
 
 
+@pytest.mark.usefixtures("split_from_5")
 def test_a_dying_child_gives_the_one_process_records(monkeypatch):
     """A child that leaves early hands back no rows; the parent makes
     them itself, and the report is the one-process report."""
@@ -912,6 +932,7 @@ def ignored_sigchld():
     signal.signal(signal.SIGCHLD, before)
 
 
+@pytest.mark.usefixtures("split_from_5")
 def test_an_ignored_sigchld_gives_the_one_process_records(monkeypatch,
                                                           ignored_sigchld):
     """The child's status is lost, so the parent makes its rows itself."""
@@ -926,6 +947,7 @@ def test_an_ignored_sigchld_gives_the_one_process_records(monkeypatch,
         [dataclasses.astuple(r) for r in one]
 
 
+@pytest.mark.usefixtures("split_from_5")
 def test_a_late_error_in_the_parent_is_raised_when_sigchld_is_ignored(
         monkeypatch, ignored_sigchld):
     """The child is gone before the parent's half raises; the parent's
@@ -945,6 +967,7 @@ def test_a_late_error_in_the_parent_is_raised_when_sigchld_is_ignored(
     _no_child_left()
 
 
+@pytest.mark.usefixtures("split_from_5")
 @pytest.mark.parametrize("exc", [FormViolation, KeyboardInterrupt])
 def test_an_error_in_the_parent_kills_and_reaps_the_child(monkeypatch, exc):
     assert "perm" not in verify_harness._CHILD_TAGS
@@ -954,6 +977,7 @@ def test_an_error_in_the_parent_kills_and_reaps_the_child(monkeypatch, exc):
     _no_child_left()
 
 
+@pytest.mark.usefixtures("split_from_5")
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="needs /proc/self/fd")
 def test_a_failed_fork_leaves_no_pipe_open(monkeypatch):
@@ -972,6 +996,7 @@ def test_a_failed_fork_leaves_no_pipe_open(monkeypatch):
         [dataclasses.astuple(r) for r in one]
 
 
+@pytest.mark.usefixtures("split_from_5")
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="needs /proc/self/fd")
 def test_a_failed_pipe_gives_the_one_process_records(monkeypatch):
@@ -991,11 +1016,13 @@ def test_a_failed_pipe_gives_the_one_process_records(monkeypatch):
         [dataclasses.astuple(r) for r in one]
 
 
+@pytest.mark.usefixtures("split_from_5")
 def test_the_split_writes_nothing_and_imports_no_new_module():
     """The child leaves without flushing the stdout buffer it inherits,
     and records cross the pipe with marshal: pickle is not imported at
     all, and signal only when the parent's half raises."""
     code = ("import sys, fpaths; run_all = fpaths.run_all; "
+            "fpaths.verify_harness._SPLIT_FROM_N = 5; "
             "before = set(sys.modules); "
             "sys.stdout.write('unflushed '); "
             "assert run_all(5).ok; "
@@ -1005,3 +1032,44 @@ def test_the_split_writes_nothing_and_imports_no_new_module():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=buffered)
     assert (proc.stdout, proc.stderr) == ("unflushed []\n", "")
+
+
+# ------------------------------------------------------- split threshold
+
+
+@pytest.mark.parametrize("max_n", [5, 6])
+def test_the_shipped_threshold_runs_max_n_5_and_6_in_one_process(
+        monkeypatch, max_n):
+    """Below ``_SPLIT_FROM_N`` every family's psi runs in this process,
+    the default ``verify --max-n 6`` included."""
+    calls = _count_cores(monkeypatch)
+    assert run_all(max_n).ok
+    _no_child_left()
+    assert _psi_tags(calls) == set(MAPPED)
+
+
+def test_the_shipped_threshold_forks_from_max_n_7_on(monkeypatch):
+    """A failed fork makes ``_split`` return None before any check runs,
+    so this sees where a fork is tried without running one."""
+    tried = []
+
+    def fork():
+        tried.append(max_n)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    for max_n in range(10):
+        assert verify_harness._split(max_n, []) is None
+    assert tried == [7, 8, 9]
+
+
+def test_the_readme_states_the_shipped_threshold():
+    """README's paragraph on the split names the threshold twice; both
+    must be the constant the code runs on."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    stated = [int(k) for k in re.findall(
+        r"(?:From|Below)\s+`--max-n\s+(\d+)`", text)]
+    assert stated == [verify_harness._SPLIT_FROM_N] * 2
