@@ -70,11 +70,7 @@ def validate_bicolored(word: str) -> BicoloredWord:
 
 
 def _final_red_run(word: str) -> int:
-    n = len(word)
-    i = n
-    while i > 0 and word[i - 1] == "r":
-        i -= 1
-    return n - i
+    return len(word) - len(word.rstrip("r"))
 
 
 def bicolored_stats(w: BicoloredWord) -> StatTriple:

@@ -1,4 +1,6 @@
-"""Text forms and a uniform registry for the seven object families.
+"""A uniform registry for the seven object families, and the text forms
+of F-paths and of the two path words; every other family's text form
+lives next to its checker, in its own module.
 
 Family tags (used by the CLI and the verification harness):
 
@@ -16,7 +18,7 @@ direct_sum / decompose / phi / psi / stats_core.  ``generate`` yields
 canonical order; objects of common index n biject with F-paths of
 length n.
 
-Validation happens here, once: ``parse`` checks text and object in one
+Validation happens in these fields, once: ``parse`` checks text and object in one
 pass per family, ``generate`` checks n with
 :func:`fpath_core.common_index` and then runs the family's trusted
 generator, and ``to_fpath`` / ``stats`` check an object and
@@ -33,9 +35,7 @@ each line once, at ``parse``, and then runs only ``phi``, ``psi`` and
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable
 
 from . import (
@@ -46,9 +46,8 @@ from . import (
     schroder_paths,
     weighted_trees,
 )
-from .errors import FormViolation, ParseError, WeightOutOfRange
+from .errors import ParseError
 from .fpath_core import FPath, FStep, StatTriple, require_str
-from .weighted_trees import WTree
 
 TAGS = ("fpath", "schroder", "bicolored", "perm", "inv-i", "inv-j", "tree")
 
@@ -97,116 +96,6 @@ def _parse_word(text: str, validate) -> str:
 def render_word(w: str) -> str:
     return w if w else "-"
 
-
-def render_perm(p) -> str:
-    return " ".join(str(v) for v in p)
-
-
-def parse_perm(text: str) -> tuple[int, ...]:
-    text = require_str(text).strip()
-    try:
-        vals = tuple(map(int, text.split()))
-    except ValueError:
-        raise ParseError(0, f"non-integer entry in {text!r}") from None
-    if not vals:
-        raise ParseError(0, "empty permutation; the smallest has length 1")
-    if sorted(vals) != list(range(1, len(vals) + 1)):
-        raise ParseError(0, f"not a permutation of 1..{len(vals)}: {text!r}")
-    return pattern_perms._check_avoider(vals)
-
-
-def render_invseq(e) -> str:
-    return ",".join(str(v) for v in e)
-
-
-def _parse_invseq(text: str, family):
-    text = require_str(text).strip()
-    try:
-        vals = tuple(map(int, text.split(",")))
-    except ValueError:
-        raise ParseError(0, f"non-integer entry in {text!r}") from None
-    return inversion_seqs._check_invseq(vals, family)
-
-
-def render_wtree(t: WTree) -> str:
-    """Text form, written from the code in one pass over a stack of the
-    children each open vertex still has to write, so depth is unbounded."""
-    out = []
-    left = [t[0][1]]
-    for w, d in t[1:]:
-        left[-1] -= 1
-        if d:
-            out.append(f" ({w}")
-            left.append(d)
-        else:
-            out.append(" L")
-            while left and not left[-1]:
-                left.pop()
-                out.append(")" if left else "]")
-    return "[" + "".join(out)[1:]
-
-
-#: One token of a tree's text, after the spaces before it: a '(' with the
-#: spaces and the ASCII weight text after it, or any one character.
-_TREE_TOKEN = re.compile(r" *(\( *[-0-9]*|.)", re.DOTALL)
-
-
-def parse_wtree(text: str) -> WTree:
-    """Parse ``[ subtree* ]`` with subtree = ``L`` | ``( weight subtree+ )``
-    into the preorder code, checking the weights in the same pass; the
-    first weight outside 1..outdegree in preorder is named once the text
-    has parsed.  Depth is unbounded, and an error's offset is found by
-    matching the tokens again."""
-    s = require_str(text).strip()
-    if s[:1] != "[":
-        raise ParseError(0, "expected '['")
-    tokens = _TREE_TOKEN.findall(s, 1)
-
-    def at(k):
-        return next(islice(_TREE_TOKEN.finditer(s, 1), k, None)).start(1)
-
-    weights: list[int | None] = [None]
-    degrees = [0]
-    parents = []
-    cur = 0                     # the vertex whose children come next
-    bad = None
-    for k, tok in enumerate(tokens):
-        if tok == "L":
-            weight = None
-        elif tok == ")" and parents:
-            d = degrees[cur]
-            if not d:
-                raise ParseError(at(k) + 1, "weighted vertex needs children")
-            if not 1 <= weights[cur] <= d and (bad is None or cur < bad):
-                bad = cur
-            cur = parents.pop()
-            continue
-        elif tok[0] == "(":
-            try:
-                weight = int(tok[1:])
-            except ValueError:
-                digits = tok[1:].lstrip(" ")
-                why = f"bad weight {digits!r}" if digits else "expected a weight"
-                raise ParseError(at(k) + len(tok) - len(digits), why) from None
-        elif tok == "]" and not parents:
-            if k + 1 < len(tokens):
-                raise ParseError(at(k + 1), "trailing characters")
-            break
-        else:
-            raise ParseError(at(k), f"expected 'L' or '(', got {tok!r}")
-        degrees[cur] += 1
-        weights.append(weight)
-        degrees.append(0)
-        if weight is not None:
-            parents.append(cur)
-            cur = len(degrees) - 1
-    else:  # the text ran out before the root closed
-        raise ParseError(len(s), f"missing {')' if parents else ']'!r}")
-    if not degrees[0]:
-        raise FormViolation("tree must have at least one edge")
-    if bad is not None:
-        raise WeightOutOfRange(bad, weights[bad], degrees[bad])
-    return tuple(zip(weights, degrees))
 
 
 # --------------------------------------------------------------- registry
@@ -283,8 +172,8 @@ FAMILIES: dict[str, FamilyInfo] = {
     ),
     "perm": _family(
         "perm",
-        parse_perm,
-        render_perm,
+        pattern_perms.parse_perm,
+        pattern_perms.render_perm,
         lambda n: pattern_perms.gen_avoiders(n + 1),
         pattern_perms.validate_avoider,
         pattern_perms.phi_S, pattern_perms.psi_S,
@@ -292,8 +181,8 @@ FAMILIES: dict[str, FamilyInfo] = {
     ),
     "inv-i": _family(
         "inv-i",
-        lambda t: _parse_invseq(t, inversion_seqs.FAMILY_I),
-        render_invseq,
+        lambda t: inversion_seqs.parse_invseq(t, inversion_seqs.FAMILY_I),
+        inversion_seqs.render_invseq,
         lambda n: inversion_seqs.gen_invseq(n + 1, inversion_seqs.FAMILY_I),
         lambda e: inversion_seqs.validate_invseq(e, inversion_seqs.FAMILY_I),
         inversion_seqs.phi_I, inversion_seqs.psi_I,
@@ -301,8 +190,8 @@ FAMILIES: dict[str, FamilyInfo] = {
     ),
     "inv-j": _family(
         "inv-j",
-        lambda t: _parse_invseq(t, inversion_seqs.FAMILY_J),
-        render_invseq,
+        lambda t: inversion_seqs.parse_invseq(t, inversion_seqs.FAMILY_J),
+        inversion_seqs.render_invseq,
         lambda n: inversion_seqs.gen_invseq(n + 1, inversion_seqs.FAMILY_J),
         lambda e: inversion_seqs.validate_invseq(e, inversion_seqs.FAMILY_J),
         inversion_seqs.phi_J, inversion_seqs.psi_J,
@@ -310,8 +199,8 @@ FAMILIES: dict[str, FamilyInfo] = {
     ),
     "tree": _family(
         "tree",
-        parse_wtree,
-        render_wtree,
+        weighted_trees.parse_wtree,
+        weighted_trees.render_wtree,
         lambda n: weighted_trees.gen_wtrees(n + 1),
         weighted_trees.validate_wtree,
         weighted_trees.phi_T, weighted_trees.psi_T,

@@ -28,8 +28,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import pairwise
 
-from .errors import FormViolation, NotAvoider, int_text
-from .fpath_core import FPath, StatTriple, fpath_height, int_entries
+from .errors import FormViolation, NotAvoider, ParseError, int_text
+from .fpath_core import (
+    FPath, StatTriple, fpath_height, int_entries, require_str)
 
 InvSeq = tuple[int, ...]
 
@@ -93,6 +94,19 @@ def validate_invseq(entries, family: str) -> InvSeq:
     if not isinstance(family, str) or family not in _PATTERNS:
         raise FormViolation(f"unknown inversion-sequence family {family!r}")
     return _check_invseq(int_entries(entries), family)
+
+
+def render_invseq(e) -> str:
+    return ",".join(str(v) for v in e)
+
+
+def parse_invseq(text: str, family: str) -> InvSeq:
+    text = require_str(text).strip()
+    try:
+        vals = tuple(map(int, text.split(",")))
+    except ValueError:
+        raise ParseError(0, f"non-integer entry in {text!r}") from None
+    return _check_invseq(vals, family)
 
 
 def max_and_maxid(e: InvSeq) -> tuple[int, int]:

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from math import inf
 
-from .errors import FormViolation, NotAvoider, int_text
-from .fpath_core import FPath, StatTriple, int_entries
+from .errors import FormViolation, NotAvoider, ParseError, int_text
+from .fpath_core import FPath, StatTriple, int_entries, require_str
 
 Permutation = tuple[int, ...]
 
@@ -145,6 +145,23 @@ def _check_avoider(p: Permutation) -> Permutation:
     if _scan(p)[0]:
         raise NotAvoider(_first_forbidden(p))
     return p
+
+
+def render_perm(p) -> str:
+    return " ".join(str(v) for v in p)
+
+
+def parse_perm(text: str) -> Permutation:
+    text = require_str(text).strip()
+    try:
+        vals = tuple(map(int, text.split()))
+    except ValueError:
+        raise ParseError(0, f"non-integer entry in {text!r}") from None
+    if not vals:
+        raise ParseError(0, "empty permutation; the smallest has length 1")
+    if sorted(vals) != list(range(1, len(vals) + 1)):
+        raise ParseError(0, f"not a permutation of 1..{len(vals)}: {text!r}")
+    return _check_avoider(vals)
 
 
 def gen_avoiders(n: int) -> tuple[Permutation, ...]:

@@ -65,21 +65,14 @@ def schroder_stats(p: SchroderWord) -> StatTriple:
     >>> schroder_stats("uudd")
     StatTriple(h=0, l=1, a1=1)
     """
-    height = 0
-    comp = hdd = peak = 0
-    for i, c in enumerate(p):
-        if c == "h":
-            if height == 0:
-                comp += 1
-            hdd += 1
+    height = comp = 0
+    for c in p:
+        if c == "h" and not height:
+            comp += 1
         height += _RISE[c]
-        if i > 0:
-            pair = p[i - 1] + c
-            if pair == "dd":
-                hdd += 1
-            elif pair == "ud":
-                peak += 1
-    return StatTriple(comp, hdd, peak)
+    # A valid word has no ddd, so its dd factors never overlap and
+    # str.count counts them all.
+    return StatTriple(comp, p.count("h") + p.count("dd"), p.count("ud"))
 
 
 # -------------------------------------------------------------- bijection

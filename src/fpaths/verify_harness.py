@@ -459,7 +459,7 @@ def _split(max_n: int, sizes: list) -> list[tuple] | None:
     """
     if max_n < _SPLIT_FROM_N or not hasattr(os, "fork"):
         return None
-    import threading  # here, so that ``import fpaths`` does not load it
+    import threading  # only a split needs it; not every Python preloads it
 
     if threading.active_count() != 1:
         return None

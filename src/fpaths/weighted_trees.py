@@ -11,7 +11,7 @@ of every vertex in depth-first left-to-right order, root first, with
 weight None on the root and on the leaves.  The code determines the
 tree, so equality and hashing are the tuple's own:
 
-    >>> from fpaths.families import parse_wtree
+    >>> from fpaths.weighted_trees import parse_wtree
     >>> parse_wtree("[(1 L L)]")    # root -> weight-1 vertex, two leaves
     ((None, 1), (1, 2), (None, 0), (None, 0))
 
@@ -29,16 +29,18 @@ not a leaf, so the steps s_1..s_n are the code of v_n..v_1.
 """
 from __future__ import annotations
 
-from itertools import product
+import re
+from itertools import islice, product
 from operator import index
 
 from .errors import (
     FormViolation,
+    ParseError,
     WeightOnLeafOrRoot,
     WeightOutOfRange,
     int_text,
 )
-from .fpath_core import NORTH, FPath, StatTriple, fpath_height
+from .fpath_core import NORTH, FPath, StatTriple, fpath_height, require_str
 
 #: A tree: its preorder code of ``(weight, outdegree)`` pairs, root first.
 WTree = tuple[tuple[int | None, int], ...]
@@ -81,6 +83,89 @@ def validate_wtree(t: WTree) -> WTree:
     if open_:
         raise FormViolation(f"the tree is missing {int_text(open_)} vertexes")
     return tuple(code)
+
+
+def render_wtree(t: WTree) -> str:
+    """Text form, written from the code in one pass over a stack of the
+    children each open vertex still has to write, so depth is unbounded."""
+    out = []
+    left = [t[0][1]]
+    for w, d in t[1:]:
+        left[-1] -= 1
+        if d:
+            out.append(f" ({w}")
+            left.append(d)
+        else:
+            out.append(" L")
+            while left and not left[-1]:
+                left.pop()
+                out.append(")" if left else "]")
+    return "[" + "".join(out)[1:]
+
+
+#: One token of a tree's text, after the spaces before it: a '(' with the
+#: spaces and the ASCII weight text after it, or any one character.
+_TREE_TOKEN = re.compile(r" *(\( *[-0-9]*|.)", re.DOTALL)
+
+
+def parse_wtree(text: str) -> WTree:
+    """Parse ``[ subtree* ]`` with subtree = ``L`` | ``( weight subtree+ )``
+    into the preorder code, checking the weights in the same pass; the
+    first weight outside 1..outdegree in preorder is named once the text
+    has parsed.  Depth is unbounded, and an error's offset is found by
+    matching the tokens again."""
+    s = require_str(text).strip()
+    if s[:1] != "[":
+        raise ParseError(0, "expected '['")
+    tokens = _TREE_TOKEN.findall(s, 1)
+
+    def at(k):
+        return next(islice(_TREE_TOKEN.finditer(s, 1), k, None)).start(1)
+
+    weights: list[int | None] = [None]
+    degrees = [0]
+    parents = []
+    cur = 0                     # the vertex whose children come next
+    bad = None
+    for k, tok in enumerate(tokens):
+        if tok == "L":
+            weight = None
+        elif tok == ")" and parents:
+            d = degrees[cur]
+            if not d:
+                raise ParseError(at(k) + 1, "weighted vertex needs children")
+            # Checked here, not by validate_wtree on the finished code:
+            # that second scan costs about a quarter more per parse.
+            if not 1 <= weights[cur] <= d and (bad is None or cur < bad):
+                bad = cur
+            cur = parents.pop()
+            continue
+        elif tok[0] == "(":
+            try:
+                weight = int(tok[1:])
+            except ValueError:
+                digits = tok[1:].lstrip(" ")
+                why = f"bad weight {digits!r}" if digits else "expected a weight"
+                raise ParseError(at(k) + len(tok) - len(digits), why) from None
+        elif tok == "]" and not parents:
+            if k + 1 < len(tokens):
+                raise ParseError(at(k + 1), "trailing characters")
+            break
+        else:
+            raise ParseError(at(k), f"expected 'L' or '(', got {tok!r}")
+        degrees[cur] += 1
+        weights.append(weight)
+        degrees.append(0)
+        if weight is not None:
+            parents.append(cur)
+            cur = len(degrees) - 1
+    else:  # the text ran out before the root closed
+        raise ParseError(len(s), f"missing {')' if parents else ']'!r}")
+    if not degrees[0]:
+        raise FormViolation("tree must have at least one edge")
+    if bad is not None:
+        raise WeightOutOfRange(bad, weights[bad], degrees[bad])
+    return tuple(zip(weights, degrees))
 
 
 def wtree_stats(t: WTree) -> StatTriple:

@@ -1,10 +1,13 @@
-"""The package surface: ``import fpaths`` loads no submodule, and each
-export is imported from its home submodule on first use."""
+"""The package surface: ``import fpaths`` loads no submodule, each
+export is imported from its home submodule on first use, and no module
+uses another module's private names."""
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,3 +125,58 @@ def test_a_missing_module_inside_a_submodule_is_not_an_attribute_error():
         "    except ModuleNotFoundError as exc:\n"
         "        seen.append(exc.name)\n"
         "print(json.dumps(seen))") == ["fpaths.weighted_trees"] * 2
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_uses(source: str) -> list[str]:
+    """Each ``line: name`` in ``source`` that reaches a private name of a
+    package module: ``from .m import _x`` (or ``from fpaths.m``), and
+    ``m._x`` where ``from . import m`` or ``import fpaths.m as m`` bound
+    ``m``."""
+    tree = ast.parse(source)
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = set()
+    found = []  # (line, column, name)
+    for node in imports:
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.asname
+                           and alias.name.startswith("fpaths."))
+            continue
+        target = node.module or ""
+        if not (node.level or target.partition(".")[0] == "fpaths"):
+            continue
+        for alias in node.names:
+            if _private(alias.name):
+                found.append((node.lineno, node.col_offset, alias.name))
+            elif node.level == 1 and not target:
+                modules.add(alias.asname or alias.name)
+    found += [(node.lineno, node.col_offset, f"{node.value.id}.{node.attr}")
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and _private(node.attr)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules]
+    return [f"{line}: {name}" for line, _, name in sorted(found)]
+
+
+def test_the_private_name_finder_sees_both_forms():
+    assert private_uses(
+        "from __future__ import annotations\n"
+        "from . import pattern_perms, errors as e\n"
+        "from .inversion_seqs import _scan, gen_invseq\n"
+        "import fpaths.counting as c\n"
+        "pattern_perms._check_avoider(p); e.__name__; e._hidden\n"
+        "c._guard; self._own; pattern_perms.phi_S\n"
+    ) == ["3: _scan", "5: pattern_perms._check_avoider", "5: e._hidden",
+          "6: c._guard"]
+
+
+def test_no_module_uses_another_modules_private_names():
+    package = Path(fpaths.__file__).parent
+    found = {path.name: uses for path in sorted(package.glob("*.py"))
+             if (uses := private_uses(path.read_text(encoding="utf-8")))}
+    assert found == {}

@@ -133,6 +133,35 @@ def test_consecutive_runs_make_the_same_calls(monkeypatch):
     assert calls == first
 
 
+def test_size_data_stores_each_distinct_statistic_once():
+    for n in range(6):
+        values = size_data(n).fstats.values()
+        assert len(set(map(id, values))) == len(set(values)), n
+
+
+def test_the_tables_hold_the_generated_objects(monkeypatch):
+    """Each phi image is stored as the generated path it equals and each
+    psi value as the generated member it equals, so neither table holds
+    a copy of its own."""
+    seen = []
+    real = verify_harness.verify_round_trips
+
+    def capture(tag, data, members, images, psi_of):
+        seen.append((tag, data, members, images,
+                     [psi_of[q] for q in data.paths]))
+        return real(tag, data, members, images, psi_of)
+
+    monkeypatch.setattr(verify_harness, "verify_round_trips", capture)
+    sizes = [size_data(n) for n in range(5)]
+    for tag in MAPPED:
+        assert all(row[4] for row in tag_records(tag, sizes))
+    assert len(seen) == len(MAPPED) * len(sizes)
+    for tag, data, members, images, values in seen:
+        assert all(q is data.paths[q] for q in images), tag
+        ids = set(map(id, members))
+        assert all(id(o) in ids for o in values), tag
+
+
 def test_swapped_psi_pair_gives_the_known_fail_lines(monkeypatch):
     """A psi that swaps the inv-i members 0,0,1 and 0,1,0 fails the two
     round trips at n = 2 and the two direct-sum records wherever a
