@@ -14,9 +14,9 @@ Family tags (used by the CLI and the verification harness):
 
 Every family is described by a :class:`FamilyInfo` with parse / render /
 generate (at common index n) / to_fpath / from_fpath / stats /
-direct_sum / decompose / phi / psi / stats_core.  ``generate`` yields
-canonical order; objects of common index n biject with F-paths of
-length n.
+direct_sum / phi / psi / stats_core, and the method ``decompose``.
+``generate`` yields canonical order; objects of common index n biject
+with F-paths of length n.
 
 Validation happens in these fields, once: ``parse`` checks text and object in one
 pass per family, ``generate`` checks n with
@@ -27,11 +27,11 @@ generator, and ``to_fpath`` / ``stats`` check an object and
 ``FpathsError`` for any argument, of any type, that they refuse.
 ``render``, ``direct_sum`` and ``decompose`` trust their arguments like
 the cores.  ``decompose`` undoes the ``direct_sum`` fold through the
-hub: ``psi`` is a homomorphism, so the summands of an object are
-``psi`` of the height-0 components of its F-path.  Callers holding
-values already checked call the cores directly: ``fpaths map`` checks
-each line once, at ``parse``, and then runs only ``phi``, ``psi`` and
-``render``.
+hub with the entry's own ``phi`` and ``psi``, one rule for every
+family, so an entry made with other cores decomposes with them.
+Callers holding values already checked call the cores directly:
+``fpaths map`` checks each line once, at ``parse``, and then runs only
+``phi``, ``psi`` and ``render``.
 """
 from __future__ import annotations
 
@@ -48,9 +48,6 @@ from . import (
 )
 from .errors import ParseError
 from .fpath_core import FPath, FStep, StatTriple, require_str
-
-TAGS = ("fpath", "schroder", "bicolored", "perm", "inv-i", "inv-j", "tree")
-
 
 # ------------------------------------------------------------- text forms
 
@@ -97,44 +94,43 @@ def render_word(w: str) -> str:
     return w if w else "-"
 
 
-
 # --------------------------------------------------------------- registry
 
 
 @dataclass(frozen=True)
 class FamilyInfo:
     tag: str
-    parse: Callable[[str], object]
+    parse: Callable[[str], object]          # checked
     render: Callable[[object], str]         # trusted: members only
     generate: Callable[[int], tuple]        # common index n, checked
     to_fpath: Callable[[object], FPath]     # validate, then phi
     from_fpath: Callable[[FPath], object]   # validate_fpath, then psi
     stats: Callable[[object], StatTriple]   # validate, then stats_core
     direct_sum: Callable[[object, object], object]  # trusted: members only
-    decompose: Callable[[object], list]     # trusted: members only
     phi: Callable[[object], FPath]          # trusted: members only
     psi: Callable[[FPath], object]          # trusted: F-paths only
     stats_core: Callable[[object], StatTriple]  # trusted: members only
+
+    def decompose(self, obj) -> list:
+        """The height-0 summands that ``direct_sum`` folds back to
+        ``obj``: ``psi`` is a homomorphism, so they are ``psi`` of the
+        components of ``phi(obj)``; ``obj`` of height 0 is its own."""
+        parts = fpath_core.fpath_decompose(self.phi(obj))
+        return [obj] if len(parts) == 1 else [self.psi(c) for c in parts]
 
 
 def _family(tag, parse, render, generate, validate, phi, psi, stats,
             direct_sum) -> FamilyInfo:
     """An entry whose generate checks n with ``common_index``, to_fpath /
     stats check with ``validate`` and from_fpath with ``validate_fpath``,
-    then run the trusted ``generate`` / ``phi`` / ``stats`` / ``psi``, and
-    whose decompose maps the F-path's components back with ``psi``."""
-
-    def decompose(obj):  # an object of height 0 is its one summand
-        parts = fpath_core.fpath_decompose(phi(obj))
-        return [obj] if len(parts) == 1 else [psi(c) for c in parts]
-
+    then run the trusted ``generate`` / ``phi`` / ``stats`` / ``psi``."""
     return FamilyInfo(
         tag, parse, render,
         lambda n: generate(fpath_core.common_index(n)),
         lambda obj: phi(validate(obj)),
         lambda q: psi(fpath_core.validate_fpath(q)),
         lambda obj: stats(validate(obj)),
-        direct_sum, decompose, phi, psi, stats,
+        direct_sum, phi, psi, stats,
     )
 
 
@@ -142,8 +138,8 @@ def _identity(q: FPath) -> FPath:
     return q
 
 
-FAMILIES: dict[str, FamilyInfo] = {
-    "fpath": _family(
+FAMILIES: dict[str, FamilyInfo] = {info.tag: info for info in (
+    _family(
         "fpath",
         parse_fpath,
         render_fpath,
@@ -152,7 +148,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         _identity, _identity,
         lambda q: fpath_core.fpath_stats(q)[0], fpath_core.fpath_direct_sum,
     ),
-    "schroder": _family(
+    _family(
         "schroder",
         lambda t: _parse_word(t, schroder_paths.validate_schroder),
         render_word,
@@ -161,7 +157,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         schroder_paths.phi_P, schroder_paths.psi_P,
         schroder_paths.schroder_stats, schroder_paths.schroder_direct_sum,
     ),
-    "bicolored": _family(
+    _family(
         "bicolored",
         lambda t: _parse_word(t, bicolored_dyck.validate_bicolored),
         render_word,
@@ -170,7 +166,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         bicolored_dyck.phi_B, bicolored_dyck.psi_B,
         bicolored_dyck.bicolored_stats, bicolored_dyck.bicolored_direct_sum,
     ),
-    "perm": _family(
+    _family(
         "perm",
         pattern_perms.parse_perm,
         pattern_perms.render_perm,
@@ -179,7 +175,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         pattern_perms.phi_S, pattern_perms.psi_S,
         pattern_perms.perm_stats, pattern_perms.perm_direct_sum,
     ),
-    "inv-i": _family(
+    _family(
         "inv-i",
         lambda t: inversion_seqs.parse_invseq(t, inversion_seqs.FAMILY_I),
         inversion_seqs.render_invseq,
@@ -188,7 +184,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         inversion_seqs.phi_I, inversion_seqs.psi_I,
         inversion_seqs.stats_I, inversion_seqs.dsum_I,
     ),
-    "inv-j": _family(
+    _family(
         "inv-j",
         lambda t: inversion_seqs.parse_invseq(t, inversion_seqs.FAMILY_J),
         inversion_seqs.render_invseq,
@@ -197,7 +193,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         inversion_seqs.phi_J, inversion_seqs.psi_J,
         inversion_seqs.stats_J, inversion_seqs.dsum_J,
     ),
-    "tree": _family(
+    _family(
         "tree",
         weighted_trees.parse_wtree,
         weighted_trees.render_wtree,
@@ -206,7 +202,9 @@ FAMILIES: dict[str, FamilyInfo] = {
         weighted_trees.phi_T, weighted_trees.psi_T,
         weighted_trees.wtree_stats, weighted_trees.wtree_direct_sum,
     ),
-}
+)}
+
+TAGS = tuple(FAMILIES)
 
 
 def parse_object(family: str, text: str):

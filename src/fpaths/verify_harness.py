@@ -13,8 +13,8 @@ below.  It generates a mapped family once per n, runs the trusted core
 ``phi`` once per member and ``psi`` once per path, and keeps the psi of
 each path in a table of its own, since the direct-sum components of a
 path are paths of smaller sizes.  The groups read these values and
-call neither ``phi`` nor ``psi``, except the two ``decompose`` records:
-the family's ``decompose`` runs ``phi`` again, and ``psi`` on the
+call neither ``phi`` nor ``psi``, except the two records of the shared
+``decompose`` method: it runs ``phi`` again, and ``psi`` on the
 components of a path of positive height, on one member per path.  What
 every tag reads at size n, the F-paths, their statistics and
 decompositions, is a :class:`SizeData` that :func:`run_all` builds once

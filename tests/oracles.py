@@ -22,10 +22,10 @@ permutation's max-Cartesian tree; :func:`shape_phi_S` and
 shape-case surgeries of :func:`shape_analysis`, and :func:`record_phi_S`
 replays the record that :func:`value_record` reads off a list of values
 on ψ's block stack.
-Every family's ``decompose`` maps the F-path's components back with ψ;
-:func:`decompose_I` and :func:`decompose_J` peel the summands off the
-sequence itself, by the paper's connectedness tests (maxid = max + 1,
-first = 1).
+``FamilyInfo.decompose``, one method for every family, maps the
+F-path's components back with ψ; :func:`decompose_I` and
+:func:`decompose_J` peel the summands off the sequence itself, by the
+paper's connectedness tests (maxid = max + 1, first = 1).
 :func:`joint_dp` counts F-paths by their statistics with a transfer over
 the steps, for the closed forms ``counting.a_joint`` and
 ``counting.a_marginal``, and :func:`step_class_dp` by their step

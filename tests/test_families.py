@@ -1,4 +1,5 @@
 """Registry wiring: parse/render round trips and the common size index."""
+import dataclasses
 import doctest
 import hashlib
 import importlib
@@ -9,7 +10,7 @@ from functools import reduce
 import pytest
 
 import fpaths
-from fpaths import errors, families
+from fpaths import errors
 from fpaths.errors import (
     FormViolation,
     GuardExceeded,
@@ -17,7 +18,7 @@ from fpaths.errors import (
     ParseError,
     StepNotInF,
 )
-from fpaths.families import FAMILIES, TAGS, parse_object
+from fpaths.families import FAMILIES, TAGS, FamilyInfo, parse_object
 from fpaths.fpath_core import (
     MAX_N,
     NORTH,
@@ -159,7 +160,8 @@ def test_decompose_undoes_the_fold():
 @pytest.mark.parametrize("tag", TAGS)
 def test_decompose_keeps_a_height_zero_object(random_fpath, tag):
     """An object of height 0 is its own single summand: ``decompose``
-    returns it without a ψ call.  One of height h costs h + 1 calls."""
+    returns it without a ψ call.  One of height h costs h + 1 calls of
+    the entry's own ψ: ``decompose`` is a method, not a field."""
     fam = FAMILIES[tag]
     calls = []
 
@@ -167,8 +169,8 @@ def test_decompose_keeps_a_height_zero_object(random_fpath, tag):
         calls.append(q)
         return fam.psi(q)
 
-    decompose = families._family(tag, None, None, None, None, fam.phi, psi,
-                                 fam.stats_core, fam.direct_sum).decompose
+    assert "decompose" not in {f.name for f in dataclasses.fields(FamilyInfo)}
+    decompose = dataclasses.replace(fam, psi=psi).decompose
     walk = random_fpath(random.Random(2999), 2999)
     height = fpath_stats(walk)[0].h
     obj = fam.psi(walk + ((height + 1, 1),))

@@ -18,7 +18,8 @@ import pytest
 
 from fpaths import verify_harness
 from fpaths.errors import FormViolation, WeightOutOfRange
-from fpaths.families import FAMILIES, TAGS
+from fpaths.families import FAMILIES, TAGS, FamilyInfo
+from fpaths.fpath_core import fpath_decompose
 from fpaths.verify_harness import (
     CheckRecord,
     VerifyReport,
@@ -109,16 +110,21 @@ def _count_cores(monkeypatch):
 
 def test_run_all_runs_phi_once_per_object_and_psi_once_per_path(
         monkeypatch):
-    """The direct-sum records' ``decompose`` closes over the unwrapped
-    cores, so its phi and psi calls are not counted."""
+    """The two ``decompose`` records add one phi per path of inv-i and
+    inv-j, and one psi per component of each path of positive height."""
     calls = _count_cores(monkeypatch)
     assert run_all(max_n=4).ok
     want = Counter()
     for n in range(5):
-        paths = len(FAMILIES["fpath"].generate(n))
+        paths = FAMILIES["fpath"].generate(n)
         for tag in MAPPED:
-            want["phi", tag, n] = len(FAMILIES[tag].generate(n))
-            want["psi", tag, n] = paths
+            want["phi", tag, n] += len(FAMILIES[tag].generate(n))
+            want["psi", tag, n] += len(paths)
+        for tag in ("inv-i", "inv-j"):
+            want["phi", tag, n] += len(paths)
+            for q in paths:
+                if len(comps := fpath_decompose(q)) > 1:
+                    want.update(("psi", tag, len(c)) for c in comps)
     # The pinned examples add one phi per tag at the 15-step path.
     assert {k: v for k, v in calls.items() if k[2] <= 4} == want
 
@@ -164,8 +170,10 @@ def test_the_tables_hold_the_generated_objects(monkeypatch):
 
 def test_swapped_psi_pair_gives_the_known_fail_lines(monkeypatch):
     """A psi that swaps the inv-i members 0,0,1 and 0,1,0 fails the two
-    round trips at n = 2 and the two direct-sum records wherever a
-    component maps to a swapped member; statistics do not read psi."""
+    round trips at n = 2, the homomorphism record wherever a component
+    maps to a swapped member, and ``decompose``, which runs the same
+    psi, where the path itself maps to one; statistics do not read
+    psi."""
     info = FAMILIES["inv-i"]
     swap = {(0, 0, 1): (0, 1, 0), (0, 1, 0): (0, 0, 1)}
 
@@ -181,8 +189,6 @@ def test_swapped_psi_pair_gives_the_known_fail_lines(monkeypatch):
         "FAIL  n=2  direct-sum[inv-i] psi is a homomorphism  [0,1 1,1]",
         "FAIL  n=2  direct-sum[inv-i] decompose_I inverts the fold  [0,1 1,1]",
         "FAIL  n=3  direct-sum[inv-i] psi is a homomorphism  [0,1 0,1 1,0]",
-        "FAIL  n=3  direct-sum[inv-i] decompose_I inverts the fold  "
-        "[0,1 0,1 1,0]",
     ]
 
 
@@ -328,14 +334,16 @@ _lower_one_a1 = _shift_one("a1", -1)
 
 
 def _drop_last_summand(info):
+    """``decompose`` drops its last summand, in this entry alone."""
     decompose = info.decompose
     return {"decompose": lambda o: decompose(o)[:-1]}
 
 
-#: (tag, fault, the FAIL lines of ``run_all(4)``).  Only inv-i and inv-j
-#: have a ``decompose`` record, so a ``decompose`` that drops a summand
-#: passes every record of the other four families: a gap in the harness
-#: (ROADMAP item 9), pinned here as it stands.
+#: (tag, fault, the FAIL lines of ``run_all(4)``).  ``decompose`` is a
+#: method that every family shares, so only the inv-i and inv-j rows
+#: plant it: they pin that each record reads its own entry's method.
+#: The shared method's fault is pinned by
+#: :func:`test_a_dropped_summand_fails_both_decompose_records`.
 FAULT_MATRIX = [
     ("schroder", _drop_last_member, [
         "FAIL  n=3  equinumerous[schroder]  [20 != 21]",
@@ -359,7 +367,6 @@ FAULT_MATRIX = [
         "FAIL  n=3  statistics[schroder] joint distribution  "
         "[first diff (0, 1, 2): 2 != 3]",
     ]),
-    ("schroder", _drop_last_summand, []),
     ("bicolored", _drop_last_member, [
         "FAIL  n=3  equinumerous[bicolored]  [20 != 21]",
         "FAIL  n=3  round-trip[bicolored] phi(psi(q)) == q  [0,1 0,1 0,1]",
@@ -384,7 +391,6 @@ FAULT_MATRIX = [
         "FAIL  n=3  statistics[bicolored] joint distribution  "
         "[first diff (0, 0, 3): 0 != 1]",
     ]),
-    ("bicolored", _drop_last_summand, []),
     ("perm", _drop_last_member, [
         "FAIL  n=3  equinumerous[perm]  [20 != 21]",
         "FAIL  n=3  round-trip[perm] phi(psi(q)) == q  [1,1 1,1 1,1]",
@@ -406,7 +412,6 @@ FAULT_MATRIX = [
         "FAIL  n=3  statistics[perm] joint distribution  "
         "[first diff (3, 3, 0): 0 != 1]",
     ]),
-    ("perm", _drop_last_summand, []),
     ("inv-i", _drop_last_member, [
         "FAIL  n=3  equinumerous[inv-i]  [20 != 21]",
         "FAIL  n=3  round-trip[inv-i] phi(psi(q)) == q  [1,1 1,1 1,1]",
@@ -490,7 +495,6 @@ FAULT_MATRIX = [
         "FAIL  n=3  statistics[tree] joint distribution  "
         "[first diff (3, 3, 0): 0 != 1]",
     ]),
-    ("tree", _drop_last_summand, []),
     # A non-member in generate, two swapped images in phi, and +1 on h
     # and -1 on a1 in stats_core, in each family.
     ("schroder", _add_non_member, [
@@ -590,6 +594,8 @@ FAULT_MATRIX = [
         "FAIL  n=3  round-trip[inv-i] psi(phi(o)) == o  [0,0,0,0]",
         "FAIL  n=3  round-trip[inv-i] phi(psi(q)) == q  [0,1 0,1 0,1]",
         "FAIL  n=3  statistics[inv-i] stats(o) == stats(phi(o))  [0,0,0,0]",
+        "FAIL  n=3  direct-sum[inv-i] decompose_I inverts the fold  "
+        "[0,1 0,1 0,1]",
     ]),
     ("inv-i", _swap_two_preimages, [
         "FAIL  n=3  round-trip[inv-i] psi(phi(o)) == o  [0,0,0,0]",
@@ -619,6 +625,8 @@ FAULT_MATRIX = [
         "FAIL  n=3  round-trip[inv-j] psi(phi(o)) == o  [0,0,0,0]",
         "FAIL  n=3  round-trip[inv-j] phi(psi(q)) == q  [0,1 0,1 0,1]",
         "FAIL  n=3  statistics[inv-j] stats(o) == stats(phi(o))  [0,0,0,0]",
+        "FAIL  n=3  direct-sum[inv-j] decompose_J inverts the fold  "
+        "[0,1 0,1 0,1]",
     ]),
     ("inv-j", _swap_two_preimages, [
         "FAIL  n=3  round-trip[inv-j] psi(phi(o)) == o  [0,0,0,0]",
@@ -667,15 +675,49 @@ FAULT_MATRIX = [
 ]
 
 
+def _plant(info, fault):
+    """A copy of ``info`` with ``fault``'s fields swapped in.  A faulty
+    ``decompose`` is a method, not a field, so it is set on the copy."""
+    changes = fault(info)
+    decompose = changes.pop("decompose", None)
+    planted = dataclasses.replace(info, **changes)
+    if decompose is not None:
+        object.__setattr__(planted, "decompose", decompose)
+    return planted
+
+
 @pytest.mark.parametrize(
     "tag, fault, lines", FAULT_MATRIX,
     ids=[f"{tag}-{fault.__name__[1:]}" for tag, fault, _ in FAULT_MATRIX])
 def test_a_planted_fault_gives_the_known_fail_lines(monkeypatch, tag, fault,
                                                     lines):
-    info = FAMILIES[tag]
-    monkeypatch.setitem(FAMILIES, tag,
-                        dataclasses.replace(info, **fault(info)))
+    monkeypatch.setitem(FAMILIES, tag, _plant(FAMILIES[tag], fault))
     assert [r.line() for r in run_all(4).records if not r.ok] == lines
+
+
+def test_a_dropped_summand_fails_both_decompose_records(monkeypatch):
+    """Every family decomposes through the one ``FamilyInfo.decompose``,
+    so the inv-i and inv-j records catch a fault planted there, at every
+    n, naming the first path."""
+    decompose = FamilyInfo.decompose
+    monkeypatch.setattr(FamilyInfo, "decompose",
+                        lambda self, o: decompose(self, o)[:-1])
+    assert [r.line() for r in run_all(4).records if not r.ok] == [
+        "FAIL  n=0  direct-sum[inv-i] decompose_I inverts the fold  [-]",
+        "FAIL  n=0  direct-sum[inv-j] decompose_J inverts the fold  [-]",
+        "FAIL  n=1  direct-sum[inv-i] decompose_I inverts the fold  [0,1]",
+        "FAIL  n=1  direct-sum[inv-j] decompose_J inverts the fold  [0,1]",
+        "FAIL  n=2  direct-sum[inv-i] decompose_I inverts the fold  [0,1 0,1]",
+        "FAIL  n=2  direct-sum[inv-j] decompose_J inverts the fold  [0,1 0,1]",
+        "FAIL  n=3  direct-sum[inv-i] decompose_I inverts the fold  "
+        "[0,1 0,1 0,1]",
+        "FAIL  n=3  direct-sum[inv-j] decompose_J inverts the fold  "
+        "[0,1 0,1 0,1]",
+        "FAIL  n=4  direct-sum[inv-i] decompose_I inverts the fold  "
+        "[0,1 0,1 0,1 0,1]",
+        "FAIL  n=4  direct-sum[inv-j] decompose_J inverts the fold  "
+        "[0,1 0,1 0,1 0,1]",
+    ]
 
 
 #: sha256 of ``run_all(k).to_text()`` and of ``.to_json()``, k = 0..6.
