@@ -104,22 +104,28 @@ def psi_B(q: FPath) -> BicoloredWord:
 def gen_bicolored(n_plus_1: int) -> tuple[BicoloredWord, ...]:
     """All valid words with n_plus_1 up steps, in plain string order (b<r<u).
     A trusted core: n_plus_1 must be an integer >= 1, checked by
-    ``FAMILIES["bicolored"].generate``."""
+    ``FAMILIES["bicolored"].generate``.
+
+    Black is tried only while an up step is still to come: after the
+    last up only down steps follow, red may not follow black, and the
+    word must end in red, so that run is all red.  Every leaf is then a
+    valid word, and no word that ends in black is built to be dropped.
+    """
     total = 2 * n_plus_1
     out: list[str] = []
 
     def rec(prefix: list[str], ups: int, height: int) -> None:
         pos = len(prefix)
         if pos == total:
-            if prefix[-1] == "r":
-                out.append("".join(prefix))
+            out.append("".join(prefix))
             return
         prev = prefix[-1] if prefix else ""
         # letters tried in ASCII order so the output is sorted
         if height > 0:
-            prefix.append("b")  # black may follow u, r or b
-            rec(prefix, ups, height - 1)
-            prefix.pop()
+            if ups < n_plus_1:
+                prefix.append("b")  # black may follow u, r or b
+                rec(prefix, ups, height - 1)
+                prefix.pop()
             if prev != "b":  # red may not follow black
                 prefix.append("r")
                 rec(prefix, ups, height - 1)

@@ -68,6 +68,12 @@ BigCount = int
 #: ``a_total`` took 1.2 s on a 2-core host.
 MAX_COUNT_N = 50_000
 
+#: Largest top n of a binomial C(n, k) that :func:`series_coeff` and
+#: :func:`multinomial` compute; a larger one raises
+#: :class:`GuardExceeded`.  The counts above call them with tops of at
+#: most 2n + 1 for every n <= :data:`MAX_COUNT_N`.
+MAX_BINOMIAL_N = 2 * MAX_COUNT_N + 1
+
 
 def comb0(n: int, k: int) -> BigCount:
     """Binomial coefficient that is 0 outside 0 <= k <= n."""
@@ -87,21 +93,26 @@ def series_coeff(t: int, s: int) -> BigCount:
     [1, 3, 6, 10, 15]
     >>> [series_coeff(t, -2) for t in range(4)]
     [1, -2, 1, 0]
+
+    A binomial top t+s-1 or -s past :data:`MAX_BINOMIAL_N` raises
+    :class:`GuardExceeded` when t >= 0.
     """
     t, s = _int(t), _int(s)
     if t < 0:
         return 0
     if s <= 0:
-        return (-1) ** t * comb(-s, t)
-    return comb(t + s - 1, s - 1)
+        return (-1) ** t * comb(_binomial_top(-s), t)
+    return comb(_binomial_top(t + s - 1), s - 1)
 
 
 def multinomial(n: int, parts) -> BigCount:
     """Multinomial coefficient n! / prod(p!); 0 if any part is negative
-    or the parts do not sum to n."""
+    or the parts do not sum to n, else an n past :data:`MAX_BINOMIAL_N`
+    raises :class:`GuardExceeded`."""
     n, parts = _int(n), int_entries(parts)
     if any(p < 0 for p in parts) or sum(parts) != n:
         return 0
+    _binomial_top(n)
     out = 1
     rest = n
     for p in parts:
@@ -124,6 +135,13 @@ def _capped(n: int) -> int:
     """n, or :class:`GuardExceeded` when n > :data:`MAX_COUNT_N`."""
     if n > MAX_COUNT_N:
         raise GuardExceeded(n, MAX_COUNT_N)
+    return n
+
+
+def _binomial_top(n: int) -> int:
+    """n, or :class:`GuardExceeded` when n > :data:`MAX_BINOMIAL_N`."""
+    if n > MAX_BINOMIAL_N:
+        raise GuardExceeded(n, MAX_BINOMIAL_N)
     return n
 
 

@@ -46,7 +46,7 @@ from . import (
     schroder_paths,
     weighted_trees,
 )
-from .errors import ParseError
+from .errors import ParseError, int_text
 from .fpath_core import FPath, FStep, StatTriple, require_str
 
 # ------------------------------------------------------------- text forms
@@ -210,5 +210,5 @@ TAGS = tuple(FAMILIES)
 def parse_object(family: str, text: str):
     """Parse and fully validate one object of the given family."""
     if not isinstance(family, str) or family not in FAMILIES:
-        raise ParseError(0, f"unknown family {family!r}")
+        raise ParseError(0, f"unknown family {int_text(family, repr)}")
     return FAMILIES[family].parse(text)

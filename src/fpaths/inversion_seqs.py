@@ -92,7 +92,8 @@ def validate_invseq(entries, family: str) -> InvSeq:
     avoidance.  A bound violation anywhere beats any pattern, and
     NotAvoider names the first pattern of the family that e contains."""
     if not isinstance(family, str) or family not in _PATTERNS:
-        raise FormViolation(f"unknown inversion-sequence family {family!r}")
+        raise FormViolation(
+            f"unknown inversion-sequence family {int_text(family, repr)}")
     return _check_invseq(int_entries(entries), family)
 
 

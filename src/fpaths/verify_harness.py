@@ -9,17 +9,23 @@ The unit of work is one tag: a mapped family, or the hub ``"fpath"``
 for the records about F-paths alone.  :func:`tag_records` makes a tag's
 records for every size n: the hub's from :func:`verify_hub` and
 :func:`verify_pinned_examples`, a mapped family's from the four groups
-below.  It generates a mapped family once per n, runs the trusted core
-``phi`` once per member and ``psi`` once per path, and keeps the psi of
-each path in a table of its own, since the direct-sum components of a
-path are paths of smaller sizes.  The groups read these values and
-call neither ``phi`` nor ``psi``, except the two records of the shared
-``decompose`` method: it runs ``phi`` again, and ``psi`` on the
-components of a path of positive height, on one member per path.  What
-every tag reads at size n, the F-paths, their statistics and
-decompositions, is a :class:`SizeData` that :func:`run_all` builds once
-per size, before any fork.  Only the pinned constants go through the
-validating ``from_fpath``.
+below.  It generates a mapped family once per n and runs the trusted
+core ``phi`` once per member and ``psi`` once per path.  The groups
+read these values and call neither ``phi`` nor ``psi``, except the two
+records of the shared ``decompose`` method: it runs ``phi`` again, and
+``psi`` on the components of a path of positive height, on one member
+per path.  What every tag reads at size n, the F-paths, their
+statistics and decompositions, is a :class:`SizeData` that
+:func:`run_all` builds once per size, before any fork.  Only the
+pinned constants go through the validating ``from_fpath``.
+
+A path is named by its *global index*, its place among the distinct
+F-paths of all sizes in canonical order.  The index of
+:class:`SizeData` is the one dict keyed by a path, so a path is hashed
+once to find its number, and every other table is a list read by
+index: the statistics, each path's components as global indexes, and,
+per tag, the phi images and the psi of every path built so far, since
+the direct-sum components of a path are paths of smaller sizes.
 
 Every check returns rows ``(slot, name, ok, detail)``; :func:`tag_records`
 keys each by (n, slot, TAGS index), the pinned examples, which are rows
@@ -51,7 +57,7 @@ import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import reduce
-from itertools import product
+from itertools import count, product
 
 from .counting import a_joint, a_total
 from .families import FAMILIES, TAGS
@@ -199,34 +205,54 @@ SEQUENCE = (1, 2, 6, 21, 80, 322, 1347, 5798, 25512)
 class SizeData:
     """What every tag's checks read at size n; :func:`run_all` builds it.
 
-    ``generated`` counts the paths the generator yielded, repeats
-    included.  ``paths`` maps each distinct one to itself, in canonical
-    order, and ``paths.get(q, q)`` stores a value equal to a path as
-    that path.
-    ``fstats`` maps each path to its ``fpath_stats``, each distinct value
-    stored once, and ``fdist`` counts the paths of each triple.
-    ``decomps`` holds each path's ``fpath_decompose``, index-aligned.
+    ``index`` numbers the distinct paths the generator yielded, in
+    canonical order, from ``offset`` on, ``offset`` being the number of
+    distinct paths of the sizes below n: a path's number is its *global
+    index* among the paths of every size.  ``index`` is the one table
+    keyed by a path; every other table is a sequence read by index.
+    ``generated`` counts the paths yielded, repeats included.
+    ``stats[i]`` is the ``fpath_stats`` of the path numbered
+    ``offset + i``, each distinct value stored once, and ``fdist``
+    counts the paths of each triple.  ``comps[i]`` holds the global
+    indexes of that path's ``fpath_decompose`` components, None for a
+    component that is not a generated path, and ``unsummed`` is the
+    first path that its components do not fold back to, or None.
     """
 
     generated: int
-    paths: dict
-    fstats: dict
+    offset: int
+    index: dict
+    stats: tuple
     fdist: Counter
-    decomps: tuple
+    comps: tuple
+    unsummed: tuple | None
 
 
-def size_data(n: int) -> SizeData:
+def size_data(n: int, smaller: list | None = None) -> SizeData:
     """Generate the F-paths of size n and compute, once per path, the
-    values that every tag's checks read."""
+    values that every tag's checks read.  ``smaller`` holds the
+    :class:`SizeData` of the sizes 0..n-1, whose indexes number the
+    components; without it they are built here first."""
+    if smaller is None:
+        smaller = []
+        for m in range(n):
+            smaller.append(size_data(m, smaller))
+    offset = sum(len(d.index) for d in smaller)
     generated = FAMILIES["fpath"].generate(n)
-    paths = {q: q for q in generated}
+    index = dict(zip(dict.fromkeys(generated), count(offset)))
     # Paths share few distinct statistics; store each once.
     same = {}
-    fstats = {q: same.setdefault(st, st)
-              for q, st in zip(paths, map(fpath_stats, paths))}
-    return SizeData(len(generated), paths, fstats,
-                    Counter(st for st, _ in fstats.values()),
-                    tuple(map(fpath_decompose, paths)))
+    stats = tuple(same.setdefault(st, st) for st in map(fpath_stats, index))
+    # A component is a path of size <= n, numbered in its own size's index.
+    tables = [d.index for d in smaller] + [index]
+    comps, unsummed = [], None
+    for q in index:
+        parts = fpath_decompose(q)
+        comps.append(tuple(tables[len(c)].get(c) for c in parts))
+        if unsummed is None and reduce(fpath_direct_sum, parts) != q:
+            unsummed = q
+    return SizeData(len(generated), offset, index, stats,
+                    Counter(st for st, _ in stats), tuple(comps), unsummed)
 
 
 def _row(slot: int, name: str, bad, render) -> tuple:
@@ -241,29 +267,26 @@ def verify_equinumerous(n: int, tag: str, got: int) -> list:
 
 
 def verify_round_trips(tag: str, data: SizeData, members, images,
-                       psi_of: dict) -> list:
+                       psi_vals: list, places: list) -> list:
     # psi(phi(o)) is the stored psi of o's image, a generated path.
-    bad = next((o for o, q in zip(members, images) if psi_of.get(q) != o),
-               None)
+    bad = next((o for o, g in zip(members, images)
+                if g is None or psi_vals[g] != o), None)
     out = [_row(1, f"round-trip[{tag}] psi(phi(o)) == o", bad,
                 FAMILIES[tag].render)]
-    # psi(q) must be a member whose stored image is q.
-    phi_of = dict(zip(members, images))
-    bad = next((q for q in data.paths if phi_of.get(psi_of[q]) != q), None)
+    # psi(q) must be a member whose image is q.
+    bad = next((q for (q, g), k in zip(data.index.items(), places)
+                if k is None or images[k] != g), None)
     out.append(_row(1, f"round-trip[{tag}] phi(psi(q)) == q", bad,
                     FAMILIES["fpath"].render))
     return out
 
 
 def verify_statistics(tag: str, data: SizeData, members, images) -> list:
-    fam, fstats, fdist = FAMILIES[tag], data.fstats, data.fdist
-    dist = Counter()
-    bad = None
-    for o, q in zip(members, images):
-        st = fam.stats_core(o)
-        dist[st] += 1
-        if bad is None and (q not in fstats or fstats[q][0] != st):
-            bad = o
+    fam, stats, offset = FAMILIES[tag], data.stats, data.offset
+    triples = list(map(fam.stats_core, members))
+    bad = next((o for o, g, st in zip(members, images, triples)
+                if g is None or stats[g - offset][0] != st), None)
+    dist, fdist = Counter(triples), data.fdist
     diff = None if dist == fdist else _dist_diff(dist, fdist)
     return [_row(2, f"statistics[{tag}] stats(o) == stats(phi(o))", bad,
                  fam.render),
@@ -281,14 +304,15 @@ def _dist_diff(d1: Counter, d2: Counter) -> str:
 _PEELERS = {"inv-i": "decompose_I", "inv-j": "decompose_J"}
 
 
-def verify_direct_sums(tag: str, data: SizeData, psi_of: dict) -> list:
+def verify_direct_sums(tag: str, data: SizeData, psi_vals: list) -> list:
     render_path = FAMILIES["fpath"].render
-    # Each component is a generated path of size <= n, so its psi is
-    # stored; a missing one fails the record.
-    dsum = FAMILIES[tag].direct_sum
-    bad = next((q for q, comps in zip(data.paths, data.decomps)
-                if None in (parts := [psi_of.get(c) for c in comps])
-                or reduce(dsum, parts) != psi_of[q]), None)
+    # A component that is not a generated path, or whose psi is None,
+    # fails the record.
+    dsum, psi_at = FAMILIES[tag].direct_sum, psi_vals.__getitem__
+    bad = next((q for (q, g), comps in zip(data.index.items(), data.comps)
+                if None in comps
+                or None in (parts := list(map(psi_at, comps)))
+                or reduce(dsum, parts) != psi_vals[g]), None)
     out = [_row(5, f"direct-sum[{tag}] psi is a homomorphism", bad,
                 render_path)]
     # The record names are pinned output; they name the connectedness
@@ -296,8 +320,9 @@ def verify_direct_sums(tag: str, data: SizeData, psi_of: dict) -> list:
     if tag in _PEELERS:
         decompose = FAMILIES[tag].decompose
         bad = next(
-            (q for q, comps in zip(data.paths, data.decomps)
-             if decompose(psi_of[q]) != [psi_of.get(c) for c in comps]),
+            (q for (q, g), comps in zip(data.index.items(), data.comps)
+             if None in comps
+             or decompose(psi_vals[g]) != list(map(psi_at, comps))),
             None,
         )
         out.append(_row(
@@ -308,28 +333,29 @@ def verify_direct_sums(tag: str, data: SizeData, psi_of: dict) -> list:
 
 def verify_hub(n: int, data: SizeData) -> list:
     """The hub's records at size n, read off ``data`` alone."""
-    fstats, render_path = data.fstats, FAMILIES["fpath"].render
+    index, stats, offset = data.index, data.stats, data.offset
+    render_path = FAMILIES["fpath"].render
     diff = next((f"(h,l,a1)=({h},{l},{a1}): {got} != {want}"
                  for h, l, a1 in product(range(n + 1), repeat=3)
                  if (want := a_joint(n, h=a1, l=l, m=h))
                  != (got := data.fdist.get(StatTriple(h, l, a1), 0))), None)
 
-    def involution_holds(q):
+    def involution_holds(q, st):
         r = involution_phi_F(q)
-        if r not in fstats or involution_phi_F(r) != q:
+        j = index.get(r)
+        if j is None or involution_phi_F(r) != q:
             return False
-        (h1, l1, a1), bone1 = fstats[q]
-        (h2, l2, a2), bone2 = fstats[r]
+        (h1, l1, a1), bone1 = st
+        (h2, l2, a2), bone2 = stats[j - offset]
         return ((h2, l2) == (h1, l1) and a2 == bone1 - l1
                 and bone2 == a1 + l1 and h1 <= l1 <= bone1)
 
-    bad = next((q for q in data.paths if not involution_holds(q)), None)
-    unsummed = next((q for q, comps in zip(data.paths, data.decomps)
-                     if reduce(fpath_direct_sum, comps) != q), None)
+    bad = next((q for q, st in zip(index, stats)
+                if not involution_holds(q, st)), None)
     return verify_equinumerous(n, "fpath", data.generated) + [
         _row(3, "statistics a_joint closed form", diff, str),
         _row(3, "involution relations", bad, render_path),
-        _row(4, "direct-sum[fpath] recompose", unsummed, render_path),
+        _row(4, "direct-sum[fpath] recompose", data.unsummed, render_path),
     ]
 
 
@@ -341,32 +367,36 @@ def tag_records(tag: str, sizes: list) -> list[tuple]:
     The hub, ``"fpath"``, has its records from :func:`verify_hub`, and
     the rows of :func:`verify_pinned_examples` keyed (-1, 0, 0).  A
     mapped family is generated once per n; ``phi`` runs once per member
-    and ``psi`` once per path.  The psi of every path built so far stays
-    in a table local to this call: the direct-sum components of a path
-    are paths of smaller sizes, and their psi is looked up there.
+    and ``psi`` once per path.  The tables are local to this call and
+    read by index: ``images[k]`` is the global index of the k-th
+    member's image, None where it is not a generated path of size n;
+    ``places[i]`` is the place among the members of psi of the i-th
+    path of size n, None where it is none of them; and ``psi_vals[g]``
+    is psi of the path with global index g, for every size so far, since
+    the direct-sum components of a path are paths of smaller sizes.
     """
     t = TAGS.index(tag)
     fam = FAMILIES[tag]
-    psi_of = {}
+    psi_vals = []
     groups = {-1: verify_pinned_examples()} if tag == "fpath" else {}
     for n, data in enumerate(sizes):
         if tag == "fpath":
             groups[n] = verify_hub(n, data)
         else:
-            # An image that equals a generated path is stored as that
-            # path, and a psi value that equals a member as that member,
-            # so the stored values take no memory of their own.
             members = fam.generate(n)
-            same_member = {o: o for o in members}
-            paths = data.paths
-            images = tuple(paths.get(q, q) for q in map(fam.phi, members))
-            psi_of.update((q, same_member.get(o, o))
-                          for q, o in zip(paths, map(fam.psi, paths)))
+            images = list(map(data.index.get, map(fam.phi, members)))
+            # A psi value that equals a member is stored as that member,
+            # so a fresh copy is let go as soon as it is placed.
+            place, places = dict(zip(members, count())).get, []
+            for o in map(fam.psi, data.index):
+                places.append(k := place(o))
+                psi_vals.append(o if k is None else members[k])
             groups[n] = (
                 verify_equinumerous(n, tag, len(members))
-                + verify_round_trips(tag, data, members, images, psi_of)
+                + verify_round_trips(tag, data, members, images, psi_vals,
+                                     places)
                 + verify_statistics(tag, data, members, images)
-                + verify_direct_sums(tag, data, psi_of))
+                + verify_direct_sums(tag, data, psi_vals))
     return [(n, slot, t, name, ok, detail)
             for n, rows in groups.items()
             for slot, name, ok, detail in rows]
@@ -424,7 +454,9 @@ def run_all(max_n: int = 6) -> VerifyReport:
     slot, TAGS index), the same either way.
     """
     max_n = common_index(max_n)
-    sizes = [size_data(n) for n in range(max_n + 1)]
+    sizes = []
+    for n in range(max_n + 1):
+        sizes.append(size_data(n, sizes))
     rows = _split(max_n, sizes) or _rows(TAGS, sizes)
     # The sort is stable, and rows of one key come from one call in order.
     rows.sort(key=lambda row: row[:3])

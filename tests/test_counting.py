@@ -147,6 +147,46 @@ def test_multinomial_against_factorials():
     assert multinomial(7, (3, 2, 2)) == 210
 
 
+@pytest.mark.parametrize("call, top", [
+    (lambda: series_coeff(10**19, 10**19), 2 * 10**19 - 1),
+    (lambda: series_coeff(3 * 10**5, 3 * 10**5), 6 * 10**5 - 1),
+    (lambda: series_coeff(1, counting.MAX_BINOMIAL_N + 1),
+     counting.MAX_BINOMIAL_N + 1),
+    (lambda: series_coeff(0, -counting.MAX_BINOMIAL_N - 1),
+     counting.MAX_BINOMIAL_N + 1),
+    (lambda: multinomial(2 * 10**19, [10**19, 10**19]), 2 * 10**19),
+    (lambda: multinomial(counting.MAX_BINOMIAL_N + 1,
+                         [counting.MAX_BINOMIAL_N + 1]),
+     counting.MAX_BINOMIAL_N + 1),
+], ids=["huge", "slow", "series-top", "polynomial-top", "multinomial-huge",
+        "multinomial-top"])
+def test_binomial_helpers_refuse_a_top_past_the_ceiling(call, top):
+    """A binomial top past MAX_BINOMIAL_N raises GuardExceeded, naming
+    the ceiling, before any arithmetic: these calls used to raise
+    OverflowError or run for seconds."""
+    cap = counting.MAX_BINOMIAL_N
+    with pytest.raises(GuardExceeded) as caught:
+        call()
+    assert str(caught.value) == f"n must be <= {cap}, got {top}"
+    assert (caught.value.requested, caught.value.guard) == (top, cap)
+
+
+def test_binomial_helpers_take_the_tops_the_counts_use():
+    """Tops up to MAX_BINOMIAL_N = 2·MAX_COUNT_N + 1 are computed, and
+    the counts at n = MAX_COUNT_N, whose binomial tops reach 2n - 1 and
+    n + 1 here, stay under the ceiling."""
+    cap, n = counting.MAX_BINOMIAL_N, counting.MAX_COUNT_N
+    assert cap == 2 * n + 1
+    assert series_coeff(0, cap + 1) == 1          # C(cap, cap)
+    assert series_coeff(0, -cap) == 1             # C(cap, 0)
+    assert series_coeff(cap + 5, -cap) == 0       # k past the top
+    assert series_coeff(-1, 10**19) == 0          # t < 0: no binomial
+    assert multinomial(cap, [cap - 1, 1]) == cap
+    assert multinomial(10**19, [10**19, 1]) == 0  # parts miss the total
+    assert a_marginal(n, l=0, m=0) == 1           # series top 2n - 1
+    assert f_refined(n, 0, 0, 0, n, n) == 1       # multinomial top n + 1
+
+
 # ------------------------------------------------------------ closed forms
 
 

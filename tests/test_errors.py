@@ -8,8 +8,9 @@ import pytest
 
 from fpaths import errors
 from fpaths.counting import a_joint, comb0
-from fpaths.families import FAMILIES
+from fpaths.families import FAMILIES, parse_object
 from fpaths.fpath_core import common_index, int_entries, validate_fpath
+from fpaths.inversion_seqs import validate_invseq
 from fpaths.verify_harness import run_all
 
 #: One instance of every class, built the way the package raises it.
@@ -95,9 +96,13 @@ DIGITS = "1" + "0" * 5000
      f"counts take integer arguments, got ({DIGITS}, 1.5, 0, 0)"),
     (lambda: comb0([BIG], 1), errors.FormViolation,
      f"counts take integer arguments, got [{DIGITS}]"),
+    (lambda: parse_object(BIG, "x"), errors.ParseError,
+     f"parse error at offset 0: unknown family {DIGITS}"),
+    (lambda: validate_invseq([0], BIG), errors.FormViolation,
+     f"unknown inversion-sequence family {DIGITS}"),
 ], ids=["guard", "negative", "generate", "run_all", "step", "step-list",
         "root-weight", "weight", "missing", "inv-i", "perm", "entry",
-        "a_joint", "comb0"])
+        "a_joint", "comb0", "family", "invseq-family"])
 def test_messages_print_ints_past_the_digit_limit(call, error, message):
     """An int past CPython's int-to-str limit in a refused input gets its
     digits in the typed error, not a bare ValueError from ``str``."""

@@ -19,7 +19,7 @@ import pytest
 from fpaths import verify_harness
 from fpaths.errors import FormViolation, WeightOutOfRange
 from fpaths.families import FAMILIES, TAGS, FamilyInfo
-from fpaths.fpath_core import fpath_decompose
+from fpaths.fpath_core import fpath_decompose, fpath_stats
 from fpaths.verify_harness import (
     CheckRecord,
     VerifyReport,
@@ -139,33 +139,106 @@ def test_consecutive_runs_make_the_same_calls(monkeypatch):
     assert calls == first
 
 
+def _sizes(max_n):
+    """The :class:`SizeData` list that ``run_all(max_n)`` builds."""
+    sizes = []
+    for n in range(max_n + 1):
+        sizes.append(size_data(n, sizes))
+    return sizes
+
+
+def test_size_data_numbers_the_distinct_paths_in_canonical_order():
+    """Each size's paths are numbered on from the count of the sizes
+    below it, alike whether ``size_data`` builds the smaller sizes itself
+    or is handed them."""
+    sizes, offset = _sizes(5), 0
+    for n, data in enumerate(sizes):
+        alone = size_data(n)
+        for d in (data, alone):
+            assert list(d.index) == list(FAMILIES["fpath"].generate(n))
+            assert list(d.index.values()) == \
+                list(range(offset, offset + len(d.index)))
+            assert d.offset == offset
+        assert (alone.stats, alone.comps) == (data.stats, data.comps)
+        offset += len(data.index)
+
+
 def test_size_data_stores_each_distinct_statistic_once():
     for n in range(6):
-        values = size_data(n).fstats.values()
-        assert len(set(map(id, values))) == len(set(values)), n
+        data = size_data(n)
+        assert data.stats == tuple(map(fpath_stats, data.index)), n
+        assert len(set(map(id, data.stats))) == len(set(data.stats)), n
+
+
+def test_component_indexes_name_the_decomposition():
+    """Every path's component indexes, read in the paths of all sizes,
+    are exactly its ``fpath_decompose`` components."""
+    sizes = _sizes(6)
+    paths = [q for data in sizes for q in data.index]
+    for data in sizes:
+        assert data.unsummed is None
+        for q, comps in zip(data.index, data.comps):
+            assert [paths[c] for c in comps] == fpath_decompose(q), q
 
 
 def test_the_tables_hold_the_generated_objects(monkeypatch):
-    """Each phi image is stored as the generated path it equals and each
-    psi value as the generated member it equals, so neither table holds
-    a copy of its own."""
+    """Each phi image is stored as the global index of the generated path
+    it equals, and each psi value as the generated member it equals, at
+    the place that ``places`` names, so the psi table holds no copy of
+    its own."""
     seen = []
     real = verify_harness.verify_round_trips
 
-    def capture(tag, data, members, images, psi_of):
-        seen.append((tag, data, members, images,
-                     [psi_of[q] for q in data.paths]))
-        return real(tag, data, members, images, psi_of)
+    def capture(tag, data, members, images, psi_vals, places):
+        values = psi_vals[data.offset:data.offset + len(data.index)]
+        seen.append((tag, data, members, images, values, places))
+        return real(tag, data, members, images, psi_vals, places)
 
     monkeypatch.setattr(verify_harness, "verify_round_trips", capture)
-    sizes = [size_data(n) for n in range(5)]
+    sizes = _sizes(4)
     for tag in MAPPED:
         assert all(row[4] for row in tag_records(tag, sizes))
     assert len(seen) == len(MAPPED) * len(sizes)
-    for tag, data, members, images, values in seen:
-        assert all(q is data.paths[q] for q in images), tag
-        ids = set(map(id, members))
-        assert all(id(o) in ids for o in values), tag
+    for tag, data, members, images, values, places in seen:
+        fam, at = FAMILIES[tag], {g: q for q, g in data.index.items()}
+        assert [at[g] for g in images] == list(map(fam.phi, members)), tag
+        assert all(o is members[k] for o, k in zip(values, places)), tag
+        assert values == list(map(fam.psi, data.index)), tag
+
+
+def test_a_missing_fpath_fails_the_records_that_read_it(monkeypatch):
+    """An F-path generator that drops the last path of size 2 fails the
+    count, the closed form, every family's round trip and statistics at
+    n = 2, and from n = 3 on every record that reads a component that is
+    not in the table: the homomorphism and ``decompose`` records.  A
+    missing component fails a record; it raises nothing."""
+    info = FAMILIES["fpath"]
+
+    def generate(n):
+        paths = info.generate(n)
+        return paths[:-1] if n == 2 else paths
+
+    monkeypatch.setitem(FAMILIES, "fpath",
+                        dataclasses.replace(info, generate=generate))
+    objects = {"schroder": "udud", "bicolored": "ububur", "perm": "3 2 1",
+               "inv-i": "0,1,2", "inv-j": "0,1,2", "tree": "[(1 (1 L))]"}
+    assert [r.line() for r in run_all(4).records if not r.ok] == [
+        "FAIL  n=2  equinumerous[fpath]  [5 != 6]",
+        *(f"FAIL  n=2  round-trip[{tag}] psi(phi(o)) == o  [{o}]"
+          for tag, o in objects.items()),
+        *(line for tag, o in objects.items() for line in (
+            f"FAIL  n=2  statistics[{tag}] stats(o) == stats(phi(o))  [{o}]",
+            f"FAIL  n=2  statistics[{tag}] joint distribution  "
+            "[first diff (0, 0, 2): 1 != 0]")),
+        "FAIL  n=2  statistics a_joint closed form  "
+        "[(h,l,a1)=(0,0,2): 0 != 1]",
+        *(f"FAIL  n={n}  direct-sum[{tag}] {name}  [{path}]"
+          for n, path in ((3, "0,1 1,1 1,1"), (4, "0,1 0,1 1,1 1,1"))
+          for tag, name in [*((tag, "psi is a homomorphism")
+                              for tag in MAPPED),
+                            ("inv-i", "decompose_I inverts the fold"),
+                            ("inv-j", "decompose_J inverts the fold")]),
+    ]
 
 
 def test_swapped_psi_pair_gives_the_known_fail_lines(monkeypatch):
