@@ -28,55 +28,6 @@ from .families import FAMILIES, TAGS
 from .fpath_core import common_index
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="fpaths",
-        description="Bijections, statistics and exact counts for F-paths "
-        "and six equinumerous families.",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enumerate", help="list all objects of a family")
-    p.add_argument("--family", required=True, choices=TAGS)
-    p.add_argument("--n", required=True, type=int, help="common index")
-    p.add_argument("--stats", action="store_true",
-                   help="append TAB h,l,a1 to each line")
-
-    p = sub.add_parser("map", help="map stdin objects between families")
-    p.add_argument("--from", dest="src", required=True, choices=TAGS)
-    p.add_argument("--to", dest="dst", required=True, choices=TAGS)
-
-    p = sub.add_parser("stats", help="statistics of stdin objects")
-    p.add_argument("--family", required=True, choices=TAGS)
-
-    p = sub.add_parser("count", help="closed-form counts")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--h", type=int, default=None, help="aone")
-    p.add_argument("--l", type=int, default=None, help="north")
-    p.add_argument("--m", type=int, default=None, help="height")
-    p.add_argument("--refined", default=None, metavar="I,J,K,L,M",
-                   help="step-class signature i,j,k,l and height m")
-
-    p = sub.add_parser("table", help="triangle of a marginal, n = 0..5")
-    p.add_argument("--which", required=True, choices=("h", "l"))
-
-    p = sub.add_parser("sequence", help="total counts a(0..max-n)")
-    p.add_argument("--max-n", dest="max_n", required=True, type=int)
-    p.add_argument("--bfile", action="store_true",
-                   help="print 'n a(n)' per line")
-
-    p = sub.add_parser("verify", help="run the cross-verification harness")
-    p.add_argument("--max-n", dest="max_n", type=int, default=6)
-    p.add_argument("--json", dest="json_path", default=None,
-                   help="also write the report as JSON to this file")
-    return top
-
-
-#: Built once per process: ``parse_args`` starts each call from a fresh
-#: Namespace, so one parser serves every ``cmd_dispatch``.
-_PARSER = _build_parser()
-
-
 # ------------------------------------------------------------ subcommands
 
 
@@ -185,15 +136,60 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-_COMMANDS = {
-    "enumerate": _cmd_enumerate,
-    "map": _cmd_map,
-    "stats": _cmd_stats,
-    "count": _cmd_count,
-    "table": _cmd_table,
-    "sequence": _cmd_sequence,
-    "verify": _cmd_verify,
-}
+def _build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(
+        prog="fpaths",
+        description="Bijections, statistics and exact counts for F-paths "
+        "and six equinumerous families.",
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("enumerate", help="list all objects of a family")
+    p.set_defaults(run=_cmd_enumerate)
+    p.add_argument("--family", required=True, choices=TAGS)
+    p.add_argument("--n", required=True, type=int, help="common index")
+    p.add_argument("--stats", action="store_true",
+                   help="append TAB h,l,a1 to each line")
+
+    p = sub.add_parser("map", help="map stdin objects between families")
+    p.set_defaults(run=_cmd_map)
+    p.add_argument("--from", dest="src", required=True, choices=TAGS)
+    p.add_argument("--to", dest="dst", required=True, choices=TAGS)
+
+    p = sub.add_parser("stats", help="statistics of stdin objects")
+    p.set_defaults(run=_cmd_stats)
+    p.add_argument("--family", required=True, choices=TAGS)
+
+    p = sub.add_parser("count", help="closed-form counts")
+    p.set_defaults(run=_cmd_count)
+    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--h", type=int, default=None, help="aone")
+    p.add_argument("--l", type=int, default=None, help="north")
+    p.add_argument("--m", type=int, default=None, help="height")
+    p.add_argument("--refined", default=None, metavar="I,J,K,L,M",
+                   help="step-class signature i,j,k,l and height m")
+
+    p = sub.add_parser("table", help="triangle of a marginal, n = 0..5")
+    p.set_defaults(run=_cmd_table)
+    p.add_argument("--which", required=True, choices=("h", "l"))
+
+    p = sub.add_parser("sequence", help="total counts a(0..max-n)")
+    p.set_defaults(run=_cmd_sequence)
+    p.add_argument("--max-n", dest="max_n", required=True, type=int)
+    p.add_argument("--bfile", action="store_true",
+                   help="print 'n a(n)' per line")
+
+    p = sub.add_parser("verify", help="run the cross-verification harness")
+    p.set_defaults(run=_cmd_verify)
+    p.add_argument("--max-n", dest="max_n", type=int, default=6)
+    p.add_argument("--json", dest="json_path", default=None,
+                   help="also write the report as JSON to this file")
+    return top
+
+
+#: Built once per process: ``parse_args`` starts each call from a fresh
+#: Namespace, so one parser serves every ``cmd_dispatch``.
+_PARSER = _build_parser()
 
 
 def cmd_dispatch(argv=None) -> int:
@@ -203,7 +199,7 @@ def cmd_dispatch(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except BrokenPipeError:
         return 0
     except (FpathsError, OSError) as exc:

@@ -101,8 +101,8 @@ def series_coeff(t: int, s: int) -> BigCount:
     if t < 0:
         return 0
     if s <= 0:
-        return (-1) ** t * comb(_binomial_top(-s), t)
-    return comb(_binomial_top(t + s - 1), s - 1)
+        return (-1) ** t * comb(_capped(-s, MAX_BINOMIAL_N), t)
+    return comb(_capped(t + s - 1, MAX_BINOMIAL_N), s - 1)
 
 
 def multinomial(n: int, parts) -> BigCount:
@@ -112,7 +112,7 @@ def multinomial(n: int, parts) -> BigCount:
     n, parts = _int(n), int_entries(parts)
     if any(p < 0 for p in parts) or sum(parts) != n:
         return 0
-    _binomial_top(n)
+    _capped(n, MAX_BINOMIAL_N)
     out = 1
     rest = n
     for p in parts:
@@ -131,17 +131,11 @@ def _int(value) -> int:
         ) from None
 
 
-def _capped(n: int) -> int:
-    """n, or :class:`GuardExceeded` when n > :data:`MAX_COUNT_N`."""
-    if n > MAX_COUNT_N:
-        raise GuardExceeded(n, MAX_COUNT_N)
-    return n
-
-
-def _binomial_top(n: int) -> int:
-    """n, or :class:`GuardExceeded` when n > :data:`MAX_BINOMIAL_N`."""
-    if n > MAX_BINOMIAL_N:
-        raise GuardExceeded(n, MAX_BINOMIAL_N)
+def _capped(n: int, guard: int) -> int:
+    """n, or :class:`GuardExceeded` when n > ``guard``, a ceiling:
+    :data:`MAX_COUNT_N` or :data:`MAX_BINOMIAL_N`."""
+    if n > guard:
+        raise GuardExceeded(n, guard)
     return n
 
 
@@ -229,14 +223,9 @@ def _stepped_sum(count: int, *runs) -> BigCount:
             block_p *= p
             block_q *= q
             block_t = block_t * q + block_p
-        part, r = divmod(term * block_t, block_q)
-        if r:
-            raise InexactDivision(term * block_t, block_q)
-        total += part
+        total += _exact_div(term * block_t, block_q)
         if left > _BLOCK:
-            term, r = divmod(term * block_p, block_q)
-            if r:
-                raise InexactDivision(term * block_q + r, block_q)
+            term = _exact_div(term * block_p, block_q)
     return total
 
 
@@ -255,7 +244,7 @@ def f_refined(n: int, i: int, j: int, k: int, l: int, m: int) -> BigCount:
     n, i, j, k, l, m = map(_int, (n, i, j, k, l, m))
     if min(i, j, k, l, m) < 0 or m > n:
         return 0
-    _capped(n)
+    _capped(n, MAX_COUNT_N)
     n_prime = n - i - j - k - l
     if n_prime < 0:
         return 0
@@ -431,7 +420,7 @@ def a_total(n: int) -> BigCount:
     n = _int(n)
     if n < 0:
         return 0
-    _capped(n)
+    _capped(n, MAX_COUNT_N)
     # sum over i = 0..n of C(n+1, i+1)·C(2n+1-i, i); every term is
     # non-zero.
     acc = _stepped_sum(n + 1, (n + 1, 1, 0, 1), (2 * n + 1, 0, -1, 1))
@@ -463,7 +452,7 @@ def a_marginal(n: int, h: int | None = None, l: int | None = None,
     h = h if h is None or type(h) is int else _int(h)
     l = l if l is None or type(l) is int else _int(l)
     m = m if m is None or type(m) is int else _int(m)
-    _capped(n)
+    _capped(n, MAX_COUNT_N)
     if l is None is m:
         if h is None:
             return a_total(n)
@@ -506,4 +495,4 @@ def sequence(max_n: int) -> list[BigCount]:
     """
     return [_row_cell("total", 3, 0, v, lambda _, k: a_total(k),
                       lambda _, k: _total_recurrence(k))
-            for v in range(_capped(_int(max_n)) + 1)]
+            for v in range(_capped(_int(max_n), MAX_COUNT_N) + 1)]

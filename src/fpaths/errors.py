@@ -47,8 +47,9 @@ class PrefixViolation(FpathsError):
 
 class GuardExceeded(FpathsError):
     """An n above the ceiling ``guard``: a common index above the
-    enumeration ceiling ``fpath_core.MAX_N``, or a count's n above
-    ``counting.MAX_COUNT_N``."""
+    enumeration ceiling ``fpath_core.MAX_N``, a count's n above
+    ``counting.MAX_COUNT_N``, or a binomial top above
+    ``counting.MAX_BINOMIAL_N``."""
 
     def __init__(self, requested, guard):
         self.requested = requested

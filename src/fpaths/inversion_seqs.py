@@ -86,14 +86,21 @@ def _check_invseq(e: InvSeq, family: str) -> InvSeq:
     return e
 
 
-def validate_invseq(entries, family: str) -> InvSeq:
-    """Check integer entries (:func:`int_entries`), then in one scan,
-    :func:`_scan`, length >= 1, the inversion bound and ``family``
-    avoidance.  A bound violation anywhere beats any pattern, and
-    NotAvoider names the first pattern of the family that e contains."""
+def _check_family(family) -> None:
+    """FormViolation unless ``family`` names a family; both readers call
+    it before they read any entry."""
     if not isinstance(family, str) or family not in _PATTERNS:
         raise FormViolation(
             f"unknown inversion-sequence family {int_text(family, repr)}")
+
+
+def validate_invseq(entries, family: str) -> InvSeq:
+    """Check ``family`` (:func:`_check_family`) and integer entries
+    (:func:`int_entries`), then in one scan, :func:`_scan`, length >= 1,
+    the inversion bound and ``family`` avoidance.  A bound violation
+    anywhere beats any pattern, and NotAvoider names the first pattern
+    of the family that e contains."""
+    _check_family(family)
     return _check_invseq(int_entries(entries), family)
 
 
@@ -102,6 +109,7 @@ def render_invseq(e) -> str:
 
 
 def parse_invseq(text: str, family: str) -> InvSeq:
+    _check_family(family)
     text = require_str(text).strip()
     try:
         vals = tuple(map(int, text.split(",")))

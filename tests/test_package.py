@@ -180,3 +180,28 @@ def test_no_module_uses_another_modules_private_names():
     found = {path.name: uses for path in sorted(package.glob("*.py"))
              if (uses := private_uses(path.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+def raisers(source: str) -> dict[str, set[str]]:
+    """Each error class that a ``raise`` in ``source`` names, mapped to
+    the top-level functions whose bodies raise it."""
+    found = {}
+    for func in ast.parse(source).body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)  # a call's callee
+                if isinstance(exc, ast.Name):
+                    found.setdefault(exc.id, set()).add(func.name)
+    return found
+
+
+def test_the_counts_check_divisions_and_ceilings_in_one_place_each():
+    """In ``counting``, a division is checked exact by ``_exact_div`` and
+    a ceiling by ``_capped``; only ``a_joint``, which runs once per cell
+    of a joint table, inlines both."""
+    source = Path(fpaths.__file__).with_name("counting.py")
+    found = raisers(source.read_text(encoding="utf-8"))
+    assert found["InexactDivision"] == {"_exact_div", "a_joint"}
+    assert found["GuardExceeded"] == {"_capped", "a_joint"}

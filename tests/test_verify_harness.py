@@ -72,13 +72,21 @@ def test_a_repeated_fpath_fails_only_the_fpath_count(monkeypatch):
     ]
 
 
+def _sizes(max_n):
+    """The :class:`SizeData` list that ``run_all(max_n)`` builds."""
+    sizes = []
+    for n in range(max_n + 1):
+        sizes.append(size_data(n, sizes))
+    return sizes
+
+
 def test_psi_image_outside_the_family_is_a_fail_record(monkeypatch):
     """The harness runs the trusted phi only on family members, so a psi
     that leaves the family gives a FAIL record, not a crash in phi."""
     info = FAMILIES["perm"]
     monkeypatch.setitem(FAMILIES, "perm", dataclasses.replace(
         info, psi=lambda q: (2, 3, 4, 1)))  # contains 2341
-    sizes = [size_data(n) for n in range(4)]
+    sizes = _sizes(3)
     records = {name: (ok, detail)
                for tag in ("perm", "tree")
                for n, _, _, name, ok, detail in tag_records(tag, sizes)
@@ -139,33 +147,20 @@ def test_consecutive_runs_make_the_same_calls(monkeypatch):
     assert calls == first
 
 
-def _sizes(max_n):
-    """The :class:`SizeData` list that ``run_all(max_n)`` builds."""
-    sizes = []
-    for n in range(max_n + 1):
-        sizes.append(size_data(n, sizes))
-    return sizes
-
-
 def test_size_data_numbers_the_distinct_paths_in_canonical_order():
     """Each size's paths are numbered on from the count of the sizes
-    below it, alike whether ``size_data`` builds the smaller sizes itself
-    or is handed them."""
-    sizes, offset = _sizes(5), 0
-    for n, data in enumerate(sizes):
-        alone = size_data(n)
-        for d in (data, alone):
-            assert list(d.index) == list(FAMILIES["fpath"].generate(n))
-            assert list(d.index.values()) == \
-                list(range(offset, offset + len(d.index)))
-            assert d.offset == offset
-        assert (alone.stats, alone.comps) == (data.stats, data.comps)
+    below it."""
+    offset = 0
+    for n, data in enumerate(_sizes(5)):
+        assert list(data.index) == list(FAMILIES["fpath"].generate(n))
+        assert list(data.index.values()) == \
+            list(range(offset, offset + len(data.index)))
+        assert data.offset == offset
         offset += len(data.index)
 
 
 def test_size_data_stores_each_distinct_statistic_once():
-    for n in range(6):
-        data = size_data(n)
+    for n, data in enumerate(_sizes(5)):
         assert data.stats == tuple(map(fpath_stats, data.index)), n
         assert len(set(map(id, data.stats))) == len(set(data.stats)), n
 
@@ -1203,7 +1198,7 @@ def test_the_shipped_threshold_forks_from_max_n_7_on(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     for max_n in range(10):
-        assert verify_harness._split(max_n, []) is None
+        assert verify_harness._split([None] * (max_n + 1)) is None
     assert tried == [7, 8, 9]
 
 
