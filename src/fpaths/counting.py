@@ -57,7 +57,6 @@ from math import comb
 from operator import index, mul
 
 from .errors import FormViolation, GuardExceeded, InexactDivision, int_text
-from .fpath_core import int_entries
 
 BigCount = int
 
@@ -95,20 +94,24 @@ def series_coeff(t: int, s: int) -> BigCount:
     [1, -2, 1, 0]
 
     A binomial top t+s-1 or -s past :data:`MAX_BINOMIAL_N` raises
-    :class:`GuardExceeded` when t >= 0.
+    :class:`GuardExceeded`, naming that top, when t >= 0.
     """
     t, s = _int(t), _int(s)
     if t < 0:
         return 0
     if s <= 0:
-        return (-1) ** t * comb(_capped(-s, MAX_BINOMIAL_N), t)
-    return comb(_capped(t + s - 1, MAX_BINOMIAL_N), s - 1)
+        return (-1) ** t * comb(_capped(-s, MAX_BINOMIAL_N, "-s"), t)
+    return comb(_capped(t + s - 1, MAX_BINOMIAL_N, "t + s - 1"), s - 1)
 
 
 def multinomial(n: int, parts) -> BigCount:
     """Multinomial coefficient n! / prod(p!); 0 if any part is negative
     or the parts do not sum to n, else an n past :data:`MAX_BINOMIAL_N`
     raises :class:`GuardExceeded`."""
+    # Imported here, not at the top: loading ``fpath_core`` took about a
+    # third of ``import fpaths.counting`` (0.6-1.1 ms of 1.8-3.0 ms in a
+    # fresh interpreter), and no other count reads a sequence.
+    from .fpath_core import int_entries
     n, parts = _int(n), int_entries(parts)
     if any(p < 0 for p in parts) or sum(parts) != n:
         return 0
@@ -131,11 +134,11 @@ def _int(value) -> int:
         ) from None
 
 
-def _capped(n: int, guard: int) -> int:
-    """n, or :class:`GuardExceeded` when n > ``guard``, a ceiling:
-    :data:`MAX_COUNT_N` or :data:`MAX_BINOMIAL_N`."""
+def _capped(n: int, guard: int, name: str = "n") -> int:
+    """n, or :class:`GuardExceeded` naming n ``name`` when n > ``guard``,
+    a ceiling: :data:`MAX_COUNT_N` or :data:`MAX_BINOMIAL_N`."""
     if n > guard:
-        raise GuardExceeded(n, guard)
+        raise GuardExceeded(n, guard, name)
     return n
 
 

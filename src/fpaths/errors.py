@@ -46,15 +46,17 @@ class PrefixViolation(FpathsError):
 
 
 class GuardExceeded(FpathsError):
-    """An n above the ceiling ``guard``: a common index above the
-    enumeration ceiling ``fpath_core.MAX_N``, a count's n above
-    ``counting.MAX_COUNT_N``, or a binomial top above
+    """A quantity ``name`` (by default n) above the ceiling ``guard``: a
+    common index above the enumeration ceiling ``fpath_core.MAX_N``, a
+    count's n above ``counting.MAX_COUNT_N``, or a binomial top above
     ``counting.MAX_BINOMIAL_N``."""
 
-    def __init__(self, requested, guard):
+    def __init__(self, requested, guard, name="n"):
         self.requested = requested
         self.guard = guard
-        super().__init__(f"n must be <= {guard}, got {int_text(requested)}")
+        self.name = name
+        super().__init__(
+            f"{name} must be <= {guard}, got {int_text(requested)}")
 
 
 # ------------------------------------------------- lattice-path families

@@ -28,6 +28,7 @@ INSTANCES = [
     errors.StepNotInF((0, 2), 3),
     errors.PrefixViolation(4),
     errors.GuardExceeded(11, 10),
+    errors.GuardExceeded(100002, 100001, "t + s - 1"),
     errors.BelowAxis(3),
     errors.NotClosed(2),
     errors.TripleDescent(5),
@@ -48,7 +49,14 @@ def test_every_class_is_covered():
     assert classes == {type(exc) for exc in INSTANCES}
 
 
-@pytest.mark.parametrize("exc", INSTANCES, ids=lambda e: type(e).__name__)
+def _instance_id(exc) -> str:
+    """The class name, with ``-named`` for a GuardExceeded that bounds a
+    quantity other than n."""
+    named = getattr(exc, "name", "n") != "n"
+    return type(exc).__name__ + "-named" * named
+
+
+@pytest.mark.parametrize("exc", INSTANCES, ids=_instance_id)
 def test_pickle_round_trip_keeps_type_message_and_attributes(exc):
     backs = [pickle.loads(pickle.dumps(exc, protocol))
              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]

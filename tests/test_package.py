@@ -28,9 +28,8 @@ HOMES = {
     "verify_harness": ("VerifyReport", "run_all"),
 }
 
-#: What a count needs: the package, the closed forms and their imports.
-COUNTING_MODULES = ["fpaths", "fpaths.counting", "fpaths.errors",
-                    "fpaths.fpath_core"]
+#: What a count needs: the package, the closed forms and their errors.
+COUNTING_MODULES = ["fpaths", "fpaths.counting", "fpaths.errors"]
 
 
 def fresh(code: str):
@@ -44,14 +43,42 @@ def fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-LOADED = ("print(json.dumps(sorted(m for m in sys.modules "
-          "if m.partition('.')[0] == 'fpaths')))")
+#: The package's loaded modules, as an expression and printed.
+MODULES = "sorted(m for m in sys.modules if m.partition('.')[0] == 'fpaths')"
+LOADED = f"print(json.dumps({MODULES}))"
+
+
+#: A call of every count that reads no sequence, after ``fpaths`` is bound.
+OTHER_COUNTS = ("fpaths.a_marginal(3, h=1); fpaths.a_joint(3, 1, 1, 1); "
+                "fpaths.sequence(3); fpaths.series_coeff(2, 3); "
+                "fpaths.counting.comb0(3, 1)")
 
 
 @pytest.mark.parametrize("code", ["import fpaths.counting",
                                   "import fpaths; fpaths.a_total(3)"])
 def test_a_count_loads_only_the_counting_modules(code):
-    assert fresh(f"{code}\n{LOADED}") == COUNTING_MODULES
+    assert fresh(f"{code}\n{OTHER_COUNTS}\n{LOADED}") == COUNTING_MODULES
+
+
+@pytest.mark.parametrize("call, value", [
+    ("fpaths.multinomial(5, [2, 3])", 10),
+    ("fpaths.f_refined(2, 1, 0, 0, 1, 1)", 2),
+])
+def test_a_count_of_a_sequence_loads_fpath_core_on_its_first_call(call,
+                                                                  value):
+    """``multinomial`` reads its parts with ``fpath_core.int_entries``,
+    imported when it is first called, and ``f_refined`` calls it."""
+    assert fresh("import fpaths.counting\n"
+                 f"before = {MODULES}\n"
+                 f"value = {call}\n"
+                 f"print(json.dumps([before, value, {MODULES}]))") == [
+        COUNTING_MODULES, value, [*COUNTING_MODULES, "fpaths.fpath_core"]]
+
+
+def test_a_path_check_loads_only_fpath_core_and_errors():
+    assert fresh("import fpaths; fpaths.validate_fpath([(0, 1)])\n"
+                 f"{LOADED}") == ["fpaths", "fpaths.errors",
+                                  "fpaths.fpath_core"]
 
 
 def test_a_map_loads_neither_the_counts_nor_the_harness():
